@@ -52,6 +52,7 @@ from .haar import (
     haar_matrix_identity_check,
 )
 from .phasemat import (
+    CRITERION_TOL,
     PhaseMatrix,
     check_general,
     check_triangular,
@@ -80,6 +81,11 @@ from .rotft import (
 _LITTLE_ENDIAN_NOTE = (
     "little-endian: basis index k = sum_i bit_i * 2^i; entry [y][x] = <y|T|x>"
 )
+# Dense builder and circuit builder of each rotation-cascade variant.
+_ROT_BUILDERS = {
+    HADAMARD_FIRST: (rot1_dense, rot1_circuit),
+    ROTATION_FIRST: (rot2_dense, rot2_circuit),
+}
 _HAAR_NOTE = (
     "columns in big-endian slot order (slot 0 = most significant bit); "
     "row 0 uniform, row 2^i + p for level i with prefix p"
@@ -240,7 +246,7 @@ def _cmd_matrix(args, limits: Limits) -> tuple[dict, list | None, int]:
     if kind == "gqft":
         pm = load_phase_spec(_require(args, "--spec"))
         spec = GqftSpec.from_phase_matrix(pm, limits=limits)
-        dense = gqft_dense(spec, limits=limits)
+        entries = gqft_dense(spec, limits=limits).entries
         n = pm.n
         note = _LITTLE_ENDIAN_NOTE
         if args.emit_circuit:
@@ -248,14 +254,15 @@ def _cmd_matrix(args, limits: Limits) -> tuple[dict, list | None, int]:
     elif kind in ("rot1", "rot2"):
         variant = HADAMARD_FIRST if kind == "rot1" else ROTATION_FIRST
         spec = load_rot_spec(_require(args, "--spec"), variant)
-        dense = rot1_dense(spec, limits) if kind == "rot1" else rot2_dense(spec, limits)
+        dense_fn, circuit_fn = _ROT_BUILDERS[variant]
+        entries = dense_fn(spec, limits).entries
         n = spec.n
         note = _LITTLE_ENDIAN_NOTE
         if args.emit_circuit:
-            circuit = rot1_circuit(spec) if kind == "rot1" else rot2_circuit(spec)
+            circuit = circuit_fn(spec)
     elif kind == "haar":
         n = _require(args, "--n")
-        dense = haar_matrix(n, limits).p
+        entries = haar_matrix(n, limits).p
         note = _HAAR_NOTE
         if args.emit_circuit:
             raise InputError(
@@ -264,14 +271,13 @@ def _cmd_matrix(args, limits: Limits) -> tuple[dict, list | None, int]:
             )
     elif kind == "dft":
         n = _require(args, "--n")
-        dense = dft_dense(n, limits)
+        entries = dft_dense(n, limits).entries
         note = _LITTLE_ENDIAN_NOTE
         if args.emit_circuit:
             circuit = dft_circuit(n)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown kind {kind!r}")
 
-    entries = dense.entries if hasattr(dense, "entries") else dense
     report = {
         "command": "matrix",
         "kind": kind,
@@ -298,7 +304,7 @@ def _matrix_csv(entries) -> list[str]:
 
 def _cmd_check(args, limits: Limits) -> tuple[dict, list | None, int]:
     pm = load_phase_spec(_require(args, "--spec"))
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = args.tol if args.tol is not None else CRITERION_TOL
     tri = check_triangular(pm, tol)
     gen = check_general(pm, tol, limits)
     defect = None
@@ -320,11 +326,8 @@ def _cmd_check(args, limits: Limits) -> tuple[dict, list | None, int]:
 
 def _cmd_simulate(args, limits: Limits) -> tuple[dict, list | None, int]:
     circ = circuit_from_json_dict(_load_json(_require(args, "--spec")))
-    if circ.n > limits.state_cap:
-        raise CapExceededError(f"n={circ.n} exceeds state cap {limits.state_cap}")
+    limits.check("state", circ.n)
     basis = args.basis
-    if not 0 <= basis < (1 << circ.n):
-        raise InputError(f"basis index {basis} out of range for n={circ.n}")
     out = apply_circuit(QState.basis(circ.n, basis), circ)
     report = {
         "command": "simulate",
@@ -341,6 +344,11 @@ def _cmd_simulate(args, limits: Limits) -> tuple[dict, list | None, int]:
     return report, csv_rows, 0
 
 
+def _max_abs_diff(a, b) -> float:
+    """Largest entrywise deviation between two dense unitaries."""
+    return float(np.max(np.abs(a.entries - b.entries)))
+
+
 def _cmd_compare(args, limits: Limits) -> tuple[dict, list | None, int]:
     path = _require(args, "--spec")
     data = _load_json(path)
@@ -348,16 +356,9 @@ def _cmd_compare(args, limits: Limits) -> tuple[dict, list | None, int]:
     report: dict = {"command": "compare"}
     if "variant" in data or "theta" in data:
         spec = load_rot_spec(path)
-        dense = (
-            rot1_dense(spec, limits)
-            if spec.variant == HADAMARD_FIRST
-            else rot2_dense(spec, limits)
-        )
-        circ = (
-            rot1_circuit(spec)
-            if spec.variant == HADAMARD_FIRST
-            else rot2_circuit(spec)
-        )
+        dense_fn, circuit_fn = _ROT_BUILDERS[spec.variant]
+        dense = dense_fn(spec, limits)
+        circ = circuit_fn(spec)
         n = spec.n
         ceiling = n + n * (n - 1)
         report["spec_kind"] = f"rot:{spec.variant}"
@@ -375,23 +376,14 @@ def _cmd_compare(args, limits: Limits) -> tuple[dict, list | None, int]:
         ceiling = n + n * (n - 1) // 2
         report["spec_kind"] = "phase"
         if np.array_equal(pm.phi, toeplitz_phi(n).phi):
-            swapped = list(circ.gates) + [Swap(i, n - 1 - i) for i in range(n // 2)]
-            dft_diff = float(
-                np.max(
-                    np.abs(
-                        circuit_to_dense(Circuit(n, tuple(swapped)), limits).entries
-                        - dft_dense(n, limits).entries
-                    )
-                )
-            )
             report["note"] = (
                 "rows are the bit-reversal of the standard transform's; "
                 "appending swaps (i, n-1-i) reproduces it exactly"
             )
-            report["dft_swap_max_abs_diff"] = dft_diff
-    diff = float(
-        np.max(np.abs(circuit_to_dense(circ, limits).entries - np.asarray(dense.entries)))
-    )
+            report["dft_swap_max_abs_diff"] = _max_abs_diff(
+                circuit_to_dense(dft_circuit(n), limits), dft_dense(n, limits)
+            )
+    diff = _max_abs_diff(circuit_to_dense(circ, limits), dense)
     passed = diff < tol
     report.update(
         {
@@ -459,7 +451,6 @@ def _cmd_haar(args, limits: Limits) -> tuple[dict, list | None, int]:
     n = _require(args, "--n")
     report: dict = {"command": "haar", "n": n}
     csv_rows = None
-    did_something = False
     if args.basis is not None:
         if not 0 <= args.basis < (1 << n):
             raise InputError(f"basis index {args.basis} out of range for n={n}")
@@ -468,24 +459,22 @@ def _cmd_haar(args, limits: Limits) -> tuple[dict, list | None, int]:
         report["basis"] = args.basis
         report["slot_bits"] = list(x)
         report["amps"] = amps_to_lists(state.amps)
-        report["identity_check"] = haar_matrix_identity_check(n, x, limits=limits)
-        did_something = True
+        # The forward action is closed-form; only this check needs the dense matrix.
+        report["identity_check"] = (
+            haar_matrix_identity_check(n, x, limits=limits)
+            if n <= limits.dense_cap
+            else None
+        )
     if args.ket is not None:
-        if not 0 <= args.ket < (1 << n):
-            raise InputError(f"ket index {args.ket} out of range for n={n}")
         state = haar_inverse_apply(n, args.ket, limits)
         report["ket"] = args.ket
         report["inverse_amps"] = amps_to_lists(state.amps)
-        did_something = True
     if args.i is not None:
-        if not 0 <= args.i < n:
-            raise InputError(f"level index {args.i} out of range for n={n}")
         circ = haar_inverse_circuit(n, args.i, limits)
         report["i"] = args.i
         report["swap_count"] = haar_inverse_swap_count(n, args.i)
         report["inverse_circuit"] = circuit_to_json_dict(circ)
-        did_something = True
-    if not did_something:
+    if args.basis is None and args.ket is None and args.i is None:
         hm = haar_matrix(n, limits)
         report["convention"] = _HAAR_NOTE
         report["entries"] = matrix_to_lists(hm.p)
@@ -516,6 +505,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _wire_count(raw: str) -> int:
+    """argparse type for --n: an integer of at least 1."""
+    try:
+        n = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need n >= 1, got {n}")
+    return n
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -534,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix", help="dump a dense transform")
     p.add_argument("--kind", choices=("gqft", "rot1", "rot2", "haar", "dft"), required=True)
     p.add_argument("--spec", default=None, help="JSON spec file (gqft/rot kinds)")
-    p.add_argument("--n", type=int, default=None, help="size (haar/dft kinds)")
+    p.add_argument("--n", type=_wire_count, default=None, help="size (haar/dft kinds)")
     p.add_argument("--emit-circuit", default=None, help="also write the circuit JSON here")
     _add_common(p)
 
@@ -553,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("dhsp", help="shift-recovery experiment")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_wire_count, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument(
         "--samples",
@@ -564,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("haar", help="averaging transform utilities")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_wire_count, required=True)
     p.add_argument("--basis", type=int, default=None, help="forward action on this column")
     p.add_argument("--ket", type=int, default=None, help="inverse action on this ket")
     p.add_argument("--i", type=int, default=None, help="emit the inverse circuit for this level")

@@ -1,9 +1,7 @@
 """Shared caps, tolerances, and RNG plumbing.
 
-All randomness in the package flows through a single seedable, splittable
-generator family built on numpy's PCG64.  Parallel or repeated trials derive
-their streams by deterministic spawn from one root seed, so every report is
-reproducible from the seed alone.
+All randomness in the package flows through numpy's PCG64, seeded through
+``rng_from_seed``, so every report is reproducible from its seed alone.
 """
 
 from __future__ import annotations
@@ -12,6 +10,8 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .errors import CapExceededError
 
 # Tolerance used for state norms and dense-matrix equality checks.
 STATE_TOL = 1e-9
@@ -40,6 +40,12 @@ class Limits:
     criterion_cap: int = 20
     row_fn_support: int | None = None
 
+    def check(self, cap: str, n: int) -> None:
+        """Raise CapExceededError when n exceeds the ``{cap}_cap`` field."""
+        limit = getattr(self, f"{cap}_cap")
+        if n > limit:
+            raise CapExceededError(f"n={n} exceeds {cap} cap {limit}")
+
 
 DEFAULT_LIMITS = Limits()
 
@@ -60,8 +66,3 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     """The package-wide named generator: PCG64 seeded via SeedSequence."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
-
-def split_rngs(seed: int, k: int) -> list[np.random.Generator]:
-    """Split one root seed into ``k`` independent child generators."""
-    children = np.random.SeedSequence(seed).spawn(k)
-    return [np.random.Generator(np.random.PCG64(c)) for c in children]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import CapExceededError, GqtError, InputError
+from .errors import InputError
 from .gqft import GqftSpec, gqft_dense
 from .phasemat import PhaseMatrix
 from .qstate import QState, bit_reverse, measure_all
@@ -58,9 +58,6 @@ class DhspInstance:
         """The phase integers z_i = d * s_i (exact, not reduced)."""
         return tuple(self.d * v for v in self.s)
 
-    def s_bit(self, i: int, k: int) -> int:
-        return (self.s[i] >> k) & 1
-
     def d_bit(self, j: int) -> int:
         return (self.d >> j) & 1
 
@@ -70,27 +67,15 @@ class DhspInstance:
 
 
 def coset_state(inst: DhspInstance, limits: Limits = DEFAULT_LIMITS) -> QState:
-    """The sample-encoded product state; the two defining forms cross-check."""
+    """The sample-encoded product state, amp(x) = w^(z.x) / sqrt(N)."""
     n = inst.n
-    if n > limits.state_cap:
-        raise CapExceededError(f"n={n} exceeds state cap {limits.state_cap}")
+    limits.check("state", n)
     dim = 1 << n
-    z = inst.z
-    # Exponent form: amp(x) = w^(z.x) / sqrt(N).
     idx = np.arange(dim)
     zx = np.zeros(dim, dtype=np.float64)
-    for i in range(n):
-        zx += (z[i] % dim) * ((idx >> i) & 1)
-    amps = np.exp(2j * np.pi * np.mod(zx, dim) / dim) / np.sqrt(dim)
-    # Product form: tensor the per-qubit factors (qubit i = weight 2^i).
-    prod = np.ones(1, dtype=np.complex128)
-    for i in range(n):
-        factor = np.array([1.0, np.exp(2j * np.pi * (z[i] % dim) / dim)])
-        prod = np.kron(factor, prod)  # later factors carry higher weight
-    prod /= np.sqrt(dim)
-    if np.max(np.abs(amps - prod)) > 1e-10:
-        raise GqtError("coset-state forms disagree beyond 1e-10")
-    return QState(n, amps)
+    for i, v in enumerate(inst.z):
+        zx += (v % dim) * ((idx >> i) & 1)
+    return QState(n, np.exp(2j * np.pi * np.mod(zx, dim) / dim) / np.sqrt(dim))
 
 
 def phi_from_samples(inst: DhspInstance) -> PhaseMatrix:
@@ -157,29 +142,13 @@ def lambda_vector(inst: DhspInstance) -> tuple[int, ...]:
     """The exact integer mismatch vector at the bit-reversed target outcome.
 
     lam_i = sum_{j=n-1-i}^{n-1} S[j][i] * d_j  -  2^(n-1) * d_{n-1-i}.
-    Also computed as the inner product of the shifted-sample-bit vector with
-    the d-segment vector D_i; the two forms must agree exactly.
     """
     n = inst.n
-    out = []
-    for i in range(n):
-        closed = sum(
-            inst.shifted_sample(j, i) * inst.d_bit(j) for j in range(n - 1 - i, n)
-        ) - (1 << (n - 1)) * inst.d_bit(n - 1 - i)
-        inner = sum(
-            _s_tilde(inst, i, k) * _d_segment(inst, i, k) for k in range(i + 1)
-        )
-        if closed != inner:
-            raise GqtError(
-                f"lambda forms disagree at i={i}: {closed} != {inner}"
-            )
-        out.append(closed)
-    return tuple(out)
-
-
-def _s_tilde(inst: DhspInstance, i: int, k: int) -> int:
-    bit = inst.s_bit(i, k)
-    return (1 << k) * (bit - 1 if k == i else bit)
+    return tuple(
+        sum(inst.shifted_sample(j, i) * inst.d_bit(j) for j in range(n - 1 - i, n))
+        - (1 << (n - 1)) * inst.d_bit(n - 1 - i)
+        for i in range(n)
+    )
 
 
 def _d_segment(inst: DhspInstance, i: int, k: int) -> int:
@@ -231,9 +200,8 @@ def recover_d(
     """
     state = run_procedure(inst, limits=limits)
     hist = measure_all(state, rng_seed, trials)
-    candidates: dict[int, int] = {}
-    for y, c in hist.items():
-        candidates[bit_reverse(y, inst.n)] = candidates.get(bit_reverse(y, inst.n), 0) + c
+    # Bit reversal is a bijection, so no two outcomes share a candidate.
+    candidates = {bit_reverse(y, inst.n): c for y, c in hist.items()}
     best = max(candidates.values())
     d_hat = min(d for d, c in candidates.items() if c == best)
     rate = candidates.get(inst.d, 0) / trials
@@ -246,23 +214,14 @@ def recover_d(
 
 
 def search_perfect_samples(n: int) -> tuple[int, ...]:
-    """Exhaustively find samples whose bit matrix is unit upper-triangular.
+    """The smallest samples whose bit matrix is unit upper-triangular.
 
-    Row i must have bit i set and bits below i clear; the scan returns the
-    smallest such integer per row (which is 2^i).  For every d the resulting
-    lambda vector is identically zero and recovery succeeds with certainty.
+    Row i must have bit i set and bits below i clear; 2^i is the smallest
+    such integer, so the result is (2^0, ..., 2^(n-1)).  For every d the
+    resulting lambda vector is identically zero and recovery succeeds with
+    certainty.
     """
-    if n > 8:
-        raise CapExceededError(f"exhaustive sample search capped at n=8, got {n}")
-    dim = 1 << n
-    out = []
-    for i in range(n):
-        low_mask = (1 << i) - 1
-        found = [s for s in range(dim) if (s >> i) & 1 == 1 and s & low_mask == 0]
-        if not found:
-            raise GqtError(f"no triangular sample for row {i}")  # unreachable
-        out.append(found[0])
-    return tuple(out)
+    return tuple(1 << i for i in range(n))
 
 
 def samples_random(n: int, rng: np.random.Generator) -> tuple[int, ...]:

@@ -24,9 +24,15 @@ import numpy as np
 from .config import DEFAULT_LIMITS, Limits
 from .errors import CapExceededError, InputError, UnsupportedRegimeError, ValidityError
 from .phasemat import PhaseMatrix, check_general, check_triangular
-from .qstate import Circuit, Controlled, DenseUnitary, SingleQubit, Swap
-
-_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
+from .qstate import (
+    HADAMARD,
+    Circuit,
+    Controlled,
+    DenseUnitary,
+    SingleQubit,
+    Swap,
+    bit_table,
+)
 
 TRIANGULAR = "triangular"
 GENERAL = "general"
@@ -117,13 +123,8 @@ class GqftSpec:
         return cls(pm, GENERAL, limits=limits)
 
 
-def _wire_exponents(spec: GqftSpec) -> np.ndarray:
-    """W[i, x]: the per-wire exponent for every input column x."""
-    n = spec.pm.n
-    dim = 1 << n
-    bits = ((np.arange(dim)[:, None] >> np.arange(n)[None, :]) & 1).astype(
-        np.float64
-    )  # [x, i]
+def _wire_exponents(spec: GqftSpec, bits: np.ndarray) -> np.ndarray:
+    """W[i, x]: the per-wire exponent for every input column x; bits is [x, i]."""
     w = spec.pm.phi @ bits.T  # [i, x] linear form
     if spec.cell_fns:
         for (i, j), (_, f1) in spec.cell_fns.items():
@@ -140,13 +141,10 @@ def _wire_exponents(spec: GqftSpec) -> np.ndarray:
 def gqft_dense(spec: GqftSpec, limits: Limits = DEFAULT_LIMITS) -> DenseUnitary:
     """Materialize the transform; every entry has modulus 1/sqrt(N)."""
     n = spec.pm.n
-    if n > limits.dense_cap:
-        raise CapExceededError(f"n={n} exceeds dense cap {limits.dense_cap}")
+    limits.check("dense", n)
     dim = 1 << n
-    bits = ((np.arange(dim)[:, None] >> np.arange(n)[None, :]) & 1).astype(
-        np.float64
-    )
-    exponent = np.mod(bits @ _wire_exponents(spec), float(dim))  # [y, x]
+    bits = bit_table(n)
+    exponent = np.mod(bits @ _wire_exponents(spec, bits), float(dim))  # [y, x]
     return DenseUnitary(n, np.exp(2j * np.pi * exponent / dim) / np.sqrt(dim))
 
 
@@ -166,7 +164,7 @@ def gqft_circuit(spec: GqftSpec) -> Circuit:
     modulus = 1 << n
     gates: list = []
     for i in range(n - 1, -1, -1):
-        gates.append(SingleQubit(i, _H))
+        gates.append(SingleQubit(i, HADAMARD))
         if spec.row_fns and i in spec.row_fns:
             for pattern in sorted(spec.row_fns[i]):
                 controls = tuple((j, pattern[j]) for j in range(i))
@@ -198,8 +196,7 @@ def dft_dense(n: int, limits: Limits = DEFAULT_LIMITS) -> DenseUnitary:
     """The standard DFT: F[y][x] = w^(x*y) / sqrt(N) over integer products."""
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    if n > limits.dense_cap:
-        raise CapExceededError(f"n={n} exceeds dense cap {limits.dense_cap}")
+    limits.check("dense", n)
     dim = 1 << n
     k = np.arange(dim)
     exponent = np.mod(np.outer(k, k), dim)

@@ -28,18 +28,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import CapExceededError, InputError
-from .qstate import Circuit, QState, SingleQubit, Swap
+from .errors import InputError
+from .qstate import HADAMARD, Circuit, QState, SingleQubit, Swap
 
-_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
+
+def _slot_bits(n: int, slots) -> tuple[int, ...]:
+    slots = tuple(int(b) for b in slots)
+    if len(slots) != n or any(b not in (0, 1) for b in slots):
+        raise InputError(f"bad slot bits {slots} for n={n}")
+    return slots
+
+
+def _column_terms(x: tuple[int, ...]):
+    """(i, ket, sign) for each leading-one summand of A|x>; see the module doc."""
+    for i in range(len(x)):
+        yield i, (1 << i) + sum(x[k] << (i - 1 - k) for k in range(i)), 1 - 2 * x[i]
 
 
 def slot_index(n: int, slots) -> int:
     """Index of the ket with the given register-slot bits (slot 0 leftmost)."""
-    slots = tuple(int(b) for b in slots)
-    if len(slots) != n or any(b not in (0, 1) for b in slots):
-        raise InputError(f"bad slot bits {slots} for n={n}")
-    return sum(b << (n - 1 - j) for j, b in enumerate(slots))
+    return sum(b << (n - 1 - j) for j, b in enumerate(_slot_bits(n, slots)))
 
 
 @dataclass(frozen=True)
@@ -70,8 +78,7 @@ def haar_matrix(n: int, limits: Limits = DEFAULT_LIMITS) -> HaarMatrix:
     """Build A and P on 2^n points via the block recursion."""
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    if n > limits.dense_cap:
-        raise CapExceededError(f"n={n} exceeds dense cap {limits.dense_cap}")
+    limits.check("dense", n)
     a = np.array([[1, 1], [1, -1]], dtype=np.int64)
     for m in range(2, n + 1):
         half = 1 << (m - 1)
@@ -94,17 +101,12 @@ def haar_apply_basis(n: int, x, limits: Limits = DEFAULT_LIMITS) -> QState:
     (0^(n-i-1), 1, x_0, ..., x_{i-1}).  Equals column ``slot_index(n, x)``
     of ``haar_matrix(n).p``.
     """
-    if n > limits.state_cap:
-        raise CapExceededError(f"n={n} exceeds state cap {limits.state_cap}")
-    x = tuple(int(b) for b in x)
-    if len(x) != n or any(b not in (0, 1) for b in x):
-        raise InputError(f"bad slot bits {x} for n={n}")
+    limits.check("state", n)
     dim = 1 << n
     amps = np.zeros(dim, dtype=np.complex128)
     amps[0] = 1.0
-    for i in range(n):
-        ket = (1 << i) + sum(x[k] << (i - 1 - k) for k in range(i))
-        amps[ket] = (-1.0) ** x[i] * np.sqrt(2.0**i)
+    for i, ket, sign in _column_terms(_slot_bits(n, x)):
+        amps[ket] = sign * np.sqrt(2.0**i)
     return QState(n, amps / np.sqrt(dim))
 
 
@@ -113,14 +115,10 @@ def haar_matrix_identity_check(
 ) -> bool:
     """Exact integer check: column x of ``a`` equals the closed-form ket sum."""
     hm = hm if hm is not None else haar_matrix(n, limits)
-    x = tuple(int(b) for b in x)
-    if len(x) != n or any(b not in (0, 1) for b in x):
-        raise InputError(f"bad slot bits {x} for n={n}")
     expected = np.zeros(1 << n, dtype=np.int64)
     expected[0] += 1
-    for i in range(n):
-        ket = (1 << i) + sum(x[k] << (i - 1 - k) for k in range(i))
-        expected[ket] += -1 if x[i] else 1
+    for _, ket, sign in _column_terms(_slot_bits(n, x)):
+        expected[ket] += sign
     return bool(np.array_equal(hm.a[:, slot_index(n, x)], expected))
 
 
@@ -134,11 +132,10 @@ def haar_inverse_apply(n: int, ket: int, limits: Limits = DEFAULT_LIMITS) -> QSt
 
     i.e. prefix fixed, a sign from slot i, weight 2^(-(n-i)/2).
     """
-    if n > limits.state_cap:
-        raise CapExceededError(f"n={n} exceeds state cap {limits.state_cap}")
     dim = 1 << n
     if not 0 <= ket < dim:
-        raise InputError(f"basis index {ket} out of range for n={n}")
+        raise InputError(f"ket index {ket} out of range for n={n}")
+    limits.check("state", n)
     idx = np.arange(dim)
     if ket == 0:
         return QState(n, np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128))
@@ -163,10 +160,9 @@ def haar_inverse_circuit(n: int, i: int, limits: Limits = DEFAULT_LIMITS) -> Cir
     the moved |1> to (|0>-|1>)/sqrt(2) and each trailing |0> to uniform).
     Valid on all 2^i kets of the family; slot j addresses qubit n-1-j.
     """
-    if n < 1 or not 0 <= i < n:
-        raise InputError(f"need 0 <= i < n, got n={n}, i={i}")
-    if n > limits.state_cap:
-        raise CapExceededError(f"n={n} exceeds state cap {limits.state_cap}")
+    if not 0 <= i < n:
+        raise InputError(f"level index {i} out of range for n={n}")
+    limits.check("state", n)
     gates: list = []
 
     def swap_slots(a: int, b: int):
@@ -181,5 +177,5 @@ def haar_inverse_circuit(n: int, i: int, limits: Limits = DEFAULT_LIMITS) -> Cir
     for r in range(i):
         swap_slots(r, r + 1)
     for s in range(i, n):
-        gates.append(SingleQubit(n - 1 - s, _H))
+        gates.append(SingleQubit(n - 1 - s, HADAMARD))
     return Circuit(n, tuple(gates))

@@ -25,7 +25,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import CapExceededError, InputError
+from .errors import InputError
+from .qstate import bit_table
 
 # Default tolerance for wraparound congruence tests.
 CRITERION_TOL = 1e-9
@@ -35,11 +36,10 @@ _BLOCK = 3**9
 
 @dataclass(frozen=True)
 class PhaseMatrix:
-    """An n x n real phase-exponent matrix with bounded entries."""
+    """An n x n real phase-exponent matrix with entries bounded by 4^n."""
 
     n: int
     phi: np.ndarray
-    entry_bound: float | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -49,14 +49,13 @@ class PhaseMatrix:
             raise InputError(f"phi shape {phi.shape} does not match n={self.n}")
         if not np.all(np.isfinite(phi)):
             raise InputError("phi entries must be finite")
-        bound = self.entry_bound if self.entry_bound is not None else 4.0**self.n
+        bound = 4.0**self.n
         if np.max(np.abs(phi)) > bound:
             raise InputError(
                 f"|phi| entries exceed bound {bound} (max {np.max(np.abs(phi))})"
             )
         phi.setflags(write=False)
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "entry_bound", float(bound))
 
     @property
     def modulus(self) -> int:
@@ -155,10 +154,7 @@ def check_general(
     Cost is O(3^n * n); guarded by ``limits.criterion_cap``.
     """
     n = pm.n
-    if n > limits.criterion_cap:
-        raise CapExceededError(
-            f"n={n} exceeds criterion cap {limits.criterion_cap}"
-        )
+    limits.check("criterion", n)
     target = float(1 << (n - 1))
     period = float(1 << n)
     best_key: tuple | None = None
@@ -196,44 +192,13 @@ def a_of_z(pm: PhaseMatrix, z: Sequence[float]) -> complex:
     return complex(np.prod(1.0 + np.exp(2j * np.pi * zt / period)) / period)
 
 
-def consistency_unitary(
-    pm: PhaseMatrix,
-    tol: float = CRITERION_TOL,
-    limits: Limits = DEFAULT_LIMITS,
-) -> bool:
-    """Whether max |A(z)| over nonzero signed z is below ``tol`` (and A(0)=1).
-
-    Agrees with ``check_general`` and with the numeric unitarity defect of
-    the dense transform; the sweep costs O(3^n * n).
-    """
-    n = pm.n
-    if n > limits.dense_cap:
-        raise CapExceededError(f"n={n} exceeds dense cap {limits.dense_cap}")
-    period = float(1 << n)
-    worst = 0.0
-    a_zero = None
-    for z in _signed_blocks(n):
-        zt = np.mod(z @ pm.phi, period)
-        a = np.prod(1.0 + np.exp(2j * np.pi * zt / period), axis=1) / period
-        zero_mask = ~z.any(axis=1)
-        if zero_mask.any():
-            a_zero = complex(a[zero_mask][0])
-            a = a[~zero_mask]
-        if a.size:
-            worst = max(worst, float(np.max(np.abs(a))))
-    return worst < tol and abs(a_zero - 1.0) < tol
-
-
 def phase_dense_raw(pm: PhaseMatrix) -> np.ndarray:
     """The transform matrix as a raw array, with no validity or unitarity gate.
 
     Used for numeric verdicts on arbitrary (possibly non-unitary) matrices.
     """
-    n = pm.n
-    dim = 1 << n
-    bits = ((np.arange(dim)[:, None] >> np.arange(n)[None, :]) & 1).astype(
-        np.float64
-    )
+    dim = 1 << pm.n
+    bits = bit_table(pm.n)
     exponent = np.mod(bits @ pm.phi @ bits.T, float(dim))  # [y, x]
     return np.exp(2j * np.pi * exponent / dim) / np.sqrt(dim)
 

@@ -15,12 +15,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_LIMITS, GATE_TOL, STATE_TOL, Limits, rng_from_seed
-from .errors import CapExceededError, InputError, NotUnitaryError
+from .errors import InputError, NotUnitaryError
+
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 
 
 def _locked(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def bit_table(n: int) -> np.ndarray:
+    """Float 0/1 table of shape (2^n, n): entry [k, i] is bit i of index k."""
+    return ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1).astype(
+        np.float64
+    )
 
 
 def bit_reverse(k: int, n: int) -> int:
@@ -164,12 +173,8 @@ def _gate_qubits(g: Gate) -> tuple[int, ...]:
 
 
 def _apply_gate_block(block: np.ndarray, g: Gate, n: int) -> np.ndarray:
-    """Apply ``g`` along axis 0 of ``block`` (shape (2^n,) or (2^n, m))."""
-    dim = 1 << n
-    for q in _gate_qubits(g):
-        if q >= n:
-            raise InputError(f"gate index {q} out of range for n={n}")
-    idx = np.arange(dim)
+    """Apply a Circuit-checked gate along axis 0 of ``block`` ((2^n,) or (2^n, m))."""
+    idx = np.arange(1 << n)
     if isinstance(g, Swap):
         a_bit = (idx >> g.a) & 1
         b_bit = (idx >> g.b) & 1
@@ -192,7 +197,7 @@ def _apply_gate_block(block: np.ndarray, g: Gate, n: int) -> np.ndarray:
 
 def apply_gate(state: QState, g: Gate) -> QState:
     """Apply one gate; returns a new state (norm preserved within 1e-9)."""
-    return QState(state.n, _apply_gate_block(np.asarray(state.amps), g, state.n))
+    return apply_circuit(state, Circuit(state.n, (g,)))
 
 
 def apply_circuit(state: QState, c: Circuit) -> QState:
@@ -226,8 +231,7 @@ class DenseUnitary:
 
 def circuit_to_dense(c: Circuit, limits: Limits = DEFAULT_LIMITS) -> DenseUnitary:
     """Materialize a circuit: column x of the result is the circuit run on |x>."""
-    if c.n > limits.dense_cap:
-        raise CapExceededError(f"n={c.n} exceeds dense cap {limits.dense_cap}")
+    limits.check("dense", c.n)
     block = np.eye(1 << c.n, dtype=np.complex128)
     for g in c.gates:
         block = _apply_gate_block(block, g, c.n)

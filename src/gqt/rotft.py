@@ -31,10 +31,8 @@ from typing import Mapping
 import numpy as np
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import CapExceededError, InputError
-from .qstate import Circuit, Controlled, DenseUnitary, SingleQubit
-
-_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
+from .errors import InputError
+from .qstate import HADAMARD, Circuit, Controlled, DenseUnitary, SingleQubit, bit_table
 
 HADAMARD_FIRST = "hadamard_first"
 ROTATION_FIRST = "rotation_first"
@@ -92,15 +90,10 @@ class RotSpec:
         return self.thetas.get((i, j), (0.0, 0.0))
 
 
-def _theta_sums(spec: RotSpec) -> np.ndarray:
-    """Theta[j, x] = sum_{k<j} theta[j][k](x_k), reduced mod 2*pi."""
-    n = spec.n
-    dim = 1 << n
-    bits = ((np.arange(dim)[:, None] >> np.arange(n)[None, :]) & 1).astype(
-        np.float64
-    )  # [x, k]
-    m0 = np.zeros((n, n))
-    m1 = np.zeros((n, n))
+def _theta_sums(spec: RotSpec, bits: np.ndarray) -> np.ndarray:
+    """Theta[j, x] = sum_{k<j} theta[j][k](x_k), reduced mod 2*pi; bits is [x, k]."""
+    m0 = np.zeros((spec.n, spec.n))
+    m1 = np.zeros((spec.n, spec.n))
     for (i, j), (t0, t1) in spec.thetas.items():
         m0[i, j], m1[i, j] = t0, t1
     theta = m0 @ (1.0 - bits.T) + m1 @ bits.T  # [j, x]
@@ -108,30 +101,21 @@ def _theta_sums(spec: RotSpec) -> np.ndarray:
     return np.mod(theta, _TWO_PI)
 
 
-def _bits_matrix(n: int) -> np.ndarray:
-    dim = 1 << n
-    return ((np.arange(dim)[:, None] >> np.arange(n)[None, :]) & 1).astype(
-        np.float64
-    )
-
-
 def rot1_dense(spec: RotSpec, limits: Limits = DEFAULT_LIMITS) -> DenseUnitary:
     """Dense matrix of the hadamard_first transform."""
     if spec.variant != HADAMARD_FIRST:
         raise InputError(f"spec variant is {spec.variant}, expected hadamard_first")
     n = spec.n
-    if n > limits.dense_cap:
-        raise CapExceededError(f"n={n} exceeds dense cap {limits.dense_cap}")
+    limits.check("dense", n)
     dim = 1 << n
-    bits = _bits_matrix(n)
-    theta = _theta_sums(spec)  # [j, x]
+    bits = bit_table(n)
+    theta = _theta_sums(spec, bits)  # [j, x]
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    sign_x = 1.0 - 2.0 * bits.T  # (-1)^(x_j), [j, x]
-    sign_y = 1.0 - 2.0 * bits.T  # (-1)^(y_j), [j, y]
+    sign = 1.0 - 2.0 * bits.T  # (-1)^(x_j) over [j, x], and (-1)^(y_j) over [j, y]
     m = np.ones((dim, dim))
     for j in range(n):
         # Wire 0 contributes cos(0) + sign*sin(0) = 1, matching its absence.
-        m *= cos_t[j][None, :] + np.outer(sign_y[j], sign_x[j] * sin_t[j])
+        m *= cos_t[j][None, :] + np.outer(sign[j], sign[j] * sin_t[j])
     parity = (bits @ bits.T) % 2.0  # [y, x] = x.y mod 2
     m *= 1.0 - 2.0 * parity
     return DenseUnitary(n, m.astype(np.complex128) / np.sqrt(dim))
@@ -142,12 +126,11 @@ def rot2_dense(spec: RotSpec, limits: Limits = DEFAULT_LIMITS) -> DenseUnitary:
     if spec.variant != ROTATION_FIRST:
         raise InputError(f"spec variant is {spec.variant}, expected rotation_first")
     n = spec.n
-    if n > limits.dense_cap:
-        raise CapExceededError(f"n={n} exceeds dense cap {limits.dense_cap}")
+    limits.check("dense", n)
     dim = 1 << n
-    bits = _bits_matrix(n)
+    bits = bit_table(n)
     alpha = np.asarray(spec.alpha0)[:, None] - (np.pi / 2.0) * bits.T  # [j, x]
-    psi = np.mod(alpha + _theta_sums(spec), _TWO_PI)
+    psi = np.mod(alpha + _theta_sums(spec, bits), _TWO_PI)
     m = np.ones((dim, dim))
     for j in range(n):
         m *= np.cos(psi[j][None, :] + (np.pi / 2.0) * bits[:, j][:, None])
@@ -172,7 +155,7 @@ def rot1_circuit(spec: RotSpec) -> Circuit:
         raise InputError(f"spec variant is {spec.variant}, expected hadamard_first")
     gates: list = []
     for i in range(spec.n - 1, -1, -1):
-        gates.append(SingleQubit(i, _H))
+        gates.append(SingleQubit(i, HADAMARD))
         gates.extend(_cascade_gates(spec, i))
     return Circuit(spec.n, tuple(gates))
 

@@ -7,6 +7,8 @@ meaningful evidence rather than a tautology.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from gqt import (
@@ -206,3 +208,65 @@ def brute_run_amps(inst: DhspInstance, phi: np.ndarray) -> np.ndarray:
             e = sum(lam[i] * xb[i] for i in range(n))
             out[y] += np.exp(2j * np.pi * (e % dim) / dim)
     return out / dim
+
+
+def coset_product_amps(inst: DhspInstance) -> np.ndarray:
+    """Product form of the coset state: kron of (|0> + w^(z_i)|1>) / sqrt(2).
+
+    Qubit i carries weight 2^i, so later factors go to the left of the kron.
+    """
+    dim = 1 << inst.n
+    amps = np.ones(1, dtype=np.complex128)
+    for zi in inst.z:
+        factor = np.array([1.0, np.exp(2j * np.pi * (zi % dim) / dim)])
+        amps = np.kron(factor, amps)
+    return amps / np.sqrt(dim)
+
+
+def lambda_inner_product(inst: DhspInstance) -> tuple[int, ...]:
+    """lam_i as the inner product of shifted-sample bits with d-segments.
+
+    lam_i = sum_{k<=i} s~_i[k] * D_i[k], where s~_i[k] = 2^k * s_i[k] (minus
+    2^i on the diagonal k = i) and D_i[k] keeps d's bits n-1-i .. n-1-k at
+    their own weights.
+    """
+    n = inst.n
+    out = []
+    for i in range(n):
+        total = 0
+        for k in range(i + 1):
+            bit = (inst.s[i] >> k) & 1
+            s_tilde = (1 << k) * (bit - 1 if k == i else bit)
+            d_segment = sum(
+                inst.d_bit(n - i + j - 1) << (n - i + j - 1) for j in range(i - k + 1)
+            )
+            total += s_tilde * d_segment
+        out.append(total)
+    return tuple(out)
+
+
+def scan_perfect_samples(n: int) -> tuple[int, ...]:
+    """Exhaustive scan: the smallest s in [0, 2^n) per row i with bit i set
+    and every bit below i clear."""
+    out = []
+    for i in range(n):
+        low_mask = (1 << i) - 1
+        out.append(
+            next(s for s in range(1 << n) if (s >> i) & 1 and not s & low_mask)
+        )
+    return tuple(out)
+
+
+def consistency_unitary(pm: PhaseMatrix, tol: float = 1e-9) -> bool:
+    """Whether max |A(z)| over nonzero signed z is below ``tol`` (and A(0)=1).
+
+    A(z) is evaluated in product form, prod_j (1 + w^(z.phi)_j) / N, for all
+    z in {-1,0,1}^n at once; a second route to ``check_general`` and to the
+    numeric unitarity defect.
+    """
+    period = float(1 << pm.n)
+    z = np.array(list(itertools.product((-1, 0, 1), repeat=pm.n)), dtype=np.float64)
+    zt = np.mod(z @ pm.phi, period)
+    a = np.prod(1.0 + np.exp(2j * np.pi * zt / period), axis=1) / period
+    zero = ~z.any(axis=1)
+    return float(np.max(np.abs(a[~zero]))) < tol and abs(a[zero][0] - 1.0) < tol

@@ -8,6 +8,7 @@ import itertools
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -46,6 +47,9 @@ from gqt import (
 )
 
 from _oracles import random_rot_spec, random_triangular_phi
+
+# Child interpreters run from here, so `python -m gqt` imports this checkout.
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def h_tensor(n: int) -> np.ndarray:
@@ -264,6 +268,7 @@ def test_criterion_9_cli_byte_determinism(tmp_path):
             "--spec", str(phi_path), "--emit-circuit", str(circ_path),
         ],
         capture_output=True,
+        cwd=SRC,
     )
     assert setup.returncode == 0
 
@@ -277,8 +282,8 @@ def test_criterion_9_cli_byte_determinism(tmp_path):
     ]
     for cmd in commands:
         full = [sys.executable, "-m", "gqt", *cmd]
-        first = subprocess.run(full, capture_output=True)
-        second = subprocess.run(full, capture_output=True)
+        first = subprocess.run(full, capture_output=True, cwd=SRC)
+        second = subprocess.run(full, capture_output=True, cwd=SRC)
         assert first.returncode == 0, (cmd, first.stderr)
         assert second.returncode == 0
         assert first.stdout == second.stdout

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ from gqt import (
 )
 from gqt.cli import main as cli_main
 from gqt.cli import circuit_from_json_dict, parse_matrix_report
+
+# Child interpreters run from here, so `python -m gqt` imports this checkout.
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv: str):
@@ -216,6 +220,15 @@ def test_dhsp_perfect_recovery():
     assert sum(c for _, c in report["histogram"]) == 64
     assert report["phi"][0] == [4.0, 0.0, 0.0]
 
+    # Closed-form perfect samples work at any n up to the dense cap.
+    code, out, _ = run_cli(
+        "dhsp", "--n", "10", "--d", "3", "--samples", "perfect", "--trials", "32"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["samples"] == [1 << i for i in range(10)]
+    assert report["d_hat"] == 3 and report["empirical_rate"] == 1.0
+
 
 def test_dhsp_zero_shift_and_explicit_samples():
     code, out, _ = run_cli(
@@ -293,6 +306,14 @@ def test_exit_code_one_for_missing_or_malformed_input(tmp_path):
     bad.write_text("not json{")
     code, _, _ = run_cli("check-unitary", "--spec", str(bad))
     assert code == 1
+    for argv in (
+        ("haar", "--n", "-1", "--basis", "0"),
+        ("haar", "--n", "-1", "--ket", "0"),
+        ("dhsp", "--n", "-1", "--d", "0"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 1 and out == ""
+        assert "need n >= 1" in err
 
 
 def test_exit_code_two_for_invalid_phase_matrix(tmp_path):
@@ -313,6 +334,16 @@ def test_exit_code_three_for_dense_cap(tmp_path, monkeypatch):
     assert "cap" in err
     code, out, _ = run_cli("matrix", "--kind", "haar", "--n", "2")
     assert code == 0 and json.loads(out)["dense_cap"] == 2
+
+
+def test_haar_basis_above_dense_cap_reports_null_identity_check(monkeypatch):
+    monkeypatch.setenv("GQT_DENSE_CAP", "2")
+    code, out, _ = run_cli("haar", "--n", "3", "--basis", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["identity_check"] is None
+    got = np.array([complex(re, im) for re, im in report["amps"]])
+    np.testing.assert_allclose(got, haar_matrix(3).p[:, 1], atol=1e-12)
 
 
 def test_bad_env_cap_exits_one(monkeypatch):
@@ -374,7 +405,7 @@ def test_in_process_reruns_are_identical():
 
 def test_module_entry_point_byte_identical():
     cmd = [sys.executable, "-m", "gqt", "matrix", "--kind", "haar", "--n", "3"]
-    a = subprocess.run(cmd, capture_output=True, check=True)
-    b = subprocess.run(cmd, capture_output=True, check=True)
+    a = subprocess.run(cmd, capture_output=True, check=True, cwd=SRC)
+    b = subprocess.run(cmd, capture_output=True, check=True, cwd=SRC)
     assert a.stdout == b.stdout
     assert a.stdout.endswith(b"\n")

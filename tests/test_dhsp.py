@@ -27,7 +27,14 @@ from gqt import (
     success_probability,
 )
 
-from _oracles import brute_coset_amps, brute_run_amps, random_triangular_phi
+from _oracles import (
+    brute_coset_amps,
+    brute_run_amps,
+    coset_product_amps,
+    lambda_inner_product,
+    random_triangular_phi,
+    scan_perfect_samples,
+)
 
 
 def random_instance(n: int, rng: np.random.Generator) -> DhspInstance:
@@ -64,6 +71,27 @@ def test_coset_state_matches_brute_loop():
             np.testing.assert_allclose(
                 coset_state(inst).amps, brute_coset_amps(inst), atol=1e-12
             )
+
+
+def every_shift_instance(seed: int):
+    """Every d for n <= 6, under three seeded random sample tuples per n."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 7):
+        for _ in range(3):
+            s = samples_random(n, rng)
+            for d in range(1 << n):
+                yield DhspInstance(n, d, s)
+
+
+def test_coset_state_matches_product_form():
+    for inst in every_shift_instance(62):
+        diff = np.max(np.abs(coset_state(inst).amps - coset_product_amps(inst)))
+        assert diff < 1e-12
+
+
+def test_lambda_matches_inner_product_form():
+    for inst in every_shift_instance(63):
+        assert lambda_vector(inst) == lambda_inner_product(inst)
 
 
 def test_recovery_matrix_layout_frozen():
@@ -158,12 +186,14 @@ def test_perfect_samples_zero_lambda_for_every_shift():
             assert lambda_vector(inst) == (0,) * n
 
 
-def test_search_perfect_samples_canonical_and_capped():
+def test_search_perfect_samples_canonical_and_uncapped():
     assert search_perfect_samples(1) == (1,)
     assert search_perfect_samples(3) == (1, 2, 4)
     assert search_perfect_samples(5) == (1, 2, 4, 8, 16)
-    with pytest.raises(CapExceededError):
-        search_perfect_samples(9)
+    for n in range(1, 9):
+        assert search_perfect_samples(n) == scan_perfect_samples(n)
+    # The closed form costs O(n), so it needs no size cap.
+    assert search_perfect_samples(12) == tuple(1 << i for i in range(12))
 
 
 def test_perfect_random_samples_bit_structure():

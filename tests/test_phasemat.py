@@ -18,7 +18,6 @@ from gqt import (
     a_of_z,
     check_general,
     check_triangular,
-    consistency_unitary,
     normalized_upper,
     numeric_unitarity_defect,
     phase_dense_raw,
@@ -26,7 +25,7 @@ from gqt import (
     wraparound_distance,
 )
 
-from _oracles import brute_a_of_z, random_triangular_phi
+from _oracles import brute_a_of_z, consistency_unitary, random_triangular_phi
 
 NUMERIC_TOL = 1e-9
 
