@@ -7,15 +7,7 @@ documented in :mod:`gqt.haar`): qubit i carries weight 2^i, so the basis ket
 index is little-endian in the qubit bits.
 """
 
-from .config import (
-    DEFAULT_LIMITS,
-    DEFAULT_SEED,
-    GATE_TOL,
-    STATE_TOL,
-    Limits,
-    limits_from_env,
-    rng_from_seed,
-)
+from .config import DEFAULT_SEED, GATE_TOL, STATE_TOL, rng_from_seed
 from .dhsp import (
     DhspAnalysis,
     DhspInstance,
@@ -106,12 +98,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # config
-    "DEFAULT_LIMITS",
     "DEFAULT_SEED",
     "GATE_TOL",
     "STATE_TOL",
-    "Limits",
-    "limits_from_env",
     "rng_from_seed",
     # errors
     "CapExceededError",

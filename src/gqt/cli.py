@@ -21,12 +21,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
 
 from . import dhsp as dhsp_mod
-from .config import DEFAULT_SEED, STATE_TOL, Limits, limits_from_env, rng_from_seed
+from .config import DEFAULT_SEED, STATE_TOL, cap, check_cap, rng_from_seed
 from .errors import (
     CapExceededError,
     GqtError,
@@ -240,29 +241,33 @@ def _require(args, flag: str):
     return value
 
 
-def _cmd_matrix(args, limits: Limits) -> tuple[dict, list | None, int]:
+def _cmd_matrix(args) -> tuple[dict, list | None, int]:
     kind = args.kind
+    takes, stray = ("--n", "--spec") if kind in ("haar", "dft") else ("--spec", "--n")
+    source = _require(args, takes)
+    if getattr(args, stray.strip("-")) is not None:
+        raise InputError(f"matrix --kind {kind} does not take {stray}")
     circuit = None
     if kind == "gqft":
-        pm = load_phase_spec(_require(args, "--spec"))
-        spec = GqftSpec.from_phase_matrix(pm, limits=limits)
-        entries = gqft_dense(spec, limits=limits).entries
+        pm = load_phase_spec(source)
+        spec = GqftSpec.from_phase_matrix(pm)
+        entries = gqft_dense(spec).entries
         n = pm.n
         note = _LITTLE_ENDIAN_NOTE
         if args.emit_circuit:
             circuit = gqft_circuit(spec)
     elif kind in ("rot1", "rot2"):
         variant = HADAMARD_FIRST if kind == "rot1" else ROTATION_FIRST
-        spec = load_rot_spec(_require(args, "--spec"), variant)
+        spec = load_rot_spec(source, variant)
         dense_fn, circuit_fn = _ROT_BUILDERS[variant]
-        entries = dense_fn(spec, limits).entries
+        entries = dense_fn(spec).entries
         n = spec.n
         note = _LITTLE_ENDIAN_NOTE
         if args.emit_circuit:
             circuit = circuit_fn(spec)
     elif kind == "haar":
-        n = _require(args, "--n")
-        entries = haar_matrix(n, limits).p
+        n = source
+        entries = haar_matrix(n).p
         note = _HAAR_NOTE
         if args.emit_circuit:
             raise InputError(
@@ -270,8 +275,8 @@ def _cmd_matrix(args, limits: Limits) -> tuple[dict, list | None, int]:
                 "for inverse circuits"
             )
     elif kind == "dft":
-        n = _require(args, "--n")
-        entries = dft_dense(n, limits).entries
+        n = source
+        entries = dft_dense(n).entries
         note = _LITTLE_ENDIAN_NOTE
         if args.emit_circuit:
             circuit = dft_circuit(n)
@@ -302,15 +307,14 @@ def _matrix_csv(entries) -> list[str]:
     return rows
 
 
-def _cmd_check(args, limits: Limits) -> tuple[dict, list | None, int]:
+def _cmd_check(args) -> tuple[dict, list | None, int]:
     pm = load_phase_spec(_require(args, "--spec"))
     tol = args.tol if args.tol is not None else CRITERION_TOL
     tri = check_triangular(pm, tol)
-    gen = check_general(pm, tol, limits)
-    defect = None
-    numeric = None
-    if pm.n <= limits.dense_cap:
-        defect = float(numeric_unitarity_defect(pm))
+    gen = check_general(pm, tol)
+    defect = numeric = None
+    with suppress(CapExceededError):  # no numeric verdict above the dense cap
+        defect = numeric_unitarity_defect(pm)
         numeric = bool(defect < max(tol, STATE_TOL))
     report = {
         "command": "check-unitary",
@@ -324,9 +328,9 @@ def _cmd_check(args, limits: Limits) -> tuple[dict, list | None, int]:
     return report, None, 0 if gen.valid else 2
 
 
-def _cmd_simulate(args, limits: Limits) -> tuple[dict, list | None, int]:
+def _cmd_simulate(args) -> tuple[dict, list | None, int]:
     circ = circuit_from_json_dict(_load_json(_require(args, "--spec")))
-    limits.check("state", circ.n)
+    check_cap("state", circ.n)
     basis = args.basis
     out = apply_circuit(QState.basis(circ.n, basis), circ)
     report = {
@@ -349,7 +353,7 @@ def _max_abs_diff(a, b) -> float:
     return float(np.max(np.abs(a.entries - b.entries)))
 
 
-def _cmd_compare(args, limits: Limits) -> tuple[dict, list | None, int]:
+def _cmd_compare(args) -> tuple[dict, list | None, int]:
     path = _require(args, "--spec")
     data = _load_json(path)
     tol = args.tol if args.tol is not None else STATE_TOL
@@ -357,20 +361,21 @@ def _cmd_compare(args, limits: Limits) -> tuple[dict, list | None, int]:
     if "variant" in data or "theta" in data:
         spec = load_rot_spec(path)
         dense_fn, circuit_fn = _ROT_BUILDERS[spec.variant]
-        dense = dense_fn(spec, limits)
+        dense = dense_fn(spec)
         circ = circuit_fn(spec)
         n = spec.n
         ceiling = n + n * (n - 1)
         report["spec_kind"] = f"rot:{spec.variant}"
     else:
         pm = PhaseMatrix.from_json_dict(data)
-        if not check_triangular(pm).valid:
+        try:
+            spec = GqftSpec(pm)
+        except ValidityError:
             raise UnsupportedRegimeError(
                 "comparison needs a lower-triangular phase matrix "
                 "(circuits exist only in that regime) or a rotation spec"
-            )
-        spec = GqftSpec(pm)
-        dense = gqft_dense(spec, limits=limits)
+            ) from None
+        dense = gqft_dense(spec)
         circ = gqft_circuit(spec)
         n = pm.n
         ceiling = n + n * (n - 1) // 2
@@ -381,9 +386,9 @@ def _cmd_compare(args, limits: Limits) -> tuple[dict, list | None, int]:
                 "appending swaps (i, n-1-i) reproduces it exactly"
             )
             report["dft_swap_max_abs_diff"] = _max_abs_diff(
-                circuit_to_dense(dft_circuit(n), limits), dft_dense(n, limits)
+                circuit_to_dense(dft_circuit(n)), dft_dense(n)
             )
-    diff = _max_abs_diff(circuit_to_dense(circ, limits), dense)
+    diff = _max_abs_diff(circuit_to_dense(circ), dense)
     passed = diff < tol
     report.update(
         {
@@ -420,13 +425,13 @@ def _parse_samples(raw: str, n: int, seed: int) -> tuple[tuple[int, ...], str]:
     return explicit, "explicit"
 
 
-def _cmd_dhsp(args, limits: Limits) -> tuple[dict, list | None, int]:
+def _cmd_dhsp(args) -> tuple[dict, list | None, int]:
     n = _require(args, "--n")
     d = _require(args, "--d")
     samples, mode = _parse_samples(args.samples, n, args.seed)
     inst = dhsp_mod.DhspInstance(n, d, samples)
     analysis = dhsp_mod.analyze(inst)
-    rec = dhsp_mod.recover_d(inst, args.trials, args.seed, limits)
+    rec = dhsp_mod.recover_d(inst, args.trials, args.seed)
     report = {
         "command": "dhsp",
         "n": n,
@@ -447,7 +452,7 @@ def _cmd_dhsp(args, limits: Limits) -> tuple[dict, list | None, int]:
     return report, csv_rows, 0
 
 
-def _cmd_haar(args, limits: Limits) -> tuple[dict, list | None, int]:
+def _cmd_haar(args) -> tuple[dict, list | None, int]:
     n = _require(args, "--n")
     report: dict = {"command": "haar", "n": n}
     csv_rows = None
@@ -455,27 +460,25 @@ def _cmd_haar(args, limits: Limits) -> tuple[dict, list | None, int]:
         if not 0 <= args.basis < (1 << n):
             raise InputError(f"basis index {args.basis} out of range for n={n}")
         x = tuple((args.basis >> (n - 1 - j)) & 1 for j in range(n))
-        state = haar_apply_basis(n, x, limits)
+        state = haar_apply_basis(n, x)
         report["basis"] = args.basis
         report["slot_bits"] = list(x)
         report["amps"] = amps_to_lists(state.amps)
         # The forward action is closed-form; only this check needs the dense matrix.
-        report["identity_check"] = (
-            haar_matrix_identity_check(n, x, limits=limits)
-            if n <= limits.dense_cap
-            else None
-        )
+        report["identity_check"] = None
+        with suppress(CapExceededError):
+            report["identity_check"] = haar_matrix_identity_check(n, x)
     if args.ket is not None:
-        state = haar_inverse_apply(n, args.ket, limits)
+        state = haar_inverse_apply(n, args.ket)
         report["ket"] = args.ket
         report["inverse_amps"] = amps_to_lists(state.amps)
     if args.i is not None:
-        circ = haar_inverse_circuit(n, args.i, limits)
+        circ = haar_inverse_circuit(n, args.i)
         report["i"] = args.i
         report["swap_count"] = haar_inverse_swap_count(n, args.i)
         report["inverse_circuit"] = circuit_to_json_dict(circ)
     if args.basis is None and args.ket is None and args.i is None:
-        hm = haar_matrix(n, limits)
+        hm = haar_matrix(n)
         report["convention"] = _HAAR_NOTE
         report["entries"] = matrix_to_lists(hm.p)
         csv_rows = _matrix_csv(hm.p)
@@ -591,16 +594,12 @@ def main(argv=None) -> int:
     if getattr(args, "dump", None) and not args.out:
         args.out = args.dump
     try:
-        limits = limits_from_env()
-    except ValueError as exc:
-        print(f"gqt: error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        report, csv_rows, code = _COMMANDS[args.command](args, limits)
+        dense_cap = cap("dense")  # a malformed GQT_DENSE_CAP fails before any work
+        report, csv_rows, code = _COMMANDS[args.command](args)
         report["seed"] = args.seed
         report["format"] = args.format
         report["tol"] = args.tol
-        report["dense_cap"] = limits.dense_cap
+        report["dense_cap"] = dense_cap
         text = _render(report, csv_rows, args.format)
     except CapExceededError as exc:
         print(f"gqt: cap exceeded: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS, Limits
+from .config import check_cap
 from .errors import InputError
 from .gqft import GqftSpec, gqft_dense
 from .phasemat import PhaseMatrix
@@ -66,10 +66,10 @@ class DhspInstance:
         return (self.s[i] << j) % (1 << self.n)
 
 
-def coset_state(inst: DhspInstance, limits: Limits = DEFAULT_LIMITS) -> QState:
+def coset_state(inst: DhspInstance) -> QState:
     """The sample-encoded product state, amp(x) = w^(z.x) / sqrt(N)."""
     n = inst.n
-    limits.check("state", n)
+    check_cap("state", n)
     dim = 1 << n
     idx = np.arange(dim)
     zx = np.zeros(dim, dtype=np.float64)
@@ -93,11 +93,7 @@ def phi_from_samples(inst: DhspInstance) -> PhaseMatrix:
     return PhaseMatrix(n, phi)
 
 
-def run_procedure(
-    inst: DhspInstance,
-    phi: PhaseMatrix | None = None,
-    limits: Limits = DEFAULT_LIMITS,
-) -> QState:
+def run_procedure(inst: DhspInstance, phi: PhaseMatrix | None = None) -> QState:
     """Conjugated transform applied to the coset state.
 
     The applied matrix has entries w^(-y.phi.x)/sqrt(N) (the entrywise
@@ -106,9 +102,9 @@ def run_procedure(
     matrix; any valid phase matrix may be substituted.
     """
     pm = phi if phi is not None else phi_from_samples(inst)
-    spec = GqftSpec.from_phase_matrix(pm, limits=limits)
-    w = np.conj(gqft_dense(spec, limits=limits).entries)
-    return QState(inst.n, w @ coset_state(inst, limits=limits).amps)
+    spec = GqftSpec.from_phase_matrix(pm)
+    w = np.conj(gqft_dense(spec).entries)
+    return QState(inst.n, w @ coset_state(inst).amps)
 
 
 def success_probability(
@@ -187,18 +183,13 @@ class RecoveryResult:
     histogram: dict[int, int]
 
 
-def recover_d(
-    inst: DhspInstance,
-    trials: int,
-    rng_seed: int,
-    limits: Limits = DEFAULT_LIMITS,
-) -> RecoveryResult:
+def recover_d(inst: DhspInstance, trials: int, rng_seed: int) -> RecoveryResult:
     """Measure the procedure output ``trials`` times and bit-reverse outcomes.
 
     d_hat is the majority candidate (ties toward the smallest integer);
     empirical_rate is the fraction of trials recovering the true d.
     """
-    state = run_procedure(inst, limits=limits)
+    state = run_procedure(inst)
     hist = measure_all(state, rng_seed, trials)
     # Bit reversal is a bijection, so no two outcomes share a candidate.
     candidates = {bit_reverse(y, inst.n): c for y, c in hist.items()}

@@ -16,12 +16,12 @@ then diagonal phase gates controlled on the still-unconsumed lower wires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS, Limits
+from .config import check_cap
 from .errors import CapExceededError, InputError, UnsupportedRegimeError, ValidityError
 from .phasemat import PhaseMatrix, check_general, check_triangular
 from .qstate import (
@@ -54,15 +54,16 @@ class GqftSpec:
     cell_fns maps (i, j) with i > j to the table (f(0), f(1)); tables are
     stored zero-based (f(0) subtracted from both entries).  row_fns maps a
     wire i to {control prefix (x_0..x_{i-1}): exponent}, also normalized so
-    the all-zeros prefix contributes 0.  Tables require the triangular
-    regime, where the wire construction stays valid for any lower content.
+    the all-zeros prefix contributes 0; each row table may keep at most n
+    nonzero prefixes, one controlled gate each.  Tables require the
+    triangular regime, where the wire construction stays valid for any lower
+    content.
     """
 
     pm: PhaseMatrix
     regime: str = TRIANGULAR
     cell_fns: Mapping[tuple[int, int], tuple[float, float]] | None = None
     row_fns: Mapping[int, Mapping[tuple[int, ...], float]] | None = None
-    limits: Limits = field(default=DEFAULT_LIMITS, repr=False)
 
     def __post_init__(self):
         if self.regime not in (TRIANGULAR, GENERAL):
@@ -71,7 +72,7 @@ class GqftSpec:
         if self.regime == TRIANGULAR:
             report = check_triangular(self.pm)
         else:
-            report = check_general(self.pm, limits=self.limits)
+            report = check_general(self.pm)
         if not report.valid:
             raise ValidityError(
                 f"phase matrix fails the {self.regime} check", report=report
@@ -87,7 +88,6 @@ class GqftSpec:
                 cell_fns[(int(i), int(j))] = (0.0, float(f1) - float(f0))
         row_fns = None
         if self.row_fns:
-            support_cap = self.limits.row_fn_support or n
             row_fns = {}
             for i, table in self.row_fns.items():
                 i = int(i)
@@ -104,23 +104,21 @@ class GqftSpec:
                     v = float(value) - base
                     if v != 0.0:
                         clean[pattern] = v
-                if len(clean) > support_cap:
+                if len(clean) > n:
                     raise CapExceededError(
-                        f"row table for wire {i} has support {len(clean)} "
-                        f"> cap {support_cap}"
+                        f"row table for wire {i} has support {len(clean)} > cap {n}"
                     )
                 row_fns[i] = clean
         object.__setattr__(self, "cell_fns", cell_fns)
         object.__setattr__(self, "row_fns", row_fns)
 
     @classmethod
-    def from_phase_matrix(
-        cls, pm: PhaseMatrix, limits: Limits = DEFAULT_LIMITS
-    ) -> "GqftSpec":
+    def from_phase_matrix(cls, pm: PhaseMatrix) -> "GqftSpec":
         """Pick the triangular regime when it passes, else the general one."""
-        if check_triangular(pm).valid:
-            return cls(pm, TRIANGULAR, limits=limits)
-        return cls(pm, GENERAL, limits=limits)
+        try:
+            return cls(pm, TRIANGULAR)
+        except ValidityError:
+            return cls(pm, GENERAL)
 
 
 def _wire_exponents(spec: GqftSpec, bits: np.ndarray) -> np.ndarray:
@@ -138,10 +136,10 @@ def _wire_exponents(spec: GqftSpec, bits: np.ndarray) -> np.ndarray:
     return w
 
 
-def gqft_dense(spec: GqftSpec, limits: Limits = DEFAULT_LIMITS) -> DenseUnitary:
+def gqft_dense(spec: GqftSpec) -> DenseUnitary:
     """Materialize the transform; every entry has modulus 1/sqrt(N)."""
     n = spec.pm.n
-    limits.check("dense", n)
+    check_cap("dense", n)
     dim = 1 << n
     bits = bit_table(n)
     exponent = np.mod(bits @ _wire_exponents(spec, bits), float(dim))  # [y, x]
@@ -192,11 +190,11 @@ def toeplitz_phi(n: int) -> PhaseMatrix:
     return PhaseMatrix(n, 2.0 ** (n - 1 - i + j))
 
 
-def dft_dense(n: int, limits: Limits = DEFAULT_LIMITS) -> DenseUnitary:
+def dft_dense(n: int) -> DenseUnitary:
     """The standard DFT: F[y][x] = w^(x*y) / sqrt(N) over integer products."""
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    limits.check("dense", n)
+    check_cap("dense", n)
     dim = 1 << n
     k = np.arange(dim)
     exponent = np.mod(np.outer(k, k), dim)

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS, Limits
+from .config import check_cap
 from .errors import InputError
-from .qstate import HADAMARD, Circuit, QState, SingleQubit, Swap
+from .qstate import HADAMARD, Circuit, QState, SingleQubit, Swap, _unitarity_defect
 
 
 def _slot_bits(n: int, slots) -> tuple[int, ...]:
@@ -65,7 +65,7 @@ class HaarMatrix:
             raise InputError("a entries must lie in {-1, 0, 1}")
         if np.any(~a.any(axis=1)):
             raise InputError("a must have no zero row")
-        dev = np.max(np.abs(p @ p.T - np.eye(p.shape[0])))
+        dev = _unitarity_defect(p.T)
         if dev > 1e-10:
             raise InputError(f"p rows deviate from orthonormality by {dev:.3e}")
         a.setflags(write=False)
@@ -74,11 +74,11 @@ class HaarMatrix:
         object.__setattr__(self, "p", p)
 
 
-def haar_matrix(n: int, limits: Limits = DEFAULT_LIMITS) -> HaarMatrix:
+def haar_matrix(n: int) -> HaarMatrix:
     """Build A and P on 2^n points via the block recursion."""
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    limits.check("dense", n)
+    check_cap("dense", n)
     a = np.array([[1, 1], [1, -1]], dtype=np.int64)
     for m in range(2, n + 1):
         half = 1 << (m - 1)
@@ -92,7 +92,7 @@ def haar_matrix(n: int, limits: Limits = DEFAULT_LIMITS) -> HaarMatrix:
     return HaarMatrix(n, a, a / norms[:, None])
 
 
-def haar_apply_basis(n: int, x, limits: Limits = DEFAULT_LIMITS) -> QState:
+def haar_apply_basis(n: int, x) -> QState:
     """P applied to the basis ket with slot bits x = (x_0, ..., x_{n-1}).
 
     Built directly from the closed form (never by matrix multiplication):
@@ -101,20 +101,19 @@ def haar_apply_basis(n: int, x, limits: Limits = DEFAULT_LIMITS) -> QState:
     (0^(n-i-1), 1, x_0, ..., x_{i-1}).  Equals column ``slot_index(n, x)``
     of ``haar_matrix(n).p``.
     """
-    limits.check("state", n)
+    check_cap("state", n)
+    x = _slot_bits(n, x)
     dim = 1 << n
     amps = np.zeros(dim, dtype=np.complex128)
     amps[0] = 1.0
-    for i, ket, sign in _column_terms(_slot_bits(n, x)):
+    for i, ket, sign in _column_terms(x):
         amps[ket] = sign * np.sqrt(2.0**i)
     return QState(n, amps / np.sqrt(dim))
 
 
-def haar_matrix_identity_check(
-    n: int, x, hm: HaarMatrix | None = None, limits: Limits = DEFAULT_LIMITS
-) -> bool:
+def haar_matrix_identity_check(n: int, x, hm: HaarMatrix | None = None) -> bool:
     """Exact integer check: column x of ``a`` equals the closed-form ket sum."""
-    hm = hm if hm is not None else haar_matrix(n, limits)
+    hm = hm if hm is not None else haar_matrix(n)
     expected = np.zeros(1 << n, dtype=np.int64)
     expected[0] += 1
     for _, ket, sign in _column_terms(_slot_bits(n, x)):
@@ -122,7 +121,7 @@ def haar_matrix_identity_check(
     return bool(np.array_equal(hm.a[:, slot_index(n, x)], expected))
 
 
-def haar_inverse_apply(n: int, ket: int, limits: Limits = DEFAULT_LIMITS) -> QState:
+def haar_inverse_apply(n: int, ket: int) -> QState:
     """P^T applied to one basis ket, by closed form.
 
     Every basis index decomposes uniquely: ket 0 maps to the uniform state;
@@ -132,10 +131,12 @@ def haar_inverse_apply(n: int, ket: int, limits: Limits = DEFAULT_LIMITS) -> QSt
 
     i.e. prefix fixed, a sign from slot i, weight 2^(-(n-i)/2).
     """
+    if n < 1:
+        raise InputError(f"need n >= 1, got {n}")
     dim = 1 << n
     if not 0 <= ket < dim:
         raise InputError(f"ket index {ket} out of range for n={n}")
-    limits.check("state", n)
+    check_cap("state", n)
     idx = np.arange(dim)
     if ket == 0:
         return QState(n, np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128))
@@ -152,7 +153,7 @@ def haar_inverse_swap_count(n: int, i: int) -> int:
     return (i + 1) * (n - i - 1) + i
 
 
-def haar_inverse_circuit(n: int, i: int, limits: Limits = DEFAULT_LIMITS) -> Circuit:
+def haar_inverse_circuit(n: int, i: int) -> Circuit:
     """Circuit applying P^T to kets of the family (0^(n-i-1), 1, x_0..x_{i-1}).
 
     Reorders slots to (x_0..x_{i-1}, 1, 0^(n-i-1)) with exactly
@@ -162,7 +163,7 @@ def haar_inverse_circuit(n: int, i: int, limits: Limits = DEFAULT_LIMITS) -> Cir
     """
     if not 0 <= i < n:
         raise InputError(f"level index {i} out of range for n={n}")
-    limits.check("state", n)
+    check_cap("state", n)
     gates: list = []
 
     def swap_slots(a: int, b: int):

@@ -24,9 +24,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS, Limits
+from .config import check_cap
 from .errors import InputError
-from .qstate import bit_table
+from .qstate import _unitarity_defect, bit_table
 
 # Default tolerance for wraparound congruence tests.
 CRITERION_TOL = 1e-9
@@ -142,19 +142,15 @@ def _witness_key(zrow: np.ndarray) -> tuple:
     return (support, signs)
 
 
-def check_general(
-    pm: PhaseMatrix,
-    tol: float = CRITERION_TOL,
-    limits: Limits = DEFAULT_LIMITS,
-) -> ValidityReport:
+def check_general(pm: PhaseMatrix, tol: float = CRITERION_TOL) -> ValidityReport:
     """Exhaustive signed-combination criterion; equivalent to unitarity.
 
     Every nonzero z in {-1,0,1}^n must admit a column j whose signed row
     combination (z . phi)_j is congruent to 2^(n-1) mod 2^n within ``tol``.
-    Cost is O(3^n * n); guarded by ``limits.criterion_cap``.
+    Cost is O(3^n * n); guarded by the criterion cap.
     """
     n = pm.n
-    limits.check("criterion", n)
+    check_cap("criterion", n)
     target = float(1 << (n - 1))
     period = float(1 << n)
     best_key: tuple | None = None
@@ -195,8 +191,10 @@ def a_of_z(pm: PhaseMatrix, z: Sequence[float]) -> complex:
 def phase_dense_raw(pm: PhaseMatrix) -> np.ndarray:
     """The transform matrix as a raw array, with no validity or unitarity gate.
 
-    Used for numeric verdicts on arbitrary (possibly non-unitary) matrices.
+    Used for numeric verdicts on arbitrary (possibly non-unitary) matrices;
+    guarded by the dense cap.
     """
+    check_cap("dense", pm.n)
     dim = 1 << pm.n
     bits = bit_table(pm.n)
     exponent = np.mod(bits @ pm.phi @ bits.T, float(dim))  # [y, x]
@@ -205,8 +203,7 @@ def phase_dense_raw(pm: PhaseMatrix) -> np.ndarray:
 
 def numeric_unitarity_defect(pm: PhaseMatrix) -> float:
     """max |T^dagger T - I| for the raw dense transform."""
-    t = phase_dense_raw(pm)
-    return float(np.max(np.abs(t.conj().T @ t - np.eye(t.shape[0]))))
+    return _unitarity_defect(phase_dense_raw(pm))
 
 
 def transpose_row_into_column(pm: PhaseMatrix, k: int) -> PhaseMatrix:

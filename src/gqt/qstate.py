@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS, GATE_TOL, STATE_TOL, Limits, rng_from_seed
+from .config import GATE_TOL, STATE_TOL, check_cap, rng_from_seed
 from .errors import InputError, NotUnitaryError
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
@@ -32,8 +32,15 @@ def bit_table(n: int) -> np.ndarray:
     )
 
 
+def _unitarity_defect(m: np.ndarray) -> float:
+    """max |M^dagger M - I| over all entries of a square matrix."""
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+
+
 def bit_reverse(k: int, n: int) -> int:
     """Reverse the n-bit pattern of k (weight 2^i <-> weight 2^(n-1-i))."""
+    if n < 1:
+        raise InputError(f"need n >= 1, got {n}")
     if not 0 <= k < (1 << n):
         raise InputError(f"index {k} out of range for {n} bits")
     out = 0
@@ -65,6 +72,8 @@ class QState:
     @classmethod
     def basis(cls, n: int, k: int) -> "QState":
         """The computational basis state |k>."""
+        if n < 1:
+            raise InputError(f"need at least one qubit, got n={n}")
         if not 0 <= k < (1 << n):
             raise InputError(f"basis index {k} out of range for n={n}")
         amps = np.zeros(1 << n, dtype=np.complex128)
@@ -79,7 +88,7 @@ def _check_unitary_2x2(u) -> np.ndarray:
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (2, 2):
         raise InputError(f"gate matrix has shape {u.shape}, expected (2, 2)")
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(2)))
+    dev = _unitarity_defect(u)
     if dev > GATE_TOL:
         raise NotUnitaryError(f"2x2 gate deviates from unitarity by {dev:.3e}")
     return _locked(u)
@@ -223,15 +232,15 @@ class DenseUnitary:
             raise InputError(
                 f"matrix shape {entries.shape} does not match n={self.n}"
             )
-        dev = np.max(np.abs(entries.conj().T @ entries - np.eye(dim)))
+        dev = _unitarity_defect(entries)
         if dev > STATE_TOL:
             raise NotUnitaryError(f"matrix deviates from unitarity by {dev:.3e}")
         object.__setattr__(self, "entries", _locked(entries))
 
 
-def circuit_to_dense(c: Circuit, limits: Limits = DEFAULT_LIMITS) -> DenseUnitary:
+def circuit_to_dense(c: Circuit) -> DenseUnitary:
     """Materialize a circuit: column x of the result is the circuit run on |x>."""
-    limits.check("dense", c.n)
+    check_cap("dense", c.n)
     block = np.eye(1 << c.n, dtype=np.complex128)
     for g in c.gates:
         block = _apply_gate_block(block, g, c.n)

@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS, Limits
+from .config import check_cap
 from .errors import InputError
 from .qstate import HADAMARD, Circuit, Controlled, DenseUnitary, SingleQubit, bit_table
 
@@ -101,12 +101,12 @@ def _theta_sums(spec: RotSpec, bits: np.ndarray) -> np.ndarray:
     return np.mod(theta, _TWO_PI)
 
 
-def rot1_dense(spec: RotSpec, limits: Limits = DEFAULT_LIMITS) -> DenseUnitary:
+def rot1_dense(spec: RotSpec) -> DenseUnitary:
     """Dense matrix of the hadamard_first transform."""
     if spec.variant != HADAMARD_FIRST:
         raise InputError(f"spec variant is {spec.variant}, expected hadamard_first")
     n = spec.n
-    limits.check("dense", n)
+    check_cap("dense", n)
     dim = 1 << n
     bits = bit_table(n)
     theta = _theta_sums(spec, bits)  # [j, x]
@@ -121,12 +121,12 @@ def rot1_dense(spec: RotSpec, limits: Limits = DEFAULT_LIMITS) -> DenseUnitary:
     return DenseUnitary(n, m.astype(np.complex128) / np.sqrt(dim))
 
 
-def rot2_dense(spec: RotSpec, limits: Limits = DEFAULT_LIMITS) -> DenseUnitary:
+def rot2_dense(spec: RotSpec) -> DenseUnitary:
     """Dense matrix of the rotation_first transform."""
     if spec.variant != ROTATION_FIRST:
         raise InputError(f"spec variant is {spec.variant}, expected rotation_first")
     n = spec.n
-    limits.check("dense", n)
+    check_cap("dense", n)
     dim = 1 << n
     bits = bit_table(n)
     alpha = np.asarray(spec.alpha0)[:, None] - (np.pi / 2.0) * bits.T  # [j, x]

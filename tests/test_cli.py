@@ -306,6 +306,14 @@ def test_exit_code_one_for_missing_or_malformed_input(tmp_path):
     bad.write_text("not json{")
     code, _, _ = run_cli("check-unitary", "--spec", str(bad))
     assert code == 1
+    tri = write_phi(tmp_path / "tri.json", [[4, 0, 0], [1, 4, 0], [2, 3, 4]])
+    for argv, stray in (
+        (("matrix", "--kind", "gqft", "--spec", tri, "--n", "7"), "--n"),
+        (("matrix", "--kind", "dft", "--n", "2", "--spec", tri), "--spec"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 1 and out == ""
+        assert f"does not take {stray}" in err
     for argv in (
         ("haar", "--n", "-1", "--basis", "0"),
         ("haar", "--n", "-1", "--ket", "0"),
@@ -337,13 +345,14 @@ def test_exit_code_three_for_dense_cap(tmp_path, monkeypatch):
 
 
 def test_haar_basis_above_dense_cap_reports_null_identity_check(monkeypatch):
+    expected = haar_matrix(3).p[:, 1]  # the library obeys the cap too
     monkeypatch.setenv("GQT_DENSE_CAP", "2")
     code, out, _ = run_cli("haar", "--n", "3", "--basis", "1")
     assert code == 0
     report = json.loads(out)
     assert report["identity_check"] is None
     got = np.array([complex(re, im) for re, im in report["amps"]])
-    np.testing.assert_allclose(got, haar_matrix(3).p[:, 1], atol=1e-12)
+    np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_bad_env_cap_exits_one(monkeypatch):

@@ -9,7 +9,6 @@ from gqt import (
     CapExceededError,
     DhspInstance,
     InputError,
-    Limits,
     analyze,
     bit_reverse,
     check_triangular,
@@ -288,11 +287,10 @@ def test_outcome_range_checked():
 
 
 def test_state_cap_applies():
-    inst = DhspInstance(3, 1, (1, 2, 4))
     with pytest.raises(CapExceededError):
-        coset_state(inst, limits=Limits(state_cap=2))
+        coset_state(DhspInstance(21, 1, search_perfect_samples(21)))
     with pytest.raises(CapExceededError):
-        run_procedure(inst, limits=Limits(dense_cap=2))
+        run_procedure(DhspInstance(13, 1, search_perfect_samples(13)))
 
 
 @settings(max_examples=30, deadline=None)

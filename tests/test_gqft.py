@@ -12,7 +12,6 @@ from gqt import (
     Controlled,
     GqftSpec,
     InputError,
-    Limits,
     PhaseMatrix,
     SingleQubit,
     Swap,
@@ -232,12 +231,14 @@ def test_row_table_full_prefix_control():
 
 
 def test_row_table_support_cap():
+    # support counts only nonzero (normalized) patterns and is capped at n
     pm = random_triangular_phi(3, np.random.default_rng(36))
     table = {(0, 0): 0.0, (1, 0): 1.0, (0, 1): 2.0, (1, 1): 3.0}
+    GqftSpec(pm, row_fns={2: table})
+    pm4 = random_triangular_phi(4, np.random.default_rng(36))
+    wide = {tuple((k >> b) & 1 for b in range(3)): float(k) for k in range(8)}
     with pytest.raises(CapExceededError):
-        GqftSpec(pm, row_fns={2: table}, limits=Limits(row_fn_support=2))
-    # support counts only nonzero (normalized) patterns
-    GqftSpec(pm, row_fns={2: table}, limits=Limits(row_fn_support=3))
+        GqftSpec(pm4, row_fns={3: wide})
 
 
 def test_fn_validation_errors():
@@ -253,9 +254,8 @@ def test_fn_validation_errors():
 
 
 def test_dense_cap_enforced():
-    pm = PhaseMatrix(3, np.eye(3) * 4.0)
     with pytest.raises(CapExceededError):
-        gqft_dense(GqftSpec(pm), limits=Limits(dense_cap=2))
+        gqft_dense(GqftSpec(toeplitz_phi(13)))
 
 
 @settings(max_examples=30, deadline=None)

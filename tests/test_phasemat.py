@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from gqt import (
     CapExceededError,
     InputError,
-    Limits,
     PhaseMatrix,
     a_of_z,
     check_general,
@@ -250,9 +249,24 @@ def test_normalized_upper_zeroes_uppers_without_changing_the_transform():
 
 
 def test_criterion_cap_is_enforced():
-    pm = PhaseMatrix(3, np.eye(3) * 4.0)
+    pm = PhaseMatrix(21, np.eye(21) * 2.0**20)
     with pytest.raises(CapExceededError):
-        check_general(pm, limits=Limits(criterion_cap=2))
+        check_general(pm)
+
+
+def test_raw_dense_build_obeys_the_dense_cap(monkeypatch):
+    big = PhaseMatrix(13, np.eye(13) * 2.0**12)
+    with pytest.raises(CapExceededError):
+        phase_dense_raw(big)
+    with pytest.raises(CapExceededError):
+        numeric_unitarity_defect(big)
+    small = PhaseMatrix(3, np.eye(3) * 4.0)
+    monkeypatch.setenv("GQT_DENSE_CAP", "2")
+    with pytest.raises(CapExceededError):
+        numeric_unitarity_defect(small)
+    monkeypatch.setenv("GQT_DENSE_CAP", "many")
+    with pytest.raises(InputError, match="GQT_DENSE_CAP"):
+        phase_dense_raw(small)
 
 
 def test_validity_report_json_shape():

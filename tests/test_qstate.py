@@ -19,6 +19,8 @@ from gqt import (
     apply_gate,
     bit_reverse,
     circuit_to_dense,
+    haar_apply_basis,
+    haar_inverse_apply,
     measure_all,
 )
 
@@ -46,6 +48,21 @@ def test_bit_reverse_is_an_involution():
     for n in range(1, 7):
         for k in range(1 << n):
             assert bit_reverse(bit_reverse(k, n), n) == k
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (haar_inverse_apply, (-1, 0)),
+        (haar_apply_basis, (-1, ())),
+        (QState.basis, (-1, 0)),
+        (bit_reverse, (0, -1)),
+    ],
+    ids=["haar_inverse_apply", "haar_apply_basis", "QState.basis", "bit_reverse"],
+)
+def test_entry_points_reject_negative_n(fn, args):
+    with pytest.raises(InputError):  # not ValueError from a negative shift
+        fn(*args)
 
 
 def test_basis_state_has_single_amplitude():

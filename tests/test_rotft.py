@@ -11,7 +11,6 @@ from gqt import (
     CapExceededError,
     Controlled,
     InputError,
-    Limits,
     RotSpec,
     SingleQubit,
     circuit_to_dense,
@@ -257,7 +256,7 @@ def test_controlled_branch_decomposition():
 
 def test_dense_cap_enforced():
     with pytest.raises(CapExceededError):
-        rot1_dense(RotSpec(3, HADAMARD_FIRST), limits=Limits(dense_cap=2))
+        rot1_dense(RotSpec(13, HADAMARD_FIRST))
 
 
 @settings(max_examples=25, deadline=None)
