@@ -21,6 +21,7 @@ import numpy as np
 from gqt import DhspInstance, recover_d, samples_mixed, success_probability
 from gqt import bit_reverse
 from gqt.config import DEFAULT_SEED, rng_from_seed
+from gqt.errors import GqtError
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,14 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ap.add_argument("--out", default=None, help="also write the table as CSV")
     args = ap.parse_args(argv)
+    try:
+        return run(args)
+    except GqtError as exc:  # report it as the CLI does, with its exit code
+        print(f"dhsp_sweep: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
+
+def run(args) -> int:
     cfg = SweepConfig(args.n, args.trials, args.reps, args.seed)
     rows = run_sweep(cfg)
 

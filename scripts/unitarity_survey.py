@@ -25,6 +25,7 @@ import numpy as np
 
 from gqt import PhaseMatrix, check_general, numeric_unitarity_defect
 from gqt.config import DEFAULT_SEED, rng_from_seed
+from gqt.errors import GqtError
 from gqt.phasemat import CRITERION_TOL
 
 
@@ -89,7 +90,14 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ap.add_argument("--out", default=None, help="write the family table as CSV")
     args = ap.parse_args(argv)
+    try:
+        return run(args)
+    except GqtError as exc:  # report it as the CLI does, with its exit code
+        print(f"unitarity_survey: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
+
+def run(args) -> int:
     g = grid_pass(args.grid_max)
     print(
         f"grid pass: {g['valid']}/{g['total']} valid, "

@@ -11,7 +11,8 @@ Commands
 
 Reports are JSON by default, keys sorted, floats in shortest round-trip form,
 so identical flags and seed give byte-identical output.  CSV (``--format
-csv``) is a lossy 12-digit rendering offered for matrix, simulate, and dhsp.
+csv``) is a lossy 12-digit view of the report, built only on request, for
+matrix, the full-matrix view of haar, simulate, and dhsp.
 Exit codes: 0 success/valid, 1 bad input, 2 validity failure, 3 cap exceeded.
 The environment variable GQT_DENSE_CAP overrides the dense-matrix cap.
 """
@@ -32,7 +33,6 @@ from .errors import (
     CapExceededError,
     GqtError,
     InputError,
-    NotUnitaryError,
     UnsupportedRegimeError,
     ValidityError,
 )
@@ -66,6 +66,7 @@ from .qstate import (
     SingleQubit,
     Swap,
     apply_circuit,
+    bit_table,
     circuit_to_dense,
     measure_all,
 )
@@ -241,31 +242,15 @@ def _require(args, flag: str):
     return value
 
 
-def _cmd_matrix(args) -> tuple[dict, list | None, int]:
+def _cmd_matrix(args) -> tuple[dict, int]:
     kind = args.kind
     takes, stray = ("--n", "--spec") if kind in ("haar", "dft") else ("--spec", "--n")
     source = _require(args, takes)
     if getattr(args, stray.strip("-")) is not None:
         raise InputError(f"matrix --kind {kind} does not take {stray}")
     circuit = None
-    if kind == "gqft":
-        pm = load_phase_spec(source)
-        spec = GqftSpec.from_phase_matrix(pm)
-        entries = gqft_dense(spec).entries
-        n = pm.n
-        note = _LITTLE_ENDIAN_NOTE
-        if args.emit_circuit:
-            circuit = gqft_circuit(spec)
-    elif kind in ("rot1", "rot2"):
-        variant = HADAMARD_FIRST if kind == "rot1" else ROTATION_FIRST
-        spec = load_rot_spec(source, variant)
-        dense_fn, circuit_fn = _ROT_BUILDERS[variant]
-        entries = dense_fn(spec).entries
-        n = spec.n
-        note = _LITTLE_ENDIAN_NOTE
-        if args.emit_circuit:
-            circuit = circuit_fn(spec)
-    elif kind == "haar":
+    note = _LITTLE_ENDIAN_NOTE
+    if kind == "haar":
         n = source
         entries = haar_matrix(n).p
         note = _HAAR_NOTE
@@ -277,11 +262,20 @@ def _cmd_matrix(args) -> tuple[dict, list | None, int]:
     elif kind == "dft":
         n = source
         entries = dft_dense(n).entries
-        note = _LITTLE_ENDIAN_NOTE
         if args.emit_circuit:
             circuit = dft_circuit(n)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown kind {kind!r}")
+    else:
+        if kind == "gqft":
+            spec = GqftSpec.from_phase_matrix(load_phase_spec(source))
+            dense_fn, circuit_fn = gqft_dense, gqft_circuit
+        else:
+            variant = HADAMARD_FIRST if kind == "rot1" else ROTATION_FIRST
+            spec = load_rot_spec(source, variant)
+            dense_fn, circuit_fn = _ROT_BUILDERS[variant]
+        dense = dense_fn(spec)
+        n, entries = dense.n, dense.entries
+        if args.emit_circuit:
+            circuit = circuit_fn(spec)
 
     report = {
         "command": "matrix",
@@ -296,18 +290,10 @@ def _cmd_matrix(args) -> tuple[dict, list | None, int]:
         )
         report["circuit_path"] = args.emit_circuit
         report["gate_count"] = circuit.gate_count
-    csv_rows = _matrix_csv(entries)
-    return report, csv_rows, 0
+    return report, 0
 
 
-def _matrix_csv(entries) -> list[str]:
-    rows = []
-    for row in np.asarray(entries):
-        rows.append(",".join(f"{v.real:.12g},{v.imag:.12g}" for v in row))
-    return rows
-
-
-def _cmd_check(args) -> tuple[dict, list | None, int]:
+def _cmd_check(args) -> tuple[dict, int]:
     pm = load_phase_spec(_require(args, "--spec"))
     tol = args.tol if args.tol is not None else CRITERION_TOL
     tri = check_triangular(pm, tol)
@@ -325,10 +311,10 @@ def _cmd_check(args) -> tuple[dict, list | None, int]:
         "numeric_unitary": numeric,
         "valid": gen.valid,
     }
-    return report, None, 0 if gen.valid else 2
+    return report, 0 if gen.valid else 2
 
 
-def _cmd_simulate(args) -> tuple[dict, list | None, int]:
+def _cmd_simulate(args) -> tuple[dict, int]:
     circ = circuit_from_json_dict(_load_json(_require(args, "--spec")))
     check_cap("state", circ.n)
     basis = args.basis
@@ -340,20 +326,14 @@ def _cmd_simulate(args) -> tuple[dict, list | None, int]:
         "gate_count": circ.gate_count,
         "amps": amps_to_lists(out.amps),
     }
-    csv_rows = [f"{k},{v.real:.12g},{v.imag:.12g}" for k, v in enumerate(out.amps)]
     if args.trials:
         hist = measure_all(out, args.seed, args.trials)
         report["trials"] = args.trials
         report["histogram"] = hist_to_pairs(hist)
-    return report, csv_rows, 0
+    return report, 0
 
 
-def _max_abs_diff(a, b) -> float:
-    """Largest entrywise deviation between two dense unitaries."""
-    return float(np.max(np.abs(a.entries - b.entries)))
-
-
-def _cmd_compare(args) -> tuple[dict, list | None, int]:
+def _cmd_compare(args) -> tuple[dict, int]:
     path = _require(args, "--spec")
     data = _load_json(path)
     tol = args.tol if args.tol is not None else STATE_TOL
@@ -361,11 +341,10 @@ def _cmd_compare(args) -> tuple[dict, list | None, int]:
     if "variant" in data or "theta" in data:
         spec = load_rot_spec(path)
         dense_fn, circuit_fn = _ROT_BUILDERS[spec.variant]
-        dense = dense_fn(spec)
-        circ = circuit_fn(spec)
         n = spec.n
         ceiling = n + n * (n - 1)
         report["spec_kind"] = f"rot:{spec.variant}"
+        toeplitz = False
     else:
         pm = PhaseMatrix.from_json_dict(data)
         try:
@@ -375,20 +354,26 @@ def _cmd_compare(args) -> tuple[dict, list | None, int]:
                 "comparison needs a lower-triangular phase matrix "
                 "(circuits exist only in that regime) or a rotation spec"
             ) from None
-        dense = gqft_dense(spec)
-        circ = gqft_circuit(spec)
+        dense_fn, circuit_fn = gqft_dense, gqft_circuit
         n = pm.n
         ceiling = n + n * (n - 1) // 2
         report["spec_kind"] = "phase"
-        if np.array_equal(pm.phi, toeplitz_phi(n).phi):
-            report["note"] = (
-                "rows are the bit-reversal of the standard transform's; "
-                "appending swaps (i, n-1-i) reproduces it exactly"
-            )
-            report["dft_swap_max_abs_diff"] = _max_abs_diff(
-                circuit_to_dense(dft_circuit(n)), dft_dense(n)
-            )
-    diff = _max_abs_diff(circuit_to_dense(circ), dense)
+        toeplitz = np.array_equal(pm.phi, toeplitz_phi(n).phi)
+    dense = dense_fn(spec).entries
+    circ = circuit_fn(spec)
+    built = circuit_to_dense(circ).entries
+    diff = float(np.max(np.abs(built - dense)))
+    del dense  # free the formula matrix before the standard transform is built
+    if toeplitz:
+        report["note"] = (
+            "rows are the bit-reversal of the standard transform's; "
+            "appending swaps (i, n-1-i) reproduces it exactly"
+        )
+        # The swaps gather the circuit's rows in bit-reversed order: row y
+        # takes row bit_reverse(y, n), exactly as the kernel applies them.
+        dft = dft_dense(n).entries
+        rows = (bit_table(n) @ (1 << np.arange(n - 1, -1, -1))).astype(np.intp)
+        report["dft_swap_max_abs_diff"] = float(np.max(np.abs(built[rows] - dft)))
     passed = diff < tol
     report.update(
         {
@@ -400,7 +385,7 @@ def _cmd_compare(args) -> tuple[dict, list | None, int]:
             "pass": passed,
         }
     )
-    return report, None, 0 if passed else 2
+    return report, 0 if passed else 2
 
 
 def _parse_samples(raw: str, n: int, seed: int) -> tuple[tuple[int, ...], str]:
@@ -425,7 +410,7 @@ def _parse_samples(raw: str, n: int, seed: int) -> tuple[tuple[int, ...], str]:
     return explicit, "explicit"
 
 
-def _cmd_dhsp(args) -> tuple[dict, list | None, int]:
+def _cmd_dhsp(args) -> tuple[dict, int]:
     n = _require(args, "--n")
     d = _require(args, "--d")
     samples, mode = _parse_samples(args.samples, n, args.seed)
@@ -448,14 +433,12 @@ def _cmd_dhsp(args) -> tuple[dict, list | None, int]:
         "phi": [list(map(float, row)) for row in analysis.phi.phi],
         "histogram": hist_to_pairs(rec.histogram),
     }
-    csv_rows = [f"{k},{v}" for k, v in sorted(rec.histogram.items())]
-    return report, csv_rows, 0
+    return report, 0
 
 
-def _cmd_haar(args) -> tuple[dict, list | None, int]:
+def _cmd_haar(args) -> tuple[dict, int]:
     n = _require(args, "--n")
     report: dict = {"command": "haar", "n": n}
-    csv_rows = None
     if args.basis is not None:
         if not 0 <= args.basis < (1 << n):
             raise InputError(f"basis index {args.basis} out of range for n={n}")
@@ -478,11 +461,9 @@ def _cmd_haar(args) -> tuple[dict, list | None, int]:
         report["swap_count"] = haar_inverse_swap_count(n, args.i)
         report["inverse_circuit"] = circuit_to_json_dict(circ)
     if args.basis is None and args.ket is None and args.i is None:
-        hm = haar_matrix(n)
         report["convention"] = _HAAR_NOTE
-        report["entries"] = matrix_to_lists(hm.p)
-        csv_rows = _matrix_csv(hm.p)
-    return report, csv_rows, 0
+        report["entries"] = matrix_to_lists(haar_matrix(n).p)
+    return report, 0
 
 
 _COMMANDS = {
@@ -577,12 +558,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render(report: dict, csv_rows: list | None, fmt: str) -> str:
+# The report key each command renders as CSV; haar only in its full-matrix view.
+_CSV_KEYS = {
+    "matrix": "entries",
+    "haar": "entries",
+    "simulate": "amps",
+    "dhsp": "histogram",
+}
+
+
+def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if csv_rows is None:
+    key = _CSV_KEYS.get(report["command"])
+    if key not in report:
         raise InputError(f"--format csv is not supported for {report['command']}")
-    return "\n".join(csv_rows) + "\n"
+    values = report[key]
+    if key == "entries":
+        rows = [",".join(f"{re:.12g},{im:.12g}" for re, im in row) for row in values]
+    elif key == "amps":
+        rows = [f"{k},{re:.12g},{im:.12g}" for k, (re, im) in enumerate(values)]
+    else:
+        rows = [f"{k},{v}" for k, v in values]
+    return "\n".join(rows) + "\n"
 
 
 def main(argv=None) -> int:
@@ -595,27 +593,18 @@ def main(argv=None) -> int:
         args.out = args.dump
     try:
         dense_cap = cap("dense")  # a malformed GQT_DENSE_CAP fails before any work
-        report, csv_rows, code = _COMMANDS[args.command](args)
+        report, code = _COMMANDS[args.command](args)
         report["seed"] = args.seed
         report["format"] = args.format
         report["tol"] = args.tol
         report["dense_cap"] = dense_cap
-        text = _render(report, csv_rows, args.format)
-    except CapExceededError as exc:
-        print(f"gqt: cap exceeded: {exc}", file=sys.stderr)
-        return 3
-    except (ValidityError, NotUnitaryError) as exc:
-        print(f"gqt: validity failure: {exc}", file=sys.stderr)
+        text = _render(report, args.format)
+    except GqtError as exc:
+        print(f"gqt: {exc.label}: {exc}", file=sys.stderr)
         rep = getattr(exc, "report", None)
-        if rep is not None:
+        if rep is not None:  # a failed validity check rides along on stderr
             print(json.dumps(rep.to_json_dict(), sort_keys=True), file=sys.stderr)
-        return 2
-    except InputError as exc:
-        print(f"gqt: error: {exc}", file=sys.stderr)
-        return 1
-    except GqtError as exc:  # pragma: no cover - internal consistency guards
-        print(f"gqt: internal error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -39,6 +39,12 @@ def cap(kind: str) -> int:
         raise InputError(f"{DENSE_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
+def check_wires(n: int) -> None:
+    """Raise InputError unless the wire count n is at least 1."""
+    if n < 1:
+        raise InputError(f"need n >= 1, got {n}")
+
+
 def check_cap(kind: str, n: int) -> None:
     """Raise CapExceededError when n exceeds the ``kind`` cap."""
     limit = cap(kind)

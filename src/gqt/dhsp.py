@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_cap
+from .config import check_cap, check_wires
 from .errors import InputError
 from .gqft import GqftSpec, gqft_dense
 from .phasemat import PhaseMatrix
@@ -41,8 +41,7 @@ class DhspInstance:
     s: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"need n >= 1, got {self.n}")
+        check_wires(self.n)
         dim = 1 << self.n
         if not 0 <= self.d < dim:
             raise InputError(f"d={self.d} out of range [0, {dim})")

@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import check_cap
+from .config import check_cap, check_wires
 from .errors import CapExceededError, InputError, UnsupportedRegimeError, ValidityError
 from .phasemat import PhaseMatrix, check_general, check_triangular
 from .qstate import (
@@ -184,16 +184,14 @@ def toeplitz_phi(n: int) -> PhaseMatrix:
     Satisfies the triangular condition; the resulting transform is the DFT
     with bit-reversed rows.
     """
-    if n < 1:
-        raise InputError(f"need n >= 1, got {n}")
+    check_wires(n)
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     return PhaseMatrix(n, 2.0 ** (n - 1 - i + j))
 
 
 def dft_dense(n: int) -> DenseUnitary:
     """The standard DFT: F[y][x] = w^(x*y) / sqrt(N) over integer products."""
-    if n < 1:
-        raise InputError(f"need n >= 1, got {n}")
+    check_wires(n)
     check_cap("dense", n)
     dim = 1 << n
     k = np.arange(dim)

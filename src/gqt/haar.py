@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_cap
+from .config import check_cap, check_wires
 from .errors import InputError
 from .qstate import HADAMARD, Circuit, QState, SingleQubit, Swap, _unitarity_defect
 
@@ -76,8 +76,7 @@ class HaarMatrix:
 
 def haar_matrix(n: int) -> HaarMatrix:
     """Build A and P on 2^n points via the block recursion."""
-    if n < 1:
-        raise InputError(f"need n >= 1, got {n}")
+    check_wires(n)
     check_cap("dense", n)
     a = np.array([[1, 1], [1, -1]], dtype=np.int64)
     for m in range(2, n + 1):
@@ -131,8 +130,7 @@ def haar_inverse_apply(n: int, ket: int) -> QState:
 
     i.e. prefix fixed, a sign from slot i, weight 2^(-(n-i)/2).
     """
-    if n < 1:
-        raise InputError(f"need n >= 1, got {n}")
+    check_wires(n)
     dim = 1 << n
     if not 0 <= ket < dim:
         raise InputError(f"ket index {ket} out of range for n={n}")

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import check_cap
+from .config import check_cap, check_wires
 from .errors import InputError
 from .qstate import _unitarity_defect, bit_table
 
@@ -42,8 +42,7 @@ class PhaseMatrix:
     phi: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"need n >= 1, got {self.n}")
+        check_wires(self.n)
         phi = np.array(self.phi, dtype=np.float64)
         if phi.shape != (self.n, self.n):
             raise InputError(f"phi shape {phi.shape} does not match n={self.n}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import GATE_TOL, STATE_TOL, check_cap, rng_from_seed
+from .config import GATE_TOL, STATE_TOL, check_cap, check_wires, rng_from_seed
 from .errors import InputError, NotUnitaryError
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
@@ -39,8 +39,7 @@ def _unitarity_defect(m: np.ndarray) -> float:
 
 def bit_reverse(k: int, n: int) -> int:
     """Reverse the n-bit pattern of k (weight 2^i <-> weight 2^(n-1-i))."""
-    if n < 1:
-        raise InputError(f"need n >= 1, got {n}")
+    check_wires(n)
     if not 0 <= k < (1 << n):
         raise InputError(f"index {k} out of range for {n} bits")
     out = 0
@@ -57,8 +56,7 @@ class QState:
     amps: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"need at least one qubit, got n={self.n}")
+        check_wires(self.n)
         amps = np.asarray(self.amps, dtype=np.complex128)
         if amps.shape != (1 << self.n,):
             raise InputError(
@@ -72,8 +70,7 @@ class QState:
     @classmethod
     def basis(cls, n: int, k: int) -> "QState":
         """The computational basis state |k>."""
-        if n < 1:
-            raise InputError(f"need at least one qubit, got n={n}")
+        check_wires(n)
         if not 0 <= k < (1 << n):
             raise InputError(f"basis index {k} out of range for n={n}")
         amps = np.zeros(1 << n, dtype=np.complex128)
@@ -157,8 +154,7 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"need at least one qubit, got n={self.n}")
+        check_wires(self.n)
         gates = tuple(self.gates)
         for g in gates:
             for q in _gate_qubits(g):
@@ -259,8 +255,7 @@ def measure_all(state: QState, rng_seed: int, shots: int) -> dict[int, int]:
 
     Identical (state, rng_seed, shots) triples give identical histograms.
     """
-    if shots < 1:
-        raise InputError(f"shots must be positive, got {shots}")
+    check_wires(shots)
     probs = state.probabilities()
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0

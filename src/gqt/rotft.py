@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import check_cap
+from .config import check_cap, check_wires
 from .errors import InputError
 from .qstate import HADAMARD, Circuit, Controlled, DenseUnitary, SingleQubit, bit_table
 
@@ -62,8 +62,7 @@ class RotSpec:
     alpha0: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"need n >= 1, got {self.n}")
+        check_wires(self.n)
         if self.variant not in (HADAMARD_FIRST, ROTATION_FIRST):
             raise InputError(f"unknown variant {self.variant!r}")
         thetas = {}

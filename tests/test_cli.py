@@ -10,14 +10,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gqt
 from gqt import (
     GqftSpec,
     PhaseMatrix,
     QState,
     apply_circuit,
+    circuit_to_dense,
+    dft_circuit,
+    dft_dense,
     gqft_circuit,
     gqft_dense,
     haar_matrix,
+    toeplitz_phi,
 )
 from gqt.cli import main as cli_main
 from gqt.cli import circuit_from_json_dict, parse_matrix_report
@@ -179,6 +184,49 @@ def test_compare_toeplitz_reports_standard_transform_link(tmp_path):
     report = json.loads(out)
     assert "note" in report
     assert report["dft_swap_max_abs_diff"] < 1e-10
+
+
+def _count_calls(monkeypatch, *names) -> dict[str, int]:
+    """Count calls of package functions, wherever a gqt module binds them."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "gqt"]
+    for name in names:
+        original = getattr(gqt, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def test_compare_toeplitz_builds_its_circuit_once(tmp_path, monkeypatch):
+    spec_path = write_phi(tmp_path / "phi.json", [[4, 8, 16], [2, 4, 8], [1, 2, 4]])
+    counts = _count_calls(
+        monkeypatch, "check_triangular", "gqft_circuit", "circuit_to_dense", "dft_circuit"
+    )
+    code, out, _ = run_cli("compare", "--spec", spec_path)
+    assert code == 0 and "dft_swap_max_abs_diff" in json.loads(out)
+    assert counts == {
+        "check_triangular": 1,
+        "gqft_circuit": 1,
+        "circuit_to_dense": 1,
+        "dft_circuit": 0,
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_compare_toeplitz_row_gather_equals_swap_circuit(tmp_path, n):
+    # The swaps of dft_circuit, run by the kernel, are the reference route.
+    spec_path = write_phi(tmp_path / "phi.json", toeplitz_phi(n).phi)
+    code, out, _ = run_cli("compare", "--spec", spec_path)
+    assert code == 0
+    swapped = circuit_to_dense(dft_circuit(n)).entries
+    want = float(np.max(np.abs(swapped - dft_dense(n).entries)))
+    assert json.loads(out)["dft_swap_max_abs_diff"] == want
 
 
 def test_compare_rotation_spec(tmp_path):
@@ -382,6 +430,32 @@ def test_csv_formats(tmp_path):
 
     code, _, _ = run_cli("compare", "--spec", "/nope", "--format", "csv")
     assert code == 1
+
+    # A complex matrix: every entry as its 12-digit real and imaginary parts.
+    code, out, _ = run_cli("matrix", "--kind", "dft", "--n", "3", "--format", "csv")
+    assert code == 0
+    want = [
+        ",".join(f"{v.real:.12g},{v.imag:.12g}" for v in row)
+        for row in dft_dense(3).entries
+    ]
+    assert out == "\n".join(want) + "\n"
+
+    circ_path = tmp_path / "dft.json"
+    run_cli("matrix", "--kind", "dft", "--n", "2", "--emit-circuit", str(circ_path))
+    code, out, _ = run_cli(
+        "simulate", "--spec", str(circ_path), "--basis", "1", "--trials", "8",
+        "--format", "csv",
+    )
+    assert code == 0
+    circ = circuit_from_json_dict(json.loads(circ_path.read_text()))
+    amps = apply_circuit(QState.basis(2, 1), circ).amps
+    want = [f"{k},{v.real:.12g},{v.imag:.12g}" for k, v in enumerate(amps)]
+    assert out == "\n".join(want) + "\n"  # the amplitudes, not the histogram
+
+    # haar has a CSV view only for its full matrix.
+    code, out, err = run_cli("haar", "--n", "2", "--basis", "1", "--format", "csv")
+    assert code == 1 and out == ""
+    assert "--format csv is not supported for haar" in err
 
 
 def test_reports_echo_settings(tmp_path):

@@ -1,0 +1,50 @@
+"""Experiment scripts: a tiny run succeeds, and errors exit with the CLI's codes."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+
+# (script, argv of a tiny run whose largest n is 3)
+TINY = {
+    "unitarity_survey": ["--grid-max", "1", "--samples", "2", "--n", "3"],
+    "dhsp_sweep": ["--n", "3", "--trials", "5", "--reps", "1"],
+}
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_tiny_run_succeeds(name, capsys):
+    assert load(name).main(TINY[name]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_dense_cap_exits_three_without_traceback(name):
+    env = {**os.environ, "GQT_DENSE_CAP": "2", "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / f"{name}.py"), *TINY[name]],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == f"{name}: cap exceeded: n=3 exceeds dense cap 2\n"
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_zero_wires_exit_one(name, capsys):
+    argv = list(TINY[name])
+    argv[argv.index("--n") + 1] = "0"
+    assert load(name).main(argv) == 1
+    assert capsys.readouterr().err == f"{name}: error: need n >= 1, got 0\n"
