@@ -11,7 +11,6 @@ Usage:
     python3 scripts/dhsp_sweep.py --n 4 --trials 300 --reps 25 --out sweep.csv
 """
 
-import argparse
 import csv
 import sys
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ import numpy as np
 
 from gqt import DhspInstance, recover_d, samples_mixed, success_probability
 from gqt import bit_reverse
+from gqt.cli import Parser
 from gqt.config import DEFAULT_SEED, rng_from_seed
 from gqt.errors import GqtError
 
@@ -58,7 +58,7 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=4, help="register width")
     ap.add_argument("--trials", type=int, default=300, help="shots per instance")
     ap.add_argument("--reps", type=int, default=25, help="instances per split k")

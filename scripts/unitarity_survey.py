@@ -16,7 +16,6 @@ Usage:
     python3 scripts/unitarity_survey.py --grid-max 4 --samples 300 --n 3
 """
 
-import argparse
 import csv
 import itertools
 import sys
@@ -24,6 +23,7 @@ import sys
 import numpy as np
 
 from gqt import PhaseMatrix, check_general, numeric_unitarity_defect
+from gqt.cli import Parser
 from gqt.config import DEFAULT_SEED, rng_from_seed
 from gqt.errors import GqtError
 from gqt.phasemat import CRITERION_TOL
@@ -83,7 +83,7 @@ def family_table(params) -> list[dict]:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--grid-max", type=int, default=4, help="grid upper bound")
     ap.add_argument("--samples", type=int, default=300, help="random draws")
     ap.add_argument("--n", type=int, default=3, help="width of the random pass")

@@ -480,8 +480,11 @@ _COMMANDS = {
 # parser / entry point
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse, but flag errors exit 1 (code 2 is reserved for validity)."""
+class Parser(argparse.ArgumentParser):
+    """argparse, but flag errors exit 1 (code 2 is reserved for validity).
+
+    ``gqt`` and the experiment scripts share it, so their exit codes agree.
+    """
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -489,15 +492,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _wire_count(raw: str) -> int:
-    """argparse type for --n: an integer of at least 1."""
-    try:
-        n = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"need n >= 1, got {n}")
-    return n
+def _int_at_least(low: int, name: str):
+    """argparse type for an integer flag ``name`` that must be at least ``low``."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"need {name} >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_wire_count = _int_at_least(1, "n")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -508,7 +518,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = Parser(
         prog="gqt",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -529,7 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="apply a circuit dump to a basis state")
     p.add_argument("--spec", required=True, help="circuit JSON file")
     p.add_argument("--basis", type=int, default=0)
-    p.add_argument("--trials", type=int, default=0, help="measurement shots (0 = none)")
+    p.add_argument(
+        "--trials", type=_int_at_least(0, "trials"), default=0,
+        help="measurement shots (0 = none)",
+    )
     _add_common(p)
 
     p = sub.add_parser("compare", help="circuit vs dense formula")
@@ -544,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="perfect",
         help="'perfect', 'random', 'mixed:k', or comma-separated integers",
     )
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_int_at_least(1, "trials"), default=200)
     _add_common(p)
 
     p = sub.add_parser("haar", help="averaging transform utilities")

@@ -15,6 +15,10 @@ with lam = z - y.phi.  For samples whose bit matrix is unit upper-triangular
 (bit i of s_i set, lower bits clear) the target lambda vanishes identically
 and recovery is deterministic.
 
+Since w^N = 1, the conjugate transform is the transform of (-phi) mod N,
+which is triangular again; the procedure runs its circuit on the coset state
+and builds no 2^n x 2^n matrix, so shift recovery obeys the state cap.
+
 All modular arithmetic here is exact integer mod 2^n; floats appear only in
 amplitudes and probabilities.
 """
@@ -27,9 +31,9 @@ import numpy as np
 
 from .config import check_cap, check_wires
 from .errors import InputError
-from .gqft import GqftSpec, gqft_dense
+from .gqft import GqftSpec, gqft_circuit
 from .phasemat import PhaseMatrix
-from .qstate import QState, bit_reverse, measure_all
+from .qstate import QState, apply_circuit, bit_reverse, measure_all
 
 
 @dataclass(frozen=True)
@@ -93,17 +97,21 @@ def phi_from_samples(inst: DhspInstance) -> PhaseMatrix:
 
 
 def run_procedure(inst: DhspInstance, phi: PhaseMatrix | None = None) -> QState:
-    """Conjugated transform applied to the coset state.
+    """Conjugated transform applied to the coset state, as a circuit.
 
-    The applied matrix has entries w^(-y.phi.x)/sqrt(N) (the entrywise
-    conjugate of the transform of ``phi``), which gives exactly
-    amp(y) = (1/N) sum_x w^((z - y.phi).x).  Defaults to the sample-derived
-    matrix; any valid phase matrix may be substituted.
+    The applied matrix has entries w^(-y.phi.x)/sqrt(N), the entrywise
+    conjugate of the transform of ``phi``, which gives exactly
+    amp(y) = (1/N) sum_x w^((z - y.phi).x).  Since w^N = 1 that conjugate is
+    the transform of (-phi) mod N, so its triangular circuit runs on the
+    coset state and no 2^n x 2^n matrix is built; the state cap applies, not
+    the dense cap.  Defaults to the sample-derived matrix.  A substitute
+    ``phi`` must be triangular once reduced mod N; one that is valid only in
+    the general regime raises ValidityError.
     """
+    check_cap("state", inst.n)
     pm = phi if phi is not None else phi_from_samples(inst)
-    spec = GqftSpec.from_phase_matrix(pm)
-    w = np.conj(gqft_dense(spec).entries)
-    return QState(inst.n, w @ coset_state(inst).amps)
+    conj = PhaseMatrix(pm.n, np.mod(-pm.phi, pm.modulus))
+    return apply_circuit(coset_state(inst), gqft_circuit(GqftSpec(conj)))
 
 
 def success_probability(
@@ -252,9 +260,10 @@ def phi0_matrix(inst: DhspInstance) -> PhaseMatrix:
 
 
 def phi0_success_probability(inst: DhspInstance, phi: PhaseMatrix) -> float:
-    """p(y = d) = |sum_x w^(d (phi0 - phi) x)|^2 / N^2 for any valid phi.
+    """p(y = d) = |sum_x w^(d (phi0 - phi) x)|^2 / N^2 for any triangular phi.
 
-    Factorizes over columns; agrees with |run_procedure(inst, phi).amps[d]|^2.
+    Factorizes over columns; agrees with |run_procedure(inst, phi).amps[d]|^2,
+    which accepts a triangular phi only.
     """
     n = inst.n
     dim = 1 << n

@@ -5,7 +5,9 @@ vector (x_0, ..., x_{n-1}) as k = sum_i x_i * 2^i, so qubit i carries weight
 2^i.  Dense matrices are indexed M[row=y][col=x] = <y|U|x>.
 
 Everything here is a pure function over immutable values: amplitude arrays
-are write-locked and each operation returns a fresh state.
+are write-locked and each operation returns a fresh state.  Inside, a
+circuit runs in place on one private copy, through a (2,)*n strided view in
+which each gate touches only the slices its qubits select.
 """
 
 from __future__ import annotations
@@ -177,27 +179,40 @@ def _gate_qubits(g: Gate) -> tuple[int, ...]:
     raise InputError(f"unknown gate type {type(g).__name__}")
 
 
-def _apply_gate_block(block: np.ndarray, g: Gate, n: int) -> np.ndarray:
-    """Apply a Circuit-checked gate along axis 0 of ``block`` ((2^n,) or (2^n, m))."""
-    idx = np.arange(1 << n)
+def _run_in_place(block: np.ndarray, c: Circuit) -> None:
+    """Run ``c`` along axis 0 of ``block`` ((2^n,) or (2^n, m)), overwriting it.
+
+    The gates act on a (2,)*n (+ (m,)) view of the block, where qubit q is
+    axis n-1-q; that view must share the block's memory.
+    """
+    view = block.reshape((2,) * c.n + block.shape[1:])
+    assert np.shares_memory(view, block), "reshape copied; in-place gates would be lost"
+    for g in c.gates:
+        _apply_gate_inplace(view, g, c.n)
+
+
+def _apply_gate_inplace(view: np.ndarray, g: Gate, n: int) -> None:
+    """Apply a Circuit-checked gate in place to the qubit view of a block."""
+    sel = [slice(None)] * view.ndim
     if isinstance(g, Swap):
-        a_bit = (idx >> g.a) & 1
-        b_bit = (idx >> g.b) & 1
-        swapped = idx ^ ((a_bit ^ b_bit) * ((1 << g.a) | (1 << g.b)))
-        return block[swapped]
-    controls = g.controls if isinstance(g, Controlled) else ()
-    t = g.target
-    mask = ((idx >> t) & 1) == 0
-    for q, bit in controls:
-        mask &= ((idx >> q) & 1) == bit
-    i0 = idx[mask]
-    i1 = i0 | (1 << t)
-    out = block.copy()
-    a0, a1 = block[i0], block[i1]
+        sel[n - 1 - g.a], sel[n - 1 - g.b] = slice(0, 1), slice(1, 2)
+        a = view[tuple(sel)]
+        sel[n - 1 - g.a], sel[n - 1 - g.b] = slice(1, 2), slice(0, 1)
+        b = view[tuple(sel)]
+        held = a.copy()
+        a[...] = b
+        b[...] = held
+        return
+    for q, bit in g.controls if isinstance(g, Controlled) else ():
+        sel[n - 1 - q] = slice(bit, bit + 1)
+    sel[n - 1 - g.target] = slice(0, 1)
+    a0 = view[tuple(sel)]
+    sel[n - 1 - g.target] = slice(1, 2)
+    a1 = view[tuple(sel)]
     u = g.u
-    out[i0] = u[0, 0] * a0 + u[0, 1] * a1
-    out[i1] = u[1, 0] * a0 + u[1, 1] * a1
-    return out
+    new0 = u[0, 0] * a0 + u[0, 1] * a1
+    a1[...] = u[1, 0] * a0 + u[1, 1] * a1
+    a0[...] = new0
 
 
 def apply_gate(state: QState, g: Gate) -> QState:
@@ -208,9 +223,8 @@ def apply_gate(state: QState, g: Gate) -> QState:
 def apply_circuit(state: QState, c: Circuit) -> QState:
     if c.n != state.n:
         raise InputError(f"circuit on {c.n} qubits applied to {state.n}-qubit state")
-    amps = np.asarray(state.amps)
-    for g in c.gates:
-        amps = _apply_gate_block(amps, g, c.n)
+    amps = np.array(state.amps)  # the input stays locked; gates update this copy
+    _run_in_place(amps, c)
     return QState(state.n, amps)
 
 
@@ -238,8 +252,7 @@ def circuit_to_dense(c: Circuit) -> DenseUnitary:
     """Materialize a circuit: column x of the result is the circuit run on |x>."""
     check_cap("dense", c.n)
     block = np.eye(1 << c.n, dtype=np.complex128)
-    for g in c.gates:
-        block = _apply_gate_block(block, g, c.n)
+    _run_in_place(block, c)
     return DenseUnitary(c.n, block)
 
 
@@ -255,7 +268,8 @@ def measure_all(state: QState, rng_seed: int, shots: int) -> dict[int, int]:
 
     Identical (state, rng_seed, shots) triples give identical histograms.
     """
-    check_wires(shots)
+    if shots < 1:
+        raise InputError(f"need shots >= 1, got {shots}")
     probs = state.probabilities()
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0

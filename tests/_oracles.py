@@ -270,3 +270,36 @@ def consistency_unitary(pm: PhaseMatrix, tol: float = 1e-9) -> bool:
     a = np.prod(1.0 + np.exp(2j * np.pi * zt / period), axis=1) / period
     zero = ~z.any(axis=1)
     return float(np.max(np.abs(a[~zero]))) < tol and abs(a[zero][0] - 1.0) < tol
+
+
+def fancy_index_gate(block: np.ndarray, g, n: int) -> np.ndarray:
+    """One gate along axis 0 of ``block`` by index masks and fancy indexing.
+
+    The reference gate kernel: it gathers the two amplitude halves into
+    copies and scatters u00*a0 + u01*a1 and u10*a0 + u11*a1 back into a
+    fresh block, so the library's in-place kernel must match it bit for bit.
+    """
+    idx = np.arange(1 << n)
+    if isinstance(g, Swap):
+        a_bit = (idx >> g.a) & 1
+        b_bit = (idx >> g.b) & 1
+        return block[idx ^ ((a_bit ^ b_bit) * ((1 << g.a) | (1 << g.b)))]
+    controls = g.controls if isinstance(g, Controlled) else ()
+    mask = ((idx >> g.target) & 1) == 0
+    for q, bit in controls:
+        mask &= ((idx >> q) & 1) == bit
+    i0 = idx[mask]
+    i1 = i0 | (1 << g.target)
+    out = block.copy()
+    a0, a1 = block[i0], block[i1]
+    u = g.u
+    out[i0] = u[0, 0] * a0 + u[0, 1] * a1
+    out[i1] = u[1, 0] * a0 + u[1, 1] * a1
+    return out
+
+
+def fancy_index_circuit(c: Circuit, block: np.ndarray) -> np.ndarray:
+    """Run every gate of ``c`` through :func:`fancy_index_gate`."""
+    for g in c.gates:
+        block = fancy_index_gate(block, g, c.n)
+    return block

@@ -278,6 +278,17 @@ def test_dhsp_perfect_recovery():
     assert report["d_hat"] == 3 and report["empirical_rate"] == 1.0
 
 
+def test_dhsp_runs_past_the_dense_cap(monkeypatch):
+    # The procedure runs on a statevector, so only the state cap applies.
+    code, out, _ = run_cli("dhsp", "--n", "13", "--d", "7", "--trials", "16")
+    assert code == 0
+    report = json.loads(out)
+    assert report["d_hat"] == 7 and report["empirical_rate"] == 1.0
+    monkeypatch.setenv("GQT_DENSE_CAP", "2")
+    code, out, _ = run_cli("dhsp", "--n", "3", "--d", "5", "--trials", "16")
+    assert code == 0 and json.loads(out)["d_hat"] == 5
+
+
 def test_dhsp_zero_shift_and_explicit_samples():
     code, out, _ = run_cli(
         "dhsp", "--n", "2", "--d", "0", "--samples", "1,2", "--trials", "32"
@@ -370,6 +381,21 @@ def test_exit_code_one_for_missing_or_malformed_input(tmp_path):
         code, out, err = run_cli(*argv)
         assert code == 1 and out == ""
         assert "need n >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("dhsp", "--n", "3", "--d", "1", "--trials", "0"), "need trials >= 1, got 0"),
+        (("dhsp", "--n", "3", "--d", "1", "--trials", "-5"), "need trials >= 1, got -5"),
+        (("simulate", "--spec", "c.json", "--trials", "-5"), "need trials >= 0, got -5"),
+    ],
+)
+def test_shot_count_below_its_floor_exits_one(argv, message):
+    code, out, err = run_cli(*argv)
+    assert code == 1 and out == ""
+    assert f"argument --trials: {message}" in err
+    assert "need n >=" not in err
 
 
 def test_exit_code_two_for_invalid_phase_matrix(tmp_path):

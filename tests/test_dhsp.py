@@ -8,11 +8,16 @@ from hypothesis import strategies as st
 from gqt import (
     CapExceededError,
     DhspInstance,
+    GqftSpec,
     InputError,
+    PhaseMatrix,
+    ValidityError,
     analyze,
     bit_reverse,
+    check_general,
     check_triangular,
     coset_state,
+    gqft_dense,
     lambda_vector,
     phi0_matrix,
     phi0_success_probability,
@@ -24,6 +29,7 @@ from gqt import (
     samples_random,
     search_perfect_samples,
     success_probability,
+    toeplitz_phi,
 )
 
 from _oracles import (
@@ -119,6 +125,39 @@ def test_run_procedure_matches_brute_double_loop():
                 brute_run_amps(inst, phi_from_samples(inst).phi),
                 atol=1e-10,
             )
+
+
+def test_run_procedure_matches_conjugated_dense_transform():
+    # The dense route, conj(G) @ coset, is the oracle for the circuit route.
+    rng = np.random.default_rng(64)
+    for n in range(1, 7):
+        for _ in range(3):
+            inst = random_instance(n, rng)
+            for pm in (phi_from_samples(inst), random_triangular_phi(n, rng)):
+                dense = np.conj(gqft_dense(GqftSpec(pm)).entries)
+                want = dense @ coset_state(inst).amps
+                got = run_procedure(inst, phi=pm).amps
+                assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_run_procedure_past_the_dense_cap():
+    n = 14
+    rng = np.random.default_rng(65)
+    inst = random_instance(n, rng)
+    amps = run_procedure(inst).amps
+    outcomes = [bit_reverse(inst.d, n)] + [int(y) for y in rng.integers(0, 1 << n, 31)]
+    for y in outcomes:
+        assert abs(abs(amps[y]) ** 2 - success_probability(inst, y)) < 1e-12
+
+
+def test_run_procedure_needs_a_triangular_phi():
+    # The transposed Toeplitz matrix gives the transposed (still unitary)
+    # transform, but its strictly-upper cells are not multiples of N.
+    n = 3
+    pm = PhaseMatrix(n, toeplitz_phi(n).phi.T)
+    assert check_general(pm).valid and not check_triangular(pm).valid
+    with pytest.raises(ValidityError):
+        run_procedure(DhspInstance(n, 5, (3, 2, 7)), phi=pm)
 
 
 def test_success_probability_equals_outcome_weight():
@@ -290,7 +329,7 @@ def test_state_cap_applies():
     with pytest.raises(CapExceededError):
         coset_state(DhspInstance(21, 1, search_perfect_samples(21)))
     with pytest.raises(CapExceededError):
-        run_procedure(DhspInstance(13, 1, search_perfect_samples(13)))
+        run_procedure(DhspInstance(21, 1, search_perfect_samples(21)))
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gqt import (
+    HADAMARD_FIRST,
+    ROTATION_FIRST,
     Circuit,
     Controlled,
     DenseUnitary,
+    GqftSpec,
     InputError,
     NotUnitaryError,
     QState,
@@ -19,17 +22,25 @@ from gqt import (
     apply_gate,
     bit_reverse,
     circuit_to_dense,
+    dft_circuit,
+    gqft_circuit,
     haar_apply_basis,
     haar_inverse_apply,
+    haar_inverse_circuit,
     measure_all,
+    rot1_circuit,
+    rot2_circuit,
 )
 
 from _oracles import (
     circuit_dense_kron,
+    fancy_index_circuit,
     gate_dense_kron,
     random_circuit,
     random_gate,
+    random_rot_spec,
     random_state,
+    random_triangular_phi,
     random_unitary2,
 )
 
@@ -160,6 +171,65 @@ def test_circuit_to_dense_matches_kron_oracle_and_applies():
         np.testing.assert_allclose(via_dense, via_gates, atol=1e-11)
 
 
+def library_circuits(n: int, rng: np.random.Generator) -> list[Circuit]:
+    """One circuit of every family the library synthesises, at width n."""
+    pm = random_triangular_phi(n, rng)
+    circuits = [
+        gqft_circuit(GqftSpec(pm)),
+        dft_circuit(n),  # ends in swaps
+        rot1_circuit(random_rot_spec(n, HADAMARD_FIRST, rng)),
+        rot2_circuit(random_rot_spec(n, ROTATION_FIRST, rng)),
+        random_circuit(n, rng, length=3 * n),
+    ]
+    circuits += [haar_inverse_circuit(n, i) for i in range(n)]
+    if n >= 2:
+        # A row table turns each prefix into one gate controlled on every lower
+        # wire, with 0-bit controls wherever the prefix holds a 0.
+        wire = n - 1
+        table = {
+            tuple(int(b) for b in rng.integers(0, 2, size=wire)): float(
+                rng.uniform(0, 1 << n)
+            )
+            for _ in range(n)
+        }
+        circuits.append(gqft_circuit(GqftSpec(pm, row_fns={wire: table})))
+    return circuits
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_kernel_is_bit_identical_to_fancy_index_reference(n):
+    rng = np.random.default_rng(100 + n)
+    circuits = library_circuits(n, rng)
+    for c in circuits:
+        dense = circuit_to_dense(c).entries
+        want = fancy_index_circuit(c, np.eye(1 << n, dtype=np.complex128))
+        np.testing.assert_array_equal(dense.view(np.uint64), want.view(np.uint64))
+        start = QState(n, random_state(n, rng))
+        got = apply_circuit(start, c).amps
+        want = fancy_index_circuit(c, np.array(start.amps))
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    gates = [g for c in circuits for g in c.gates]
+    if n >= 3:
+        assert any(isinstance(g, Swap) for g in gates)
+        assert any(
+            isinstance(g, Controlled)
+            and len(g.controls) > 1
+            and any(b == 0 for _, b in g.controls)
+            for g in gates
+        )
+
+
+def test_apply_circuit_leaves_its_input_unchanged():
+    rng = np.random.default_rng(14)
+    for n in (1, 3, 6):
+        start = QState(n, random_state(n, rng))
+        before = start.amps.copy()
+        out = apply_circuit(start, random_circuit(n, rng, length=10))
+        np.testing.assert_array_equal(start.amps, before)
+        assert not start.amps.flags.writeable
+        assert not np.shares_memory(out.amps, start.amps)
+
+
 def test_dense_unitary_rejects_non_unitary():
     with pytest.raises(NotUnitaryError):
         DenseUnitary(1, np.array([[1.0, 0.0], [0.0, 0.5]], dtype=np.complex128))
@@ -196,6 +266,12 @@ def test_measure_all_is_deterministic_per_seed():
     c = measure_all(state, rng_seed=6, shots=1000)
     assert a == b
     assert a != c  # different stream almost surely differs
+
+
+@pytest.mark.parametrize("shots", [0, -5])
+def test_measure_all_rejects_a_shot_count_below_one(shots):
+    with pytest.raises(InputError, match=rf"^need shots >= 1, got {shots}$"):
+        measure_all(QState.basis(2, 0), rng_seed=1, shots=shots)
 
 
 def test_measure_all_on_basis_state_is_a_point_mass():

@@ -31,15 +31,31 @@ def test_tiny_run_succeeds(name, capsys):
     assert capsys.readouterr().err == ""
 
 
+# (argv, stderr) of a run over a cap.  The survey builds dense matrices, so
+# n=3 exceeds GQT_DENSE_CAP=2; the sweep runs on a statevector and first
+# meets a cap at n=21, above the state cap.
+CAPPED = {
+    "unitarity_survey": (
+        TINY["unitarity_survey"],
+        "unitarity_survey: cap exceeded: n=3 exceeds dense cap 2\n",
+    ),
+    "dhsp_sweep": (
+        ["--n", "21", "--trials", "5", "--reps", "1"],
+        "dhsp_sweep: cap exceeded: n=21 exceeds state cap 20\n",
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(TINY))
 def test_dense_cap_exits_three_without_traceback(name):
+    argv, stderr = CAPPED[name]
     env = {**os.environ, "GQT_DENSE_CAP": "2", "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / f"{name}.py"), *TINY[name]],
+        [sys.executable, str(SCRIPTS / f"{name}.py"), *argv],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 3
-    assert proc.stderr == f"{name}: cap exceeded: n=3 exceeds dense cap 2\n"
+    assert proc.stderr == stderr
 
 
 @pytest.mark.parametrize("name", sorted(TINY))
@@ -48,3 +64,15 @@ def test_zero_wires_exit_one(name, capsys):
     argv[argv.index("--n") + 1] = "0"
     assert load(name).main(argv) == 1
     assert capsys.readouterr().err == f"{name}: error: need n >= 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "name, flag", [("dhsp_sweep", "--n"), ("unitarity_survey", "--samples")]
+)
+def test_malformed_flag_exits_one(name, flag, capsys):
+    # Exit 2 is reserved for validity failures, as in the CLI.
+    with pytest.raises(SystemExit) as exc:
+        load(name).main([flag, "x"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: invalid int value: 'x'" in err
