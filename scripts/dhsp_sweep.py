@@ -19,7 +19,7 @@ import numpy as np
 
 from gqt import DhspInstance, recover_d, samples_mixed, success_probability
 from gqt import bit_reverse
-from gqt.cli import Parser
+from gqt.cli import Parser, int_at_least
 from gqt.config import DEFAULT_SEED, rng_from_seed
 from gqt.errors import GqtError
 
@@ -60,8 +60,14 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
 def main(argv=None) -> int:
     ap = Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=4, help="register width")
-    ap.add_argument("--trials", type=int, default=300, help="shots per instance")
-    ap.add_argument("--reps", type=int, default=25, help="instances per split k")
+    ap.add_argument(
+        "--trials", type=int_at_least(1, "trials"), default=300,
+        help="shots per instance",
+    )
+    ap.add_argument(
+        "--reps", type=int_at_least(1, "reps"), default=25,
+        help="instances per split k",
+    )
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ap.add_argument("--out", default=None, help="also write the table as CSV")
     args = ap.parse_args(argv)

@@ -72,7 +72,6 @@ from .qstate import (
     Controlled,
     DenseUnitary,
     QState,
-    SingleQubit,
     Swap,
     apply_circuit,
     apply_dense,
@@ -115,7 +114,6 @@ __all__ = [
     "Controlled",
     "DenseUnitary",
     "QState",
-    "SingleQubit",
     "Swap",
     "apply_circuit",
     "apply_dense",

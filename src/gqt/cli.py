@@ -63,7 +63,6 @@ from .qstate import (
     Circuit,
     Controlled,
     QState,
-    SingleQubit,
     Swap,
     apply_circuit,
     bit_table,
@@ -98,14 +97,15 @@ _HAAR_NOTE = (
 # serialization
 
 
-def _c2(v) -> list[float]:
-    v = complex(v)
-    return [float(v.real), float(v.imag)]
+def _pairs(a) -> list:
+    """Nested lists shaped like ``a``, with each complex entry as an [re, im] pair."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def matrix_to_lists(m: np.ndarray) -> list:
     """Row-major nested lists with each entry as an [re, im] pair."""
-    return [[_c2(v) for v in row] for row in np.asarray(m)]
+    return _pairs(m)
 
 
 def matrix_from_lists(rows) -> np.ndarray:
@@ -119,10 +119,6 @@ def matrix_from_lists(rows) -> np.ndarray:
         raise InputError(f"malformed matrix entries: {exc}") from exc
 
 
-def amps_to_lists(amps: np.ndarray) -> list:
-    return [_c2(v) for v in np.asarray(amps)]
-
-
 def hist_to_pairs(hist: dict[int, int]) -> list:
     return [[int(k), int(v)] for k, v in sorted(hist.items())]
 
@@ -130,8 +126,8 @@ def hist_to_pairs(hist: dict[int, int]) -> list:
 def gate_to_json_dict(g) -> dict:
     if isinstance(g, Swap):
         return {"kind": "swap", "a": g.a, "b": g.b}
-    u = [_c2(g.u[r, c]) for r in range(2) for c in range(2)]
-    if isinstance(g, SingleQubit):
+    u = _pairs(g.u.ravel())
+    if not g.controls:  # a gate with no controls is written as "single"
         return {"kind": "single", "target": g.target, "u": u}
     return {
         "kind": "controlled",
@@ -159,12 +155,15 @@ def circuit_from_json_dict(data: dict) -> Circuit:
                 [complex(re, im) for re, im in flat], dtype=np.complex128
             ).reshape(2, 2)
             if kind == "single":
-                gates.append(SingleQubit(int(gd["target"]), u))
+                controls = ()
             elif kind == "controlled":
                 controls = tuple((int(q), int(b)) for q, b in gd["controls"])
-                gates.append(Controlled(controls, int(gd["target"]), u))
             else:
                 raise InputError(f"unknown gate kind {kind!r}")
+            target = int(gd["target"])
+            if kind == "controlled" and not controls:
+                raise InputError("controlled gate needs at least one control")
+            gates.append(Controlled(controls, target, u))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed circuit JSON: {exc}") from exc
     return Circuit(n, tuple(gates))
@@ -199,14 +198,15 @@ def load_phase_spec(path: str) -> PhaseMatrix:
     return PhaseMatrix.from_json_dict(_load_json(path))
 
 
-def load_rot_spec(path: str, variant: str | None = None) -> RotSpec:
-    """Rotation spec file:
+def rot_spec_from_json_dict(
+    data: dict, path: str, variant: str | None = None
+) -> RotSpec:
+    """Rotation spec file, already parsed from ``path`` (named in errors):
 
     {"n": int, "variant": "hadamard_first" | "rotation_first",
      "theta": [{"i": int, "j": int, "t0": real, "t1": real}, ...],
      "alpha0": [...] (second variant only)}
     """
-    data = _load_json(path)
     try:
         n = int(data["n"])
         file_variant = data.get("variant")
@@ -270,7 +270,7 @@ def _cmd_matrix(args) -> tuple[dict, int]:
             dense_fn, circuit_fn = gqft_dense, gqft_circuit
         else:
             variant = HADAMARD_FIRST if kind == "rot1" else ROTATION_FIRST
-            spec = load_rot_spec(source, variant)
+            spec = rot_spec_from_json_dict(_load_json(source), source, variant)
             dense_fn, circuit_fn = _ROT_BUILDERS[variant]
         dense = dense_fn(spec)
         n, entries = dense.n, dense.entries
@@ -294,7 +294,7 @@ def _cmd_matrix(args) -> tuple[dict, int]:
 
 
 def _cmd_check(args) -> tuple[dict, int]:
-    pm = load_phase_spec(_require(args, "--spec"))
+    pm = load_phase_spec(args.spec)
     tol = args.tol if args.tol is not None else CRITERION_TOL
     tri = check_triangular(pm, tol)
     gen = check_general(pm, tol)
@@ -315,7 +315,7 @@ def _cmd_check(args) -> tuple[dict, int]:
 
 
 def _cmd_simulate(args) -> tuple[dict, int]:
-    circ = circuit_from_json_dict(_load_json(_require(args, "--spec")))
+    circ = circuit_from_json_dict(_load_json(args.spec))
     check_cap("state", circ.n)
     basis = args.basis
     out = apply_circuit(QState.basis(circ.n, basis), circ)
@@ -324,7 +324,7 @@ def _cmd_simulate(args) -> tuple[dict, int]:
         "n": circ.n,
         "basis": basis,
         "gate_count": circ.gate_count,
-        "amps": amps_to_lists(out.amps),
+        "amps": _pairs(out.amps),
     }
     if args.trials:
         hist = measure_all(out, args.seed, args.trials)
@@ -334,12 +334,11 @@ def _cmd_simulate(args) -> tuple[dict, int]:
 
 
 def _cmd_compare(args) -> tuple[dict, int]:
-    path = _require(args, "--spec")
-    data = _load_json(path)
+    data = _load_json(args.spec)
     tol = args.tol if args.tol is not None else STATE_TOL
     report: dict = {"command": "compare"}
     if "variant" in data or "theta" in data:
-        spec = load_rot_spec(path)
+        spec = rot_spec_from_json_dict(data, args.spec)
         dense_fn, circuit_fn = _ROT_BUILDERS[spec.variant]
         n = spec.n
         ceiling = n + n * (n - 1)
@@ -411,8 +410,7 @@ def _parse_samples(raw: str, n: int, seed: int) -> tuple[tuple[int, ...], str]:
 
 
 def _cmd_dhsp(args) -> tuple[dict, int]:
-    n = _require(args, "--n")
-    d = _require(args, "--d")
+    n, d = args.n, args.d
     samples, mode = _parse_samples(args.samples, n, args.seed)
     inst = dhsp_mod.DhspInstance(n, d, samples)
     analysis = dhsp_mod.analyze(inst)
@@ -437,7 +435,7 @@ def _cmd_dhsp(args) -> tuple[dict, int]:
 
 
 def _cmd_haar(args) -> tuple[dict, int]:
-    n = _require(args, "--n")
+    n = args.n
     report: dict = {"command": "haar", "n": n}
     if args.basis is not None:
         if not 0 <= args.basis < (1 << n):
@@ -446,7 +444,7 @@ def _cmd_haar(args) -> tuple[dict, int]:
         state = haar_apply_basis(n, x)
         report["basis"] = args.basis
         report["slot_bits"] = list(x)
-        report["amps"] = amps_to_lists(state.amps)
+        report["amps"] = _pairs(state.amps)
         # The forward action is closed-form; only this check needs the dense matrix.
         report["identity_check"] = None
         with suppress(CapExceededError):
@@ -454,7 +452,7 @@ def _cmd_haar(args) -> tuple[dict, int]:
     if args.ket is not None:
         state = haar_inverse_apply(n, args.ket)
         report["ket"] = args.ket
-        report["inverse_amps"] = amps_to_lists(state.amps)
+        report["inverse_amps"] = _pairs(state.amps)
     if args.i is not None:
         circ = haar_inverse_circuit(n, args.i)
         report["i"] = args.i
@@ -492,7 +490,7 @@ class Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _int_at_least(low: int, name: str):
+def int_at_least(low: int, name: str):
     """argparse type for an integer flag ``name`` that must be at least ``low``."""
 
     def parse(raw: str) -> int:
@@ -507,7 +505,7 @@ def _int_at_least(low: int, name: str):
     return parse
 
 
-_wire_count = _int_at_least(1, "n")
+_wire_count = int_at_least(1, "n")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -540,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="circuit JSON file")
     p.add_argument("--basis", type=int, default=0)
     p.add_argument(
-        "--trials", type=_int_at_least(0, "trials"), default=0,
+        "--trials", type=int_at_least(0, "trials"), default=0,
         help="measurement shots (0 = none)",
     )
     _add_common(p)
@@ -557,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="perfect",
         help="'perfect', 'random', 'mixed:k', or comma-separated integers",
     )
-    p.add_argument("--trials", type=_int_at_least(1, "trials"), default=200)
+    p.add_argument("--trials", type=int_at_least(1, "trials"), default=200)
     _add_common(p)
 
     p = sub.add_parser("haar", help="averaging transform utilities")

@@ -108,7 +108,6 @@ def run_procedure(inst: DhspInstance, phi: PhaseMatrix | None = None) -> QState:
     ``phi`` must be triangular once reduced mod N; one that is valid only in
     the general regime raises ValidityError.
     """
-    check_cap("state", inst.n)
     pm = phi if phi is not None else phi_from_samples(inst)
     conj = PhaseMatrix(pm.n, np.mod(-pm.phi, pm.modulus))
     return apply_circuit(coset_state(inst), gqft_circuit(GqftSpec(conj)))
@@ -154,17 +153,17 @@ def lambda_vector(inst: DhspInstance) -> tuple[int, ...]:
     )
 
 
-def _d_segment(inst: DhspInstance, i: int, k: int) -> int:
-    n = inst.n
-    return sum(
-        inst.d_bit(n - i + j - 1) << (n - i + j - 1) for j in range(i - k + 1)
-    )
-
-
 @dataclass(frozen=True)
 class DhspAnalysis:
     """Derived quantities: recovery matrix, lambda, its probability, and the
-    maximum count of nonzero d-segments (cost exponent of brute matching)."""
+    maximum count of nonzero d-segments (cost exponent of brute matching).
+
+    Segment (i, k), k <= i, keeps the bits of d at positions n-1-i .. n-1-k,
+    so it is nonzero exactly when one of those bits is set: for k up to
+    min(i, n-1-p), with p the lowest set bit of d at or above n-1-i.  The
+    count peaks at i = n-1, so f = n - nu(d), where nu(d) is the index of
+    d's lowest set bit, and f = 0 for d = 0.
+    """
 
     phi: PhaseMatrix
     lam: tuple[int, ...]
@@ -176,9 +175,7 @@ def analyze(inst: DhspInstance) -> DhspAnalysis:
     lam = lambda_vector(inst)
     dim = 1 << inst.n
     p = float(np.prod(np.cos(np.pi * np.asarray(lam, dtype=np.float64) / dim) ** 2))
-    f = 0
-    for i in range(inst.n):
-        f = max(f, sum(1 for k in range(i + 1) if _d_segment(inst, i, k) != 0))
+    f = inst.n + 1 - (inst.d & -inst.d).bit_length() if inst.d else 0
     return DhspAnalysis(phi_from_samples(inst), lam, p, f)
 
 

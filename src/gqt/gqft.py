@@ -1,13 +1,15 @@
 """Phase-matrix Fourier transforms: dense builders and circuit synthesis.
 
-A validated spec (phase matrix plus optional per-wire phase tables) defines
+A validated spec (phase matrix plus optional row tables) defines
 
     G|x> = (1/sqrt(N)) sum_y w^(E(y, x)) |y>,    w = exp(2*pi*1j/N), N = 2^n,
 
 where E(y, x) = sum_i y_i * W_i(x) and wire exponent W_i(x) is, by default,
-the linear form sum_j phi[i][j] * x_j.  Lookup tables can replace the
-off-diagonal contribution cell by cell (one table per (i, j), i > j) or row
-by row (one table keyed by the full control prefix x_0..x_{i-1}).
+the linear form sum_j phi[i][j] * x_j.  A row table replaces the
+off-diagonal part of W_i by a lookup keyed on the full control prefix
+x_0..x_{i-1}.  A table on one control bit x_j needs no such lookup: it is
+affine, f0 + (f1 - f0) * x_j, and its constant f0 only multiplies the row
+by a phase, so it is the phi entry phi[i][j] = f1 - f0.
 
 For triangular-regime specs the transform factorizes per output wire, which
 yields the circuit: process wires from highest to lowest, Hadamard first,
@@ -29,7 +31,6 @@ from .qstate import (
     Circuit,
     Controlled,
     DenseUnitary,
-    SingleQubit,
     Swap,
     bit_table,
 )
@@ -49,20 +50,18 @@ def _phase_gate(value: float, modulus: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GqftSpec:
-    """A validated transform spec.
+    """A validated transform spec: a phase matrix, its regime, and row tables.
 
-    cell_fns maps (i, j) with i > j to the table (f(0), f(1)); tables are
-    stored zero-based (f(0) subtracted from both entries).  row_fns maps a
-    wire i to {control prefix (x_0..x_{i-1}): exponent}, also normalized so
-    the all-zeros prefix contributes 0; each row table may keep at most n
-    nonzero prefixes, one controlled gate each.  Tables require the
+    row_fns maps a wire i to {control prefix (x_0..x_{i-1}): exponent},
+    normalized so the all-zeros prefix contributes 0; each row table may keep
+    at most n nonzero prefixes, one controlled gate each.  Tables require the
     triangular regime, where the wire construction stays valid for any lower
-    content.
+    content.  A table on a single control bit is a phi entry instead (see the
+    module docstring).
     """
 
     pm: PhaseMatrix
     regime: str = TRIANGULAR
-    cell_fns: Mapping[tuple[int, int], tuple[float, float]] | None = None
     row_fns: Mapping[int, Mapping[tuple[int, ...], float]] | None = None
 
     def __post_init__(self):
@@ -77,15 +76,8 @@ class GqftSpec:
             raise ValidityError(
                 f"phase matrix fails the {self.regime} check", report=report
             )
-        if (self.cell_fns or self.row_fns) and self.regime != TRIANGULAR:
+        if self.row_fns and self.regime != TRIANGULAR:
             raise UnsupportedRegimeError("phase tables require the triangular regime")
-        cell_fns = None
-        if self.cell_fns:
-            cell_fns = {}
-            for (i, j), (f0, f1) in self.cell_fns.items():
-                if not (0 <= j < i < n):
-                    raise InputError(f"cell table ({i},{j}) is not strictly lower")
-                cell_fns[(int(i), int(j))] = (0.0, float(f1) - float(f0))
         row_fns = None
         if self.row_fns:
             row_fns = {}
@@ -93,8 +85,6 @@ class GqftSpec:
                 i = int(i)
                 if not 0 < i < n:
                     raise InputError(f"row table index {i} out of range")
-                if cell_fns and any(ci == i for ci, _ in cell_fns):
-                    raise InputError(f"wire {i} has both cell and row tables")
                 base = float(table.get(tuple([0] * i), 0.0))
                 clean = {}
                 for pattern, value in table.items():
@@ -109,7 +99,6 @@ class GqftSpec:
                         f"row table for wire {i} has support {len(clean)} > cap {n}"
                     )
                 row_fns[i] = clean
-        object.__setattr__(self, "cell_fns", cell_fns)
         object.__setattr__(self, "row_fns", row_fns)
 
     @classmethod
@@ -124,9 +113,6 @@ class GqftSpec:
 def _wire_exponents(spec: GqftSpec, bits: np.ndarray) -> np.ndarray:
     """W[i, x]: the per-wire exponent for every input column x; bits is [x, i]."""
     w = spec.pm.phi @ bits.T  # [i, x] linear form
-    if spec.cell_fns:
-        for (i, j), (_, f1) in spec.cell_fns.items():
-            w[i] += (f1 - spec.pm.phi[i, j]) * bits[:, j]
     if spec.row_fns:
         for i, table in spec.row_fns.items():
             w[i] = spec.pm.phi[i, i] * bits[:, i]
@@ -152,7 +138,7 @@ def gqft_circuit(spec: GqftSpec) -> Circuit:
     Wires are processed from n-1 down to 0 so each phase gate's controls
     still hold input values; per wire: Hadamard, then one diagonal phase
     gate per lower cell (or per row-table entry).  Gate count is
-    n + n(n-1)/2 for linear/cell specs; no swaps are emitted.
+    n + n(n-1)/2 for specs without row tables; no swaps are emitted.
     """
     if spec.regime != TRIANGULAR:
         raise UnsupportedRegimeError(
@@ -162,7 +148,7 @@ def gqft_circuit(spec: GqftSpec) -> Circuit:
     modulus = 1 << n
     gates: list = []
     for i in range(n - 1, -1, -1):
-        gates.append(SingleQubit(i, HADAMARD))
+        gates.append(Controlled((), i, HADAMARD))
         if spec.row_fns and i in spec.row_fns:
             for pattern in sorted(spec.row_fns[i]):
                 controls = tuple((j, pattern[j]) for j in range(i))
@@ -170,11 +156,8 @@ def gqft_circuit(spec: GqftSpec) -> Circuit:
                 gates.append(Controlled(controls, i, u))
             continue
         for j in range(i - 1, -1, -1):
-            if spec.cell_fns and (i, j) in spec.cell_fns:
-                value = spec.cell_fns[(i, j)][1]
-            else:
-                value = float(spec.pm.phi[i, j])
-            gates.append(Controlled(((j, 1),), i, _phase_gate(value, modulus)))
+            u = _phase_gate(float(spec.pm.phi[i, j]), modulus)
+            gates.append(Controlled(((j, 1),), i, u))
     return Circuit(n, tuple(gates))
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import check_cap, check_wires
 from .errors import InputError
-from .qstate import HADAMARD, Circuit, QState, SingleQubit, Swap, _unitarity_defect
+from .qstate import HADAMARD, Circuit, Controlled, QState, Swap, _unitarity_defect
 
 
 def _slot_bits(n: int, slots) -> tuple[int, ...]:
@@ -176,5 +176,5 @@ def haar_inverse_circuit(n: int, i: int) -> Circuit:
     for r in range(i):
         swap_slots(r, r + 1)
     for s in range(i, n):
-        gates.append(SingleQubit(n - 1 - s, HADAMARD))
+        gates.append(Controlled((), n - 1 - s, HADAMARD))
     return Circuit(n, tuple(gates))

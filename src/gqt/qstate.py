@@ -83,32 +83,32 @@ class QState:
         return np.abs(self.amps) ** 2
 
 
+def _gate_defect(u: np.ndarray) -> float:
+    """max |U^dagger U - I| of a 2x2 matrix, from its four entries as scalars."""
+    (a, b), (c, d) = u.tolist()
+    return max(
+        abs(abs(a) ** 2 + abs(c) ** 2 - 1.0),
+        abs(abs(b) ** 2 + abs(d) ** 2 - 1.0),
+        abs(a.conjugate() * b + c.conjugate() * d),
+    )
+
+
 def _check_unitary_2x2(u) -> np.ndarray:
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (2, 2):
         raise InputError(f"gate matrix has shape {u.shape}, expected (2, 2)")
-    dev = _unitarity_defect(u)
+    dev = _gate_defect(u)
     if dev > GATE_TOL:
         raise NotUnitaryError(f"2x2 gate deviates from unitarity by {dev:.3e}")
     return _locked(u)
 
 
 @dataclass(frozen=True)
-class SingleQubit:
-    """A 2x2 unitary applied to one target qubit."""
-
-    target: int
-    u: np.ndarray
-
-    def __post_init__(self):
-        if self.target < 0:
-            raise InputError(f"negative target {self.target}")
-        object.__setattr__(self, "u", _check_unitary_2x2(self.u))
-
-
-@dataclass(frozen=True)
 class Controlled:
-    """A 2x2 unitary on ``target``, gated on every (qubit, bit) control holding."""
+    """A 2x2 unitary on ``target``, gated on every (qubit, bit) control holding.
+
+    With no controls the gate acts on its target unconditionally.
+    """
 
     controls: tuple[tuple[int, int], ...]
     target: int
@@ -116,15 +116,11 @@ class Controlled:
 
     def __post_init__(self):
         controls = tuple((int(q), int(b)) for q, b in self.controls)
-        if not controls:
-            raise InputError("controlled gate needs at least one control")
         qubits = [q for q, _ in controls]
         if len(set(qubits)) != len(qubits):
             raise InputError(f"duplicate control qubits in {controls}")
         if any(b not in (0, 1) for _, b in controls):
             raise InputError(f"control bits must be 0/1 in {controls}")
-        if any(q < 0 for q in qubits) or self.target < 0:
-            raise InputError("negative qubit index")
         if self.target in qubits:
             raise InputError(f"target {self.target} overlaps controls {controls}")
         object.__setattr__(self, "controls", controls)
@@ -141,16 +137,17 @@ class Swap:
     def __post_init__(self):
         if self.a == self.b:
             raise InputError("swap needs two distinct qubits")
-        if self.a < 0 or self.b < 0:
-            raise InputError("negative qubit index")
 
 
-Gate = SingleQubit | Controlled | Swap
+Gate = Controlled | Swap
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list on n qubits (applied left to right)."""
+    """An ordered gate list on n qubits (applied left to right).
+
+    The circuit owns the range check: every qubit a gate names lies in [0, n).
+    """
 
     n: int
     gates: tuple[Gate, ...] = field(default_factory=tuple)
@@ -160,7 +157,7 @@ class Circuit:
         gates = tuple(self.gates)
         for g in gates:
             for q in _gate_qubits(g):
-                if q >= self.n:
+                if not 0 <= q < self.n:
                     raise InputError(f"gate index {q} out of range for n={self.n}")
         object.__setattr__(self, "gates", gates)
 
@@ -170,8 +167,6 @@ class Circuit:
 
 
 def _gate_qubits(g: Gate) -> tuple[int, ...]:
-    if isinstance(g, SingleQubit):
-        return (g.target,)
     if isinstance(g, Controlled):
         return tuple(q for q, _ in g.controls) + (g.target,)
     if isinstance(g, Swap):
@@ -203,7 +198,7 @@ def _apply_gate_inplace(view: np.ndarray, g: Gate, n: int) -> None:
         a[...] = b
         b[...] = held
         return
-    for q, bit in g.controls if isinstance(g, Controlled) else ():
+    for q, bit in g.controls:
         sel[n - 1 - q] = slice(bit, bit + 1)
     sel[n - 1 - g.target] = slice(0, 1)
     a0 = view[tuple(sel)]

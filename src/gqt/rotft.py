@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import check_cap, check_wires
 from .errors import InputError
-from .qstate import HADAMARD, Circuit, Controlled, DenseUnitary, SingleQubit, bit_table
+from .qstate import HADAMARD, Circuit, Controlled, DenseUnitary, bit_table
 
 HADAMARD_FIRST = "hadamard_first"
 ROTATION_FIRST = "rotation_first"
@@ -142,7 +142,7 @@ def _cascade_gates(spec: RotSpec, i: int) -> list:
     for k in range(i - 1, -1, -1):
         t0, t1 = spec.theta(i, k)
         if t0 != 0.0:
-            gates.append(SingleQubit(i, rotation(t0)))
+            gates.append(Controlled((), i, rotation(t0)))
         if t1 != t0:
             gates.append(Controlled(((k, 1),), i, rotation(t1 - t0)))
     return gates
@@ -154,7 +154,7 @@ def rot1_circuit(spec: RotSpec) -> Circuit:
         raise InputError(f"spec variant is {spec.variant}, expected hadamard_first")
     gates: list = []
     for i in range(spec.n - 1, -1, -1):
-        gates.append(SingleQubit(i, HADAMARD))
+        gates.append(Controlled((), i, HADAMARD))
         gates.extend(_cascade_gates(spec, i))
     return Circuit(spec.n, tuple(gates))
 
@@ -165,6 +165,6 @@ def rot2_circuit(spec: RotSpec) -> Circuit:
         raise InputError(f"spec variant is {spec.variant}, expected rotation_first")
     gates: list = []
     for i in range(spec.n - 1, -1, -1):
-        gates.append(SingleQubit(i, rotation(spec.alpha0[i])))
+        gates.append(Controlled((), i, rotation(spec.alpha0[i])))
         gates.extend(_cascade_gates(spec, i))
     return Circuit(spec.n, tuple(gates))

@@ -18,7 +18,6 @@ from gqt import (
     GqftSpec,
     PhaseMatrix,
     RotSpec,
-    SingleQubit,
     Swap,
 )
 
@@ -80,10 +79,10 @@ def gate_dense_kron(gate, n: int) -> np.ndarray:
             y = sum(b << q for q, b in enumerate(xb))
             m[y, x] = 1.0
         return m
-    if isinstance(gate, SingleQubit):
+    assert isinstance(gate, Controlled)
+    if not gate.controls:
         factors = [gate.u if q == gate.target else _I2 for q in range(n)]
         return _kron_le(factors)
-    assert isinstance(gate, Controlled)
     ctrl = dict(gate.controls)
     dim = 1 << n
     m = np.zeros((dim, dim), dtype=np.complex128)
@@ -134,7 +133,7 @@ def random_unitary2(rng: np.random.Generator) -> np.ndarray:
 def random_gate(n: int, rng: np.random.Generator):
     kind = rng.integers(0, 3)
     if kind == 0 or n == 1:
-        return SingleQubit(int(rng.integers(0, n)), random_unitary2(rng))
+        return Controlled((), int(rng.integers(0, n)), random_unitary2(rng))
     if kind == 1:
         a, b = rng.choice(n, size=2, replace=False)
         return Swap(int(a), int(b))
@@ -245,6 +244,22 @@ def lambda_inner_product(inst: DhspInstance) -> tuple[int, ...]:
     return tuple(out)
 
 
+def brute_segment_count(inst: DhspInstance) -> int:
+    """f of ``analyze``: the largest number of nonzero d-segments D_i[k],
+    k <= i, over the wires i, with D_i[k] as in :func:`lambda_inner_product`."""
+    n = inst.n
+    best = 0
+    for i in range(n):
+        count = 0
+        for k in range(i + 1):
+            d_segment = sum(
+                inst.d_bit(n - i + j - 1) << (n - i + j - 1) for j in range(i - k + 1)
+            )
+            count += d_segment != 0
+        best = max(best, count)
+    return best
+
+
 def scan_perfect_samples(n: int) -> tuple[int, ...]:
     """Exhaustive scan: the smallest s in [0, 2^n) per row i with bit i set
     and every bit below i clear."""
@@ -284,9 +299,8 @@ def fancy_index_gate(block: np.ndarray, g, n: int) -> np.ndarray:
         a_bit = (idx >> g.a) & 1
         b_bit = (idx >> g.b) & 1
         return block[idx ^ ((a_bit ^ b_bit) * ((1 << g.a) | (1 << g.b)))]
-    controls = g.controls if isinstance(g, Controlled) else ()
     mask = ((idx >> g.target) & 1) == 0
-    for q, bit in controls:
+    for q, bit in g.controls:
         mask &= ((idx >> q) & 1) == bit
     i0 = idx[mask]
     i1 = i0 | (1 << g.target)

@@ -90,7 +90,10 @@ def test_matrix_emit_circuit_then_simulate(tmp_path):
     pm = PhaseMatrix(2, [[2, 0], [1, 2]])
     circ = gqft_circuit(GqftSpec.from_phase_matrix(pm))
     assert report["gate_count"] == circ.gate_count
-    loaded = circuit_from_json_dict(json.loads(circ_path.read_text()))
+    dump = json.loads(circ_path.read_text())
+    # a gate without controls is written as "single"
+    assert [g["kind"] for g in dump["gates"]] == ["single", "controlled", "single"]
+    loaded = circuit_from_json_dict(dump)
     assert loaded.n == 2 and loaded.gate_count == circ.gate_count
 
     code, out, _ = run_cli("simulate", "--spec", str(circ_path), "--basis", "2")
@@ -365,6 +368,13 @@ def test_exit_code_one_for_missing_or_malformed_input(tmp_path):
     bad.write_text("not json{")
     code, _, _ = run_cli("check-unitary", "--spec", str(bad))
     assert code == 1
+    no_controls = tmp_path / "no_controls.json"
+    u = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    gate = {"kind": "controlled", "controls": [], "target": 0, "u": u}
+    no_controls.write_text(json.dumps({"n": 1, "gates": [gate]}))
+    code, out, err = run_cli("simulate", "--spec", str(no_controls))
+    assert code == 1 and out == ""
+    assert err == "gqt: error: controlled gate needs at least one control\n"
     tri = write_phi(tmp_path / "tri.json", [[4, 0, 0], [1, 4, 0], [2, 3, 4]])
     for argv, stray in (
         (("matrix", "--kind", "gqft", "--spec", tri, "--n", "7"), "--n"),

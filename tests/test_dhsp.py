@@ -34,6 +34,7 @@ from gqt import (
 
 from _oracles import (
     brute_coset_amps,
+    brute_segment_count,
     brute_run_amps,
     coset_product_amps,
     lambda_inner_product,
@@ -315,6 +316,15 @@ def test_analysis_bundle():
     assert abs(a.p_success - success_probability(inst, bit_reverse(3, 2))) < 1e-12
     np.testing.assert_array_equal(a.phi.phi, phi_from_samples(inst).phi)
     assert analyze(DhspInstance(3, 0, (1, 2, 4))).f == 0
+
+
+def test_segment_count_closed_form_matches_brute_force():
+    # f = n - nu(d), nu the lowest set bit of d, against the segment count.
+    for n in range(1, 9):
+        samples = search_perfect_samples(n)
+        for d in range(1 << n):
+            inst = DhspInstance(n, d, samples)
+            assert analyze(inst).f == brute_segment_count(inst)
 
 
 def test_outcome_range_checked():

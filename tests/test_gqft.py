@@ -13,7 +13,6 @@ from gqt import (
     GqftSpec,
     InputError,
     PhaseMatrix,
-    SingleQubit,
     Swap,
     UnsupportedRegimeError,
     ValidityError,
@@ -56,7 +55,7 @@ def test_smallest_case_is_hadamard():
     spec = GqftSpec(PhaseMatrix(1, [[1.0]]))
     np.testing.assert_allclose(gqft_dense(spec).entries, H, atol=1e-15)
     circ = gqft_circuit(spec)
-    assert circ.gate_count == 1 and isinstance(circ.gates[0], SingleQubit)
+    assert circ.gate_count == 1 and circ.gates[0].controls == ()
 
 
 def test_two_qubit_golden_family():
@@ -108,15 +107,14 @@ def test_general_regime_builds_dense_but_not_circuits():
     with pytest.raises(UnsupportedRegimeError):
         gqft_circuit(spec)
     with pytest.raises(UnsupportedRegimeError):
-        GqftSpec(pm, regime=GENERAL, cell_fns={(1, 0): (0.0, 1.0)})
+        GqftSpec(pm, regime=GENERAL, row_fns={1: {(1,): 1.0}})
 
 
 def test_circuit_structure_two_qubits():
     spec = GqftSpec(PhaseMatrix(2, [[2.0, 0.0], [1.5, 2.0]]))
     circ = gqft_circuit(spec)
     # wire 1 first: H then its controlled phase from wire 0, then H on wire 0
-    kinds = [type(g).__name__ for g in circ.gates]
-    assert kinds == ["SingleQubit", "Controlled", "SingleQubit"]
+    assert [len(g.controls) for g in circ.gates] == [0, 1, 0]
     assert circ.gates[0].target == 1
     assert circ.gates[1].controls == ((0, 1),)
     assert circ.gates[2].target == 0
@@ -176,32 +174,48 @@ def test_dft_circuit_equals_dft_dense():
         np.testing.assert_allclose(lifted, dft_dense(n).entries, atol=1e-10)
 
 
-def test_cell_table_replaces_linear_term():
-    # replace the (1,0) term by the table x0 -> (0.3, 2.1); the wire-1 exponent
-    # becomes phi_11*x1 + [x0 ? 2.1-0.3 : 0] after zero-basing.
-    pm = PhaseMatrix(2, [[2.0, 0.0], [1.0, 2.0]])
-    spec = GqftSpec(pm, cell_fns={(1, 0): (0.3, 2.1)})
-    n, dim = 2, 4
-    expected = np.empty((dim, dim), dtype=np.complex128)
+def cell_table_transform(phi, i, j, f0, f1) -> np.ndarray:
+    """Brute force: the table x_j -> (f0, f1) in function form on cell (i, j),
+    the other cells linear, with the output phase w^(y_i * f0) divided out."""
+    n = len(phi)
+    dim = 1 << n
+    m = np.empty((dim, dim), dtype=np.complex128)
     for y in range(dim):
         yb = [(y >> q) & 1 for q in range(n)]
         for x in range(dim):
             xb = [(x >> q) & 1 for q in range(n)]
-            w0 = 2.0 * xb[0]
-            w1 = 2.0 * xb[1] + (2.1 - 0.3) * xb[0]
-            e = yb[0] * w0 + yb[1] * w1
-            expected[y, x] = np.exp(2j * np.pi * e / dim) / np.sqrt(dim)
+            e = 0.0
+            for r in range(n):
+                cells = [phi[r][c] * xb[c] for c in range(n) if (r, c) != (i, j)]
+                table = f0 + (f1 - f0) * xb[j] if r == i else 0.0
+                e += yb[r] * (sum(cells) + table)
+            m[y, x] = np.exp(2j * np.pi * (e - yb[i] * f0) / dim) / np.sqrt(dim)
+    return m
+
+
+def test_cell_table_replaces_linear_term():
+    # A one-bit table x0 -> (0.3, 2.1) on cell (1, 0) is the phi entry 2.1-0.3.
+    f0, f1 = 0.3, 2.1
+    expected = cell_table_transform([[2.0, 0.0], [1.0, 2.0]], 1, 0, f0, f1)
+    spec = GqftSpec(PhaseMatrix(2, [[2.0, 0.0], [f1 - f0, 2.0]]))
     np.testing.assert_allclose(gqft_dense(spec).entries, expected, atol=1e-12)
     lifted = circuit_to_dense(gqft_circuit(spec)).entries
     np.testing.assert_allclose(lifted, expected, atol=1e-12)
 
 
 def test_cell_table_zero_basing_is_observable():
-    # (f0, f1) and (0, f1-f0) produce the same transform
-    pm = PhaseMatrix(2, [[2.0, 0.0], [1.0, 2.0]])
-    a = gqft_dense(GqftSpec(pm, cell_fns={(1, 0): (0.7, 1.9)})).entries
-    b = gqft_dense(GqftSpec(pm, cell_fns={(1, 0): (0.0, 1.2)})).entries
-    np.testing.assert_allclose(a, b, atol=1e-12)
+    # Only f1 - f0 survives the division by w^(y_i * f0): (0.7, 1.9) and
+    # (0, 1.2) on cell (2, 0) of a 3-wire matrix both give phi[2][0] = 1.2.
+    pm = random_triangular_phi(3, np.random.default_rng(38))
+    phi = pm.phi.copy()
+    phi[2, 0] = 1.9 - 0.7
+    spec = GqftSpec(PhaseMatrix(3, phi))
+    dense = gqft_dense(spec).entries
+    lifted = circuit_to_dense(gqft_circuit(spec)).entries
+    for f0, f1 in ((0.7, 1.9), (0.0, 1.2)):
+        expected = cell_table_transform(pm.phi, 2, 0, f0, f1)
+        np.testing.assert_allclose(dense, expected, atol=1e-11)
+        np.testing.assert_allclose(lifted, expected, atol=1e-11)
 
 
 def test_row_table_full_prefix_control():
@@ -244,13 +258,9 @@ def test_row_table_support_cap():
 def test_fn_validation_errors():
     pm = random_triangular_phi(3, np.random.default_rng(37))
     with pytest.raises(InputError):
-        GqftSpec(pm, cell_fns={(0, 1): (0.0, 1.0)})  # not strictly lower
-    with pytest.raises(InputError):
         GqftSpec(pm, row_fns={0: {(): 1.0}})  # wire 0 has no prefix
     with pytest.raises(InputError):
         GqftSpec(pm, row_fns={2: {(1,): 1.0}})  # wrong prefix length
-    with pytest.raises(InputError):
-        GqftSpec(pm, cell_fns={(2, 0): (0.0, 1.0)}, row_fns={2: {(0, 0): 0.0}})
 
 
 def test_dense_cap_enforced():

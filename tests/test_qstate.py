@@ -15,7 +15,6 @@ from gqt import (
     InputError,
     NotUnitaryError,
     QState,
-    SingleQubit,
     Swap,
     apply_circuit,
     apply_dense,
@@ -31,6 +30,8 @@ from gqt import (
     rot1_circuit,
     rot2_circuit,
 )
+
+from gqt.qstate import _gate_defect, _unitarity_defect
 
 from _oracles import (
     circuit_dense_kron,
@@ -103,7 +104,7 @@ def test_single_qubit_gate_matches_kron_oracle():
     rng = np.random.default_rng(7)
     for n in (1, 2, 4):
         for _ in range(10):
-            g = SingleQubit(int(rng.integers(0, n)), random_unitary2(rng))
+            g = Controlled((), int(rng.integers(0, n)), random_unitary2(rng))
             v = random_state(n, rng)
             got = apply_gate(QState(n, v), g).amps
             np.testing.assert_allclose(got, gate_dense_kron(g, n) @ v, atol=1e-12)
@@ -135,9 +136,23 @@ def test_swap_exchanges_qubit_weights():
     np.testing.assert_allclose(twice.amps, v, atol=1e-12)
 
 
+def test_gate_defect_matches_dense_defect():
+    # The per-gate check reads max |U^dagger U - I| off the four entries; it
+    # must agree with the dense helper on unitary and non-unitary matrices.
+    rng = np.random.default_rng(15)
+    for k in range(600):
+        u = random_unitary2(rng)
+        if k % 3 == 1:  # near-unitary, defects from about 1e-13 to 1e-2
+            u = u + 10.0 ** -rng.uniform(2, 13) * rng.normal(size=(2, 2))
+        elif k % 3 == 2:  # far from unitary
+            u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        want = _unitarity_defect(u)
+        assert abs(_gate_defect(u) - want) <= 1e-15 + 1e-14 * want
+
+
 def test_gate_validation_rejects_malformed_inputs():
     with pytest.raises(NotUnitaryError):
-        SingleQubit(0, np.array([[1, 1], [0, 1]], dtype=np.complex128))
+        Controlled((), 0, np.array([[1, 1], [0, 1]], dtype=np.complex128))
     with pytest.raises(InputError):
         Controlled(((1, 2),), 0, X)  # control bit must be 0/1
     with pytest.raises(InputError):
@@ -147,7 +162,9 @@ def test_gate_validation_rejects_malformed_inputs():
     with pytest.raises(InputError):
         Swap(2, 2)
     with pytest.raises(InputError):
-        Circuit(2, (SingleQubit(2, X),))  # target out of range
+        Circuit(2, (Controlled((), 2, X),))  # target out of range
+    with pytest.raises(InputError):
+        Circuit(2, (Swap(-1, 0),))  # negative qubit
 
 
 def test_circuit_application_matches_matrix_product_oracle():

@@ -9,10 +9,8 @@ from gqt import (
     HADAMARD_FIRST,
     ROTATION_FIRST,
     CapExceededError,
-    Controlled,
     InputError,
     RotSpec,
-    SingleQubit,
     circuit_to_dense,
     rot1_circuit,
     rot1_dense,
@@ -233,7 +231,7 @@ def test_rot2_first_gate_per_wire_is_the_base_rotation():
     circ = rot2_circuit(spec)
     seen = {}
     for g in circ.gates:
-        if isinstance(g, SingleQubit) and g.target not in seen:
+        if not g.controls and g.target not in seen:
             seen[g.target] = g.u
     for wire, alpha in enumerate(spec.alpha0):
         np.testing.assert_allclose(seen[wire], rotation(alpha), atol=1e-15)
@@ -243,15 +241,15 @@ def test_controlled_branch_decomposition():
     # theta(0) nonzero: unconditional R(theta0) then controlled R(theta1-theta0)
     spec = RotSpec(2, HADAMARD_FIRST, {(1, 0): (0.5, 1.7)})
     gates = rot1_circuit(spec).gates
-    uncond = [g for g in gates if isinstance(g, SingleQubit) and g.target == 1]
-    cond = [g for g in gates if isinstance(g, Controlled)]
+    uncond = [g for g in gates if not g.controls and g.target == 1]
+    cond = [g for g in gates if g.controls]
     # H + the base rotation on wire 1
     assert any(np.allclose(g.u, rotation(0.5)) for g in uncond)
     assert len(cond) == 1
     np.testing.assert_allclose(cond[0].u, rotation(1.7 - 0.5), atol=1e-15)
     # equal branches need no controlled gate at all
     spec_eq = RotSpec(2, HADAMARD_FIRST, {(1, 0): (0.8, 0.8)})
-    assert not any(isinstance(g, Controlled) for g in rot1_circuit(spec_eq).gates)
+    assert not any(g.controls for g in rot1_circuit(spec_eq).gates)
 
 
 def test_dense_cap_enforced():

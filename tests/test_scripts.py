@@ -66,13 +66,20 @@ def test_zero_wires_exit_one(name, capsys):
     assert capsys.readouterr().err == f"{name}: error: need n >= 1, got 0\n"
 
 
-@pytest.mark.parametrize(
-    "name, flag", [("dhsp_sweep", "--n"), ("unitarity_survey", "--samples")]
-)
+# (script, flag) -> (value, argparse's complaint about it)
+MALFORMED = {
+    ("dhsp_sweep", "--n"): ("x", "invalid int value: 'x'"),
+    ("dhsp_sweep", "--reps"): ("0", "need reps >= 1, got 0"),
+    ("unitarity_survey", "--samples"): ("x", "invalid int value: 'x'"),
+}
+
+
+@pytest.mark.parametrize("name, flag", sorted(MALFORMED))
 def test_malformed_flag_exits_one(name, flag, capsys):
     # Exit 2 is reserved for validity failures, as in the CLI.
+    value, complaint = MALFORMED[(name, flag)]
     with pytest.raises(SystemExit) as exc:
-        load(name).main([flag, "x"])
+        load(name).main([flag, value])
     assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert f"error: argument {flag}: invalid int value: 'x'" in err
+    assert f"error: argument {flag}: {complaint}" in err
