@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gqt import DhspInstance, recover_d, samples_mixed, success_probability
-from gqt import bit_reverse
+from gqt import DhspInstance, recover_d, samples_mixed
 from gqt.cli import Parser, int_at_least
 from gqt.config import DEFAULT_SEED, rng_from_seed
 from gqt.errors import GqtError
@@ -42,7 +41,7 @@ def sweep_row(cfg: SweepConfig, k: int, rng: np.random.Generator) -> dict:
         inst = DhspInstance(cfg.n, d, samples_mixed(cfg.n, k, rng))
         res = recover_d(inst, cfg.trials, int(rng.integers(0, 2**31)))
         rates[r] = res.empirical_rate
-        probs[r] = success_probability(inst, bit_reverse(d, cfg.n))
+        probs[r] = res.analytic_p
         hits += res.d_hat == d
     return {
         "k": k,

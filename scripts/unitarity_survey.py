@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from gqt import PhaseMatrix, check_general, numeric_unitarity_defect
-from gqt.cli import Parser
+from gqt.cli import Parser, int_at_least
 from gqt.config import DEFAULT_SEED, rng_from_seed
 from gqt.errors import GqtError
 from gqt.phasemat import CRITERION_TOL
@@ -84,8 +84,14 @@ def family_table(params) -> list[dict]:
 
 def main(argv=None) -> int:
     ap = Parser(description=__doc__.splitlines()[0])
-    ap.add_argument("--grid-max", type=int, default=4, help="grid upper bound")
-    ap.add_argument("--samples", type=int, default=300, help="random draws")
+    ap.add_argument(
+        "--grid-max", type=int_at_least(0, "grid-max"), default=4,
+        help="grid upper bound",
+    )
+    ap.add_argument(
+        "--samples", type=int_at_least(0, "samples"), default=300,
+        help="random draws",
+    )
     ap.add_argument("--n", type=int, default=3, help="width of the random pass")
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ap.add_argument("--out", default=None, help="write the family table as CSV")

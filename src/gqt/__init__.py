@@ -16,7 +16,6 @@ from .dhsp import (
     coset_state,
     lambda_vector,
     phi0_matrix,
-    phi0_success_probability,
     phi_from_samples,
     recover_d,
     run_procedure,
@@ -168,7 +167,6 @@ __all__ = [
     "coset_state",
     "lambda_vector",
     "phi0_matrix",
-    "phi0_success_probability",
     "phi_from_samples",
     "recover_d",
     "run_procedure",

@@ -248,34 +248,37 @@ def _cmd_matrix(args) -> tuple[dict, int]:
     source = _require(args, takes)
     if getattr(args, stray.strip("-")) is not None:
         raise InputError(f"matrix --kind {kind} does not take {stray}")
+    emit = args.emit_circuit
     circuit = None
     note = _LITTLE_ENDIAN_NOTE
     if kind == "haar":
-        n = source
-        entries = haar_matrix(n).p
-        note = _HAAR_NOTE
-        if args.emit_circuit:
+        if emit:
             raise InputError(
                 "kind haar has no forward circuit; see the haar command "
                 "for inverse circuits"
             )
+        n = source
+        entries = haar_matrix(n).p
+        note = _HAAR_NOTE
     elif kind == "dft":
         n = source
         entries = dft_dense(n).entries
-        if args.emit_circuit:
+        if emit:
             circuit = dft_circuit(n)
     else:
         if kind == "gqft":
             spec = GqftSpec.from_phase_matrix(load_phase_spec(source))
-            dense_fn, circuit_fn = gqft_dense, gqft_circuit
+            n, dense_fn, circuit_fn = spec.pm.n, gqft_dense, gqft_circuit
         else:
             variant = HADAMARD_FIRST if kind == "rot1" else ROTATION_FIRST
             spec = rot_spec_from_json_dict(_load_json(source), source, variant)
-            dense_fn, circuit_fn = _ROT_BUILDERS[variant]
-        dense = dense_fn(spec)
-        n, entries = dense.n, dense.entries
-        if args.emit_circuit:
+            n, (dense_fn, circuit_fn) = spec.n, _ROT_BUILDERS[variant]
+        if emit:
+            # A spec over the cap fails before synthesis, and one refused
+            # synthesis (general regime) before the dense build.
+            check_cap("dense", n)
             circuit = circuit_fn(spec)
+        entries = dense_fn(spec).entries
 
     report = {
         "command": "matrix",
@@ -285,10 +288,10 @@ def _cmd_matrix(args) -> tuple[dict, int]:
         "entries": matrix_to_lists(entries),
     }
     if circuit is not None:
-        Path(args.emit_circuit).write_text(
+        Path(emit).write_text(
             json.dumps(circuit_to_json_dict(circuit), sort_keys=True, indent=2) + "\n"
         )
-        report["circuit_path"] = args.emit_circuit
+        report["circuit_path"] = emit
         report["gate_count"] = circuit.gate_count
     return report, 0
 

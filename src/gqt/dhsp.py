@@ -116,27 +116,21 @@ def run_procedure(inst: DhspInstance, phi: PhaseMatrix | None = None) -> QState:
 def success_probability(
     inst: DhspInstance, y: int, phi: PhaseMatrix | None = None
 ) -> float:
-    """p(y) = prod_i cos^2(pi * (z_i - (y.phi)_i) / N).
+    """p(y) = prod_i cos^2(pi * lam_i / N), lam = (z - y.phi) mod N.
 
-    Evaluated in exact integers for the default sample-derived matrix.
-    Equals |amp(y)|^2 of ``run_procedure`` for every outcome y.
+    The one formula for the outcome law; defaults to the sample-derived
+    matrix.  z is reduced mod N in integers first, so lam is exact whenever
+    phi is integral with column sums below 2^53 (the default matrix through
+    n = 47).  Equals |amp(y)|^2 of ``run_procedure`` for every outcome y.
     """
     n = inst.n
     dim = 1 << n
     if not 0 <= y < dim:
         raise InputError(f"outcome {y} out of range [0, {dim})")
-    y_bits = [(y >> j) & 1 for j in range(n)]
-    if phi is None:
-        lam = []
-        for i in range(n):
-            ytilde = (1 << (n - 1)) * y_bits[i] + sum(
-                inst.shifted_sample(n - j - 1, i) * y_bits[j]
-                for j in range(i + 1, n)
-            )
-            lam.append(inst.z[i] - ytilde)
-        lam = np.asarray(lam, dtype=np.float64)
-    else:
-        lam = np.asarray(inst.z, dtype=np.float64) - np.asarray(y_bits) @ phi.phi
+    pm = phi if phi is not None else phi_from_samples(inst)
+    z = np.array([v % dim for v in inst.z], dtype=np.float64)
+    y_bits = np.array([(y >> j) & 1 for j in range(n)], dtype=np.float64)
+    lam = np.mod(z - y_bits @ pm.phi, dim)
     return float(np.prod(np.cos(np.pi * lam / dim) ** 2))
 
 
@@ -172,11 +166,10 @@ class DhspAnalysis:
 
 
 def analyze(inst: DhspInstance) -> DhspAnalysis:
-    lam = lambda_vector(inst)
-    dim = 1 << inst.n
-    p = float(np.prod(np.cos(np.pi * np.asarray(lam, dtype=np.float64) / dim) ** 2))
+    pm = phi_from_samples(inst)
+    p = success_probability(inst, bit_reverse(inst.d, inst.n), pm)
     f = inst.n + 1 - (inst.d & -inst.d).bit_length() if inst.d else 0
-    return DhspAnalysis(phi_from_samples(inst), lam, p, f)
+    return DhspAnalysis(pm, lambda_vector(inst), p, f)
 
 
 @dataclass(frozen=True)
@@ -193,8 +186,8 @@ def recover_d(inst: DhspInstance, trials: int, rng_seed: int) -> RecoveryResult:
     d_hat is the majority candidate (ties toward the smallest integer);
     empirical_rate is the fraction of trials recovering the true d.
     """
-    state = run_procedure(inst)
-    hist = measure_all(state, rng_seed, trials)
+    pm = phi_from_samples(inst)
+    hist = measure_all(run_procedure(inst, pm), rng_seed, trials)
     # Bit reversal is a bijection, so no two outcomes share a candidate.
     candidates = {bit_reverse(y, inst.n): c for y, c in hist.items()}
     best = max(candidates.values())
@@ -203,7 +196,7 @@ def recover_d(inst: DhspInstance, trials: int, rng_seed: int) -> RecoveryResult:
     return RecoveryResult(
         d_hat=d_hat,
         empirical_rate=rate,
-        analytic_p=success_probability(inst, bit_reverse(inst.d, inst.n)),
+        analytic_p=success_probability(inst, bit_reverse(inst.d, inst.n), pm),
         histogram=hist,
     )
 
@@ -245,8 +238,9 @@ def samples_mixed(n: int, k: int, rng: np.random.Generator) -> tuple[int, ...]:
 def phi0_matrix(inst: DhspInstance) -> PhaseMatrix:
     """The exact-encoding matrix with cell (j, i) = s_i * 2^j (no reduction).
 
-    Satisfies (d_bits . phi0)_i = d * s_i exactly, so the procedure's target
-    amplitude can be written in terms of phi0 - phi alone.
+    Satisfies (d_bits . phi0)_i = d * s_i exactly, so z - d.phi = d.(phi0 - phi)
+    and the weight of outcome d, |sum_x w^(d (phi0 - phi) x)|^2 / N^2, is
+    ``success_probability(inst, inst.d, phi)`` for any phi.
     """
     n = inst.n
     phi = np.zeros((n, n))
@@ -254,17 +248,3 @@ def phi0_matrix(inst: DhspInstance) -> PhaseMatrix:
         for i in range(n):
             phi[j, i] = float(inst.s[i] << j)
     return PhaseMatrix(n, phi)
-
-
-def phi0_success_probability(inst: DhspInstance, phi: PhaseMatrix) -> float:
-    """p(y = d) = |sum_x w^(d (phi0 - phi) x)|^2 / N^2 for any triangular phi.
-
-    Factorizes over columns; agrees with |run_procedure(inst, phi).amps[d]|^2,
-    which accepts a triangular phi only.
-    """
-    n = inst.n
-    dim = 1 << n
-    d_bits = np.array([(inst.d >> j) & 1 for j in range(n)], dtype=np.float64)
-    w = np.mod(d_bits @ (phi0_matrix(inst).phi - phi.phi), dim)
-    total = np.prod(1.0 + np.exp(2j * np.pi * w / dim))
-    return float(np.abs(total) ** 2) / dim**2

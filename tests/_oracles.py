@@ -8,6 +8,7 @@ meaningful evidence rather than a tautology.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from gqt import (
     PhaseMatrix,
     RotSpec,
     Swap,
+    phi0_matrix,
 )
 
 _I2 = np.eye(2, dtype=np.complex128)
@@ -207,6 +209,40 @@ def brute_run_amps(inst: DhspInstance, phi: np.ndarray) -> np.ndarray:
             e = sum(lam[i] * xb[i] for i in range(n))
             out[y] += np.exp(2j * np.pi * (e % dim) / dim)
     return out / dim
+
+
+def exact_outcome_probability(inst: DhspInstance, y: int) -> float:
+    """p(y) for the sample-derived matrix with lam reduced in Python integers.
+
+    Cell (j, i) below the diagonal is s_i * 2^(n-j-1) mod N and the diagonal
+    is N/2, so lam_i = (d*s_i - sum_j y_j cell(j, i)) mod N holds exactly at
+    every n; only the cosines are floats.
+    """
+    n = inst.n
+    dim = 1 << n
+    yb = bits(y, n)
+    p = 1.0
+    for i in range(n):
+        cells = (dim >> 1) * yb[i] + sum(
+            yb[j] * ((inst.s[i] << (n - j - 1)) % dim) for j in range(i + 1, n)
+        )
+        p *= math.cos(math.pi * ((inst.d * inst.s[i] - cells) % dim) / dim) ** 2
+    return p
+
+
+def brute_phi0_probability(inst: DhspInstance, phi: np.ndarray) -> float:
+    """Weight of outcome d, |sum_x w^(d (phi0 - phi) . x_bits)|^2 / N^2, by loop."""
+    n = inst.n
+    dim = 1 << n
+    db = bits(inst.d, n)
+    phi0 = phi0_matrix(inst).phi
+    c = [sum(db[j] * (phi0[j][i] - phi[j][i]) for j in range(n)) for i in range(n)]
+    total = 0j
+    for x in range(dim):
+        xb = bits(x, n)
+        e = sum(c[i] * xb[i] for i in range(n))
+        total += np.exp(2j * np.pi * (e % dim) / dim)
+    return abs(total) ** 2 / dim**2
 
 
 def coset_product_amps(inst: DhspInstance) -> np.ndarray:

@@ -355,6 +355,41 @@ def test_matrix_haar_refuses_circuit_emission(tmp_path):
     assert "inverse circuits" in err
 
 
+def test_matrix_refuses_circuit_before_dense_build(tmp_path, monkeypatch):
+    counts = _count_calls(monkeypatch, "gqft_dense")
+    circ_path = tmp_path / "c.json"
+    # valid only in the general regime, so synthesis refuses it
+    spec_path = write_phi(tmp_path / "gen.json", [[2, 1], [0, 2]])
+    code, _, err = run_cli(
+        "matrix", "--kind", "gqft", "--spec", spec_path,
+        "--emit-circuit", str(circ_path),
+    )
+    assert code == 1 and "triangular regime only" in err
+    assert counts == {"gqft_dense": 0} and not circ_path.exists()
+
+
+def test_matrix_haar_refusal_precedes_dense_cap(tmp_path):
+    circ_path = tmp_path / "c.json"
+    code, _, err = run_cli(
+        "matrix", "--kind", "haar", "--n", "13", "--emit-circuit", str(circ_path),
+    )
+    assert code == 1 and "inverse circuits" in err
+    assert not circ_path.exists()
+
+
+def test_matrix_spec_over_dense_cap_skips_synthesis(tmp_path, monkeypatch):
+    counts = _count_calls(monkeypatch, "gqft_circuit")
+    monkeypatch.setenv("GQT_DENSE_CAP", "1")
+    circ_path = tmp_path / "c.json"
+    spec_path = write_phi(tmp_path / "tri.json", [[2, 0], [1, 2]])
+    code, _, err = run_cli(
+        "matrix", "--kind", "gqft", "--spec", spec_path,
+        "--emit-circuit", str(circ_path),
+    )
+    assert code == 3 and "n=2 exceeds dense cap 1" in err
+    assert counts == {"gqft_circuit": 0} and not circ_path.exists()
+
+
 def test_exit_code_one_for_missing_or_malformed_input(tmp_path):
     code, _, err = run_cli("matrix", "--kind", "gqft", "--spec", "/nope.json")
     assert code == 1 and "cannot read" in err

@@ -20,7 +20,6 @@ from gqt import (
     gqft_dense,
     lambda_vector,
     phi0_matrix,
-    phi0_success_probability,
     phi_from_samples,
     recover_d,
     run_procedure,
@@ -34,9 +33,11 @@ from gqt import (
 
 from _oracles import (
     brute_coset_amps,
+    brute_phi0_probability,
     brute_segment_count,
     brute_run_amps,
     coset_product_amps,
+    exact_outcome_probability,
     lambda_inner_product,
     random_triangular_phi,
     scan_perfect_samples,
@@ -176,6 +177,7 @@ def test_success_probability_equals_outcome_weight():
 
 
 def test_success_probability_integer_and_float_paths_agree():
+    # The default matrix and the same matrix passed explicitly agree.
     rng = np.random.default_rng(54)
     for _ in range(10):
         inst = random_instance(3, rng)
@@ -223,6 +225,34 @@ def test_perfect_samples_zero_lambda_for_every_shift():
             d = int(rng.integers(0, 1 << n))
             inst = DhspInstance(n, d, s)
             assert lambda_vector(inst) == (0,) * n
+
+
+@pytest.mark.parametrize("n", [27, 30, 40, 47])
+def test_perfect_samples_certain_past_float_range_of_z(n):
+    # z = d*s reaches 2^(2n), beyond float64's 53 bits; reduced mod N first,
+    # the target lambda is exactly zero.
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        d = int(rng.integers(0, 1 << n))
+        for s in (search_perfect_samples(n), samples_perfect_random(n, rng)):
+            inst = DhspInstance(n, d, s)
+            assert success_probability(inst, bit_reverse(d, n)) == 1.0
+            assert analyze(inst).p_success == 1.0
+
+
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_success_probability_matches_exact_integer_law(n):
+    # Mixed samples span target weights from tiny (k = 0) to certain (k = n).
+    rng = np.random.default_rng(100 + n)
+    for k in range(0, n + 1, 2):
+        d = int(rng.integers(0, 1 << n))
+        inst = DhspInstance(n, d, samples_mixed(n, k, rng))
+        pm = phi_from_samples(inst)
+        target = bit_reverse(d, n)
+        for y in (target, target ^ (1 << (n - 1)), int(rng.integers(0, 1 << n))):
+            want = exact_outcome_probability(inst, y)
+            assert abs(success_probability(inst, y) - want) < 1e-15
+            assert abs(success_probability(inst, y, pm) - want) < 1e-15
 
 
 def test_search_perfect_samples_canonical_and_uncapped():
@@ -293,19 +323,17 @@ def test_exact_encoding_matrix_reproduces_phase_integers():
 
 
 def test_exact_encoding_probability_matches_procedure():
+    # The weight of outcome d in terms of phi0 - phi is the outcome law at y = d.
     rng = np.random.default_rng(61)
     for n in (2, 3):
         for _ in range(8):
             inst = random_instance(n, rng)
-            # sample-derived matrix
-            pm = phi_from_samples(inst)
-            p = phi0_success_probability(inst, pm)
-            assert abs(p - abs(run_procedure(inst).amps[inst.d]) ** 2) < 1e-10
-            # arbitrary valid substitute matrix
-            alt = random_triangular_phi(n, rng)
-            p_alt = phi0_success_probability(inst, alt)
-            amp = run_procedure(inst, phi=alt).amps[inst.d]
-            assert abs(p_alt - abs(amp) ** 2) < 1e-10
+            # sample-derived matrix, then an arbitrary valid substitute
+            for pm in (phi_from_samples(inst), random_triangular_phi(n, rng)):
+                p = success_probability(inst, inst.d, pm)
+                assert abs(p - brute_phi0_probability(inst, pm.phi)) < 1e-10
+                amp = run_procedure(inst, phi=pm).amps[inst.d]
+                assert abs(p - abs(amp) ** 2) < 1e-10
 
 
 def test_analysis_bundle():

@@ -66,20 +66,24 @@ def test_zero_wires_exit_one(name, capsys):
     assert capsys.readouterr().err == f"{name}: error: need n >= 1, got 0\n"
 
 
-# (script, flag) -> (value, argparse's complaint about it)
+# (script, flag) -> [(value, argparse's complaint about it)]
 MALFORMED = {
-    ("dhsp_sweep", "--n"): ("x", "invalid int value: 'x'"),
-    ("dhsp_sweep", "--reps"): ("0", "need reps >= 1, got 0"),
-    ("unitarity_survey", "--samples"): ("x", "invalid int value: 'x'"),
+    ("dhsp_sweep", "--n"): [("x", "invalid int value: 'x'")],
+    ("dhsp_sweep", "--reps"): [("0", "need reps >= 1, got 0")],
+    ("unitarity_survey", "--grid-max"): [("-1", "need grid-max >= 0, got -1")],
+    ("unitarity_survey", "--samples"): [
+        ("x", "invalid int value: 'x'"),
+        ("-2", "need samples >= 0, got -2"),
+    ],
 }
 
 
 @pytest.mark.parametrize("name, flag", sorted(MALFORMED))
 def test_malformed_flag_exits_one(name, flag, capsys):
     # Exit 2 is reserved for validity failures, as in the CLI.
-    value, complaint = MALFORMED[(name, flag)]
-    with pytest.raises(SystemExit) as exc:
-        load(name).main([flag, value])
-    assert exc.value.code == 1
-    err = capsys.readouterr().err
-    assert f"error: argument {flag}: {complaint}" in err
+    for value, complaint in MALFORMED[(name, flag)]:
+        with pytest.raises(SystemExit) as exc:
+            load(name).main([flag, value])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: {complaint}" in err
