@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import suppress
 from pathlib import Path
@@ -511,11 +512,22 @@ def int_at_least(low: int, name: str):
 _wire_count = int_at_least(1, "n")
 
 
+def _tolerance(raw: str) -> float:
+    """argparse type for ``--tol``: a finite float, at least 0."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"need a finite tol >= 0, got {raw}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

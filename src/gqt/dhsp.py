@@ -131,7 +131,8 @@ def success_probability(
     z = np.array([v % dim for v in inst.z], dtype=np.float64)
     y_bits = np.array([(y >> j) & 1 for j in range(n)], dtype=np.float64)
     lam = np.mod(z - y_bits @ pm.phi, dim)
-    return float(np.prod(np.cos(np.pi * lam / dim) ** 2))
+    # A wire at exactly N/2 gives 0, where the float cos(pi/2)^2 is 3.7e-33.
+    return float(np.prod(np.where(lam == dim / 2, 0.0, np.cos(np.pi * lam / dim) ** 2)))
 
 
 def lambda_vector(inst: DhspInstance) -> tuple[int, ...]:

@@ -19,8 +19,9 @@ over bit vectors x, y (qubit i = weight 2^i).  Two validity regimes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .qstate import _unitarity_defect, bit_table
 
 # Default tolerance for wraparound congruence tests.
 CRITERION_TOL = 1e-9
-# Block size for the vectorized signed-vector sweep.
+# Signed vectors per chunk of the criterion sweep (its working-set budget).
 _BLOCK = 3**9
 
 
@@ -103,6 +104,11 @@ def wraparound_distance(value, target, period: float):
     return np.minimum(r, period - r)
 
 
+def _strict_upper(n: int) -> np.ndarray:
+    """Boolean mask of the strictly-upper cells of an n x n matrix."""
+    return np.triu(np.ones((n, n), dtype=bool), 1)
+
+
 def check_triangular(
     pm: PhaseMatrix, tol: float = CRITERION_TOL
 ) -> ValidityReport:
@@ -113,32 +119,38 @@ def check_triangular(
     are unconstrained.
     """
     n, phi = pm.n, pm.phi
-    target = float(1 << (n - 1))
-    period = float(1 << n)
-    for i in range(n):
-        if phi[i, i] != target:
-            return ValidityReport("triangular", False, witness_cell=(i, i))
-        for j in range(i + 1, n):
-            if wraparound_distance(phi[i, j], 0.0, period) >= tol:
-                return ValidityReport("triangular", False, witness_cell=(i, j))
-    return ValidityReport("triangular", True)
+    bad = _strict_upper(n) & (wraparound_distance(phi, 0.0, float(1 << n)) >= tol)
+    np.fill_diagonal(bad, np.diag(phi) != float(1 << (n - 1)))
+    if not bad.any():
+        return ValidityReport("triangular", True)
+    cell = divmod(int(bad.argmax()), n)  # first failing cell in row-major order
+    return ValidityReport("triangular", False, witness_cell=cell)
 
 
-def _signed_blocks(n: int) -> Iterable[np.ndarray]:
-    """Yield blocks of all vectors in {-1,0,1}^n (base-3 digit order)."""
-    total = 3**n
-    powers = 3 ** np.arange(n)
-    for lo in range(0, total, _BLOCK):
-        codes = np.arange(lo, min(lo + _BLOCK, total))
-        digits = (codes[:, None] // powers[None, :]) % 3
-        z = np.where(digits == 2, -1.0, digits).astype(np.float64)
-        yield z
+def _signed_vectors(m: int) -> np.ndarray:
+    """All of {-1,0,1}^m as int64 rows; wire i is base-3 digit i of the row
+    index, with digit 2 standing for -1."""
+    digits = np.arange(3**m)[:, None] // 3 ** np.arange(m) % 3
+    return np.where(digits == 2, -1, digits)
 
 
-def _witness_key(zrow: np.ndarray) -> tuple:
-    support = tuple(int(i) for i in np.nonzero(zrow)[0])
-    signs = tuple(0 if zrow[i] > 0 else 1 for i in support)
-    return (support, signs)
+def _order_parts(z: np.ndarray, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row pieces of the witness order for the wires first.. of ``z``.
+
+    The order is (support, signs) compared as tuples.  With w_i = 2^(n-1-i),
+    a support S has rank 2^n + |S| - sum_S w_i - w_(max S) among subsets in
+    that (dictionary) order, and at equal support the signs compare as
+    sum over the -1 wires of w_i.  So the key of z is
+    ``part_low + part_high - min(last_low, last_high) * 2^n``: ``part`` is
+    additive over the halves and ``last`` is w of a half's highest wire in
+    the support (2^n for an empty half).
+    """
+    dim = 1 << n
+    w = np.int64(1) << (n - 1 - first - np.arange(z.shape[1]))
+    support = z != 0
+    part = (support.sum(axis=1) - support @ w) * dim + (z < 0) @ w
+    last = np.where(support, w, dim).min(axis=1, initial=dim)
+    return part, last
 
 
 def check_general(pm: PhaseMatrix, tol: float = CRITERION_TOL) -> ValidityReport:
@@ -146,28 +158,82 @@ def check_general(pm: PhaseMatrix, tol: float = CRITERION_TOL) -> ValidityReport
 
     Every nonzero z in {-1,0,1}^n must admit a column j whose signed row
     combination (z . phi)_j is congruent to 2^(n-1) mod 2^n within ``tol``.
-    Cost is O(3^n * n); guarded by the criterion cap.
+
+    Meet in the middle (Horowitz & Sahni, JACM 21, 1974): the signed sums of
+    the low ceil(n/2) wires form one table, the high-half sums are taken in
+    chunks, and each column of a chunk costs one broadcast add and compare
+    against the table, O(3^n * n) in all; guarded by the criterion cap.  An
+    integral phi is compared in exact integers mod 2^n, a real one in floats.
+    The witness is the failing z with the smallest (support, signs) key.
     """
     n = pm.n
     check_cap("criterion", n)
-    target = float(1 << (n - 1))
-    period = float(1 << n)
-    best_key: tuple | None = None
-    best_row: np.ndarray | None = None
-    for z in _signed_blocks(n):
-        sums = z @ pm.phi
-        dist = wraparound_distance(sums, target, period)
-        ok = (dist < tol).any(axis=1)
-        ok |= ~z.any(axis=1)  # the zero vector is exempt
-        if not ok.all():
-            for row in z[~ok]:
-                key = _witness_key(row)
-                if best_key is None or key < best_key:
-                    best_key, best_row = key, row
-    if best_row is None:
+    dim, half = 1 << n, 1 << (n - 1)
+    low_n = (n + 1) // 2
+    low_z, high_z = _signed_vectors(low_n), _signed_vectors(n - low_n)
+    phi = pm.phi
+    integral = bool(np.all(phi == np.round(phi)))
+    if integral:
+        # An integer distance d to N/2 is below tol iff d <= k = ceil(tol) - 1,
+        # i.e. (s - N/2 + k) mod N <= 2k.  A reach of -1 hits no residue
+        # (tol <= 0 or NaN), a reach of N every one (tol > N/2).
+        iphi = phi.astype(np.int64) & (dim - 1)
+        if not tol > 0:
+            shift, reach = 0, -1
+        elif tol > half:
+            shift, reach = 0, dim
+        else:
+            k = math.ceil(tol) - 1
+            shift, reach = k - half, 2 * k
+        # Under the criterion cap (n <= 20) residues and the sum of two stay
+        # below 2^21, so int32 holds them exactly at half the memory traffic.
+        low = ((low_z @ iphi[:low_n] + shift) & (dim - 1)).astype(np.int32)
+        high = ((high_z @ iphi[low_n:]) & (dim - 1)).astype(np.int32)
+    else:
+        # low - N/2 in [0, N] and -high in [0, N], so their difference t lies
+        # in [-N, N] and its distance to a multiple of N is min(|t|, N - |t|).
+        low = np.mod(low_z @ phi[:low_n] - half, dim)
+        high = np.mod(-(high_z @ phi[low_n:]), dim)
+    low = np.ascontiguousarray(low.T)  # one row per column j
+    low_part, low_last = _order_parts(low_z, 0, n)
+    high_part, high_last = _order_parts(high_z, low_n, n)
+
+    # Chunk buffers of at most _BLOCK vectors, reused across chunks.
+    rows = max(1, _BLOCK // low.shape[1])
+    shape = (min(rows, len(high)), low.shape[1])
+    sums = np.empty(shape, dtype=low.dtype)
+    hits, col_hits = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    best_key = best = None
+    for h0 in range(0, len(high), rows):
+        chunk = high[h0 : h0 + rows]
+        m = len(chunk)
+        hit, s, col = hits[:m], sums[:m], col_hits[:m]
+        hit.fill(False)
+        for j in range(n):
+            if integral:
+                np.add(low[j], chunk[:, j, None], out=s)
+                np.bitwise_and(s, dim - 1, out=s)
+                np.less_equal(s, reach, out=col)
+            else:
+                np.subtract(low[j], chunk[:, j, None], out=s)
+                np.abs(s, out=s)
+                np.less(np.minimum(s, dim - s), tol, out=col)
+            hit |= col
+        if h0 == 0:
+            hit[0, 0] = True  # the zero vector is exempt
+        if hit.all():
+            continue
+        hi, lo = np.nonzero(~hit)
+        hi += h0
+        keys = low_part[lo] + high_part[hi] - np.minimum(low_last[lo], high_last[hi]) * dim
+        i = int(keys.argmin())
+        if best_key is None or keys[i] < best_key:
+            best_key, best = keys[i], (hi[i], lo[i])
+    if best is None:
         return ValidityReport("general", True)
-    plus = tuple(int(i) for i in np.nonzero(best_row > 0)[0])
-    minus = tuple(int(i) for i in np.nonzero(best_row < 0)[0])
+    z = np.concatenate((low_z[best[1]], high_z[best[0]]))
+    plus = tuple(int(i) for i in np.nonzero(z > 0)[0])
+    minus = tuple(int(i) for i in np.nonzero(z < 0)[0])
     return ValidityReport("general", False, witness_plus=plus, witness_minus=minus)
 
 
@@ -221,9 +287,5 @@ def normalized_upper(pm: PhaseMatrix, tol: float = CRITERION_TOL) -> PhaseMatrix
     Opt-in; leaves entries that fail the congruence untouched.
     """
     phi = np.array(pm.phi)
-    period = float(1 << pm.n)
-    for i in range(pm.n):
-        for j in range(i + 1, pm.n):
-            if wraparound_distance(phi[i, j], 0.0, period) < tol:
-                phi[i, j] = 0.0
+    phi[_strict_upper(pm.n) & (wraparound_distance(phi, 0.0, float(1 << pm.n)) < tol)] = 0.0
     return PhaseMatrix(pm.n, phi)

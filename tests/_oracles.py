@@ -20,8 +20,12 @@ from gqt import (
     PhaseMatrix,
     RotSpec,
     Swap,
+    ValidityReport,
     phi0_matrix,
+    wraparound_distance,
 )
+from gqt.config import check_cap
+from gqt.phasemat import CRITERION_TOL
 
 _I2 = np.eye(2, dtype=np.complex128)
 
@@ -353,3 +357,67 @@ def fancy_index_circuit(c: Circuit, block: np.ndarray) -> np.ndarray:
     for g in c.gates:
         block = fancy_index_gate(block, g, c.n)
     return block
+
+
+def loop_check_triangular(pm: PhaseMatrix, tol: float = CRITERION_TOL) -> ValidityReport:
+    """The triangular condition cell by cell in row-major order, stopping at
+    the first failing cell: diagonal exactly 2^(n-1), strictly-upper entries
+    within wraparound distance ``tol`` of a multiple of 2^n."""
+    n, phi = pm.n, pm.phi
+    target = float(1 << (n - 1))
+    period = float(1 << n)
+    for i in range(n):
+        if phi[i, i] != target:
+            return ValidityReport("triangular", False, witness_cell=(i, i))
+        for j in range(i + 1, n):
+            if wraparound_distance(phi[i, j], 0.0, period) >= tol:
+                return ValidityReport("triangular", False, witness_cell=(i, j))
+    return ValidityReport("triangular", True)
+
+
+# Block size of the reference signed-vector sweep.
+_BLOCK = 3**9
+
+
+def _signed_blocks(n: int):
+    """Yield blocks of all vectors in {-1,0,1}^n (base-3 digit order)."""
+    total = 3**n
+    powers = 3 ** np.arange(n)
+    for lo in range(0, total, _BLOCK):
+        codes = np.arange(lo, min(lo + _BLOCK, total))
+        digits = (codes[:, None] // powers[None, :]) % 3
+        z = np.where(digits == 2, -1.0, digits).astype(np.float64)
+        yield z
+
+
+def _witness_key(zrow: np.ndarray) -> tuple:
+    support = tuple(int(i) for i in np.nonzero(zrow)[0])
+    signs = tuple(0 if zrow[i] > 0 else 1 for i in support)
+    return (support, signs)
+
+
+def block_check_general(pm: PhaseMatrix, tol: float = CRITERION_TOL) -> ValidityReport:
+    """The signed-combination criterion by a float matmul over blocks of all
+    3^n vectors, ranking every failing row by its (support, signs) key in a
+    Python loop; the reference for the library's meet-in-the-middle sweep."""
+    n = pm.n
+    check_cap("criterion", n)
+    target = float(1 << (n - 1))
+    period = float(1 << n)
+    best_key: tuple | None = None
+    best_row: np.ndarray | None = None
+    for z in _signed_blocks(n):
+        sums = z @ pm.phi
+        dist = wraparound_distance(sums, target, period)
+        ok = (dist < tol).any(axis=1)
+        ok |= ~z.any(axis=1)  # the zero vector is exempt
+        if not ok.all():
+            for row in z[~ok]:
+                key = _witness_key(row)
+                if best_key is None or key < best_key:
+                    best_key, best_row = key, row
+    if best_row is None:
+        return ValidityReport("general", True)
+    plus = tuple(int(i) for i in np.nonzero(best_row > 0)[0])
+    minus = tuple(int(i) for i in np.nonzero(best_row < 0)[0])
+    return ValidityReport("general", False, witness_plus=plus, witness_minus=minus)

@@ -168,7 +168,7 @@ def test_compare_phase_spec_passes(tmp_path):
 
 def test_compare_fails_with_impossible_tolerance(tmp_path):
     spec_path = write_phi(tmp_path / "phi.json", [[2, 0], [3, 2]])
-    code, out, _ = run_cli("compare", "--spec", spec_path, "--tol=-1.0")
+    code, out, _ = run_cli("compare", "--spec", spec_path, "--tol=0")
     assert code == 2
     assert json.loads(out)["pass"] is False
 
@@ -441,6 +441,17 @@ def test_shot_count_below_its_floor_exits_one(argv, message):
     assert code == 1 and out == ""
     assert f"argument --trials: {message}" in err
     assert "need n >=" not in err
+
+
+@pytest.mark.parametrize("raw", ["nan", "-1", "-inf", "inf", "1e999", "tiny"])
+def test_tolerance_outside_the_finite_nonnegative_floats_exits_one(tmp_path, raw):
+    # A NaN tol would reach the JSON report as NaN, which is not JSON, and a
+    # negative one fails every check; both are refused before any work.
+    spec_path = write_phi(tmp_path / "phi.json", [[2, 0], [3, 2]])
+    code, out, err = run_cli("check-unitary", "--spec", spec_path, f"--tol={raw}")
+    assert code == 1 and out == ""
+    want = f"invalid float value: '{raw}'" if raw == "tiny" else f"need a finite tol >= 0, got {raw}"
+    assert f"argument --tol: {want}" in err
 
 
 def test_exit_code_two_for_invalid_phase_matrix(tmp_path):

@@ -176,6 +176,23 @@ def test_success_probability_equals_outcome_weight():
             assert abs(total - 1.0) < 1e-9
 
 
+def test_success_probability_is_exactly_zero_with_a_wire_at_half():
+    # lam_i = N/2 gives a zero factor, not the float cos(pi/2)^2 = 3.7e-33.
+    assert success_probability(DhspInstance(1, 0, (1,)), 1) == 0.0
+    rng = np.random.default_rng(57)
+    for n in (2, 3, 4):
+        dim = 1 << n
+        for _ in range(5):
+            inst = random_instance(n, rng)
+            phi = phi_from_samples(inst).phi
+            for y in range(dim):
+                lam = [
+                    (inst.z[i] - sum((y >> j) & 1 and int(phi[j, i]) for j in range(n))) % dim
+                    for i in range(n)
+                ]
+                assert (success_probability(inst, y) == 0.0) == (dim // 2 in lam)
+
+
 def test_success_probability_integer_and_float_paths_agree():
     # The default matrix and the same matrix passed explicitly agree.
     rng = np.random.default_rng(54)

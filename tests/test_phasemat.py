@@ -5,6 +5,9 @@ unitarity throughout, including the matrices where a subset-only (all-ones
 sign pattern) scan would give the wrong answer.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,9 +27,18 @@ from gqt import (
     wraparound_distance,
 )
 
-from _oracles import brute_a_of_z, consistency_unitary, random_triangular_phi
+from _oracles import (
+    block_check_general,
+    brute_a_of_z,
+    consistency_unitary,
+    loop_check_triangular,
+    random_triangular_phi,
+)
 
 NUMERIC_TOL = 1e-9
+# Tolerances the vectorised checks must handle exactly as their loop
+# references: the default, none, a fraction, every distance, NaN, negative.
+EDGE_TOLS = (1e-9, 0.0, 0.6, math.inf, math.nan, -1.0)
 
 
 def numeric_unitary(pm: PhaseMatrix) -> bool:
@@ -79,6 +91,81 @@ def test_triangular_rejects_bad_diagonal_and_upper():
     # witness is the first failing cell in row-major order
     rep = check_triangular(PhaseMatrix(3, [[4.0, 1.0, 1.0], [0.0, 4.0, 1.0], [0, 0, 4.0]]))
     assert rep.witness_cell == (0, 1)
+
+
+def test_triangular_check_matches_the_cell_loop():
+    rng = np.random.default_rng(28)
+    for n in range(1, 8):
+        dim = 1 << n
+        for _ in range(12):
+            phi = random_triangular_phi(n, rng).phi.copy()
+            for _ in range(int(rng.integers(0, 5))):  # reset diagonal or upper cells
+                i, j = sorted(int(v) for v in rng.integers(0, n, size=2))
+                phi[i, j] = rng.choice([0.5, 1e-7, dim / 2, dim / 2 + 1, dim, -dim])
+            pm = PhaseMatrix(n, phi)
+            for tol in EDGE_TOLS:
+                assert check_triangular(pm, tol) == loop_check_triangular(pm, tol), (phi, tol)
+
+
+def _mixed_phi(n: int, rng: np.random.Generator, integral: bool) -> np.ndarray:
+    """A random phi that is valid, near valid, or far from it.
+
+    Far ones may have columns 0..c-1 equal to N/2 times a unit vector; every
+    z touching wires below c then passes, so the witness starts at wire c."""
+    dim = 1 << n
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        phi = rng.uniform(-dim, dim, size=(n, n))
+        for c in range(int(rng.integers(0, n))):
+            phi[:, c] = np.eye(n)[c] * dim / 2
+        return np.round(phi) if integral else phi
+    phi = random_triangular_phi(n, rng).phi.copy()
+    if integral:
+        phi = np.round(phi)
+    if kind == 2:
+        for _ in range(int(rng.integers(1, 3))):
+            step = rng.choice([1.0, 2.0, dim / 4]) if integral else rng.uniform(-1, 1)
+            phi[rng.integers(0, n), rng.integers(0, n)] += step
+    return phi
+
+
+def test_general_check_matches_the_block_sweep():
+    """Verdict and witness equal the reference block sweep on integral and
+    real phi for n = 1..8 (odd and even splits; n = 1 has no high half)."""
+    rng = np.random.default_rng(29)
+    for n in range(1, 9):
+        dim = 1 << n
+        tols = EDGE_TOLS + (1.5, dim / 2, dim / 2 + 0.5)
+        for integral in (True, False):
+            for _ in range(4 if n < 8 else 2):
+                pm = PhaseMatrix(n, _mixed_phi(n, rng, integral))
+                for tol in tols:
+                    got, want = check_general(pm, tol), block_check_general(pm, tol)
+                    assert got == want, (pm.phi, tol)
+
+
+def test_general_check_agrees_with_the_product_form():
+    rng = np.random.default_rng(30)
+    for n in range(1, 7):
+        for integral in (True, False):
+            for _ in range(6):
+                pm = PhaseMatrix(n, _mixed_phi(n, rng, integral))
+                assert check_general(pm).valid == consistency_unitary(pm)
+
+
+def test_general_check_memory_stays_bounded_when_nearly_every_z_fails():
+    """At n=14 almost all 3^14 vectors fail; holding every failing row as
+    int64 would take about 540 MB, the chunked sweep stays far below."""
+    rng = np.random.default_rng(31)
+    pm = PhaseMatrix(14, rng.integers(0, 1 << 14, size=(14, 14)))
+    tracemalloc.start()
+    try:
+        rep = check_general(pm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not rep.valid and rep.witness_plus == (0,)
+    assert peak < 64 << 20
 
 
 def test_general_accepts_identity_scaled_and_lower_triangular():
@@ -246,6 +333,9 @@ def test_normalized_upper_zeroes_uppers_without_changing_the_transform():
     np.testing.assert_allclose(
         phase_dense_raw(normed), phase_dense_raw(pm), atol=1e-12
     )
+    # only strictly-upper cells change: a lower multiple of 2^n stays
+    kept = normalized_upper(PhaseMatrix(2, [[2.0, 4.0], [4.0, 2.0]]))
+    np.testing.assert_array_equal(kept.phi, [[2.0, 0.0], [4.0, 2.0]])
 
 
 def test_criterion_cap_is_enforced():
