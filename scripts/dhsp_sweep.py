@@ -13,7 +13,6 @@ Usage:
 
 import csv
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,23 +22,15 @@ from gqt.config import DEFAULT_SEED, rng_from_seed
 from gqt.errors import GqtError
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    n: int
-    trials: int
-    reps: int
-    seed: int
-
-
-def sweep_row(cfg: SweepConfig, k: int, rng: np.random.Generator) -> dict:
+def sweep_row(args, k: int, rng: np.random.Generator) -> dict:
     """Average recovery statistics over ``reps`` fresh instances at split k."""
-    rates = np.empty(cfg.reps)
-    probs = np.empty(cfg.reps)
+    rates = np.empty(args.reps)
+    probs = np.empty(args.reps)
     hits = 0
-    for r in range(cfg.reps):
-        d = int(rng.integers(0, 1 << cfg.n))
-        inst = DhspInstance(cfg.n, d, samples_mixed(cfg.n, k, rng))
-        res = recover_d(inst, cfg.trials, int(rng.integers(0, 2**31)))
+    for r in range(args.reps):
+        d = int(rng.integers(0, 1 << args.n))
+        inst = DhspInstance(args.n, d, samples_mixed(args.n, k, rng))
+        res = recover_d(inst, args.trials, int(rng.integers(0, 2**31)))
         rates[r] = res.empirical_rate
         probs[r] = res.analytic_p
         hits += res.d_hat == d
@@ -47,13 +38,13 @@ def sweep_row(cfg: SweepConfig, k: int, rng: np.random.Generator) -> dict:
         "k": k,
         "mean_rate": float(rates.mean()),
         "mean_target_p": float(probs.mean()),
-        "majority_hit_fraction": hits / cfg.reps,
+        "majority_hit_fraction": hits / args.reps,
     }
 
 
-def run_sweep(cfg: SweepConfig) -> list[dict]:
-    rng = rng_from_seed(cfg.seed)
-    return [sweep_row(cfg, k, rng) for k in range(cfg.n, -1, -1)]
+def run_sweep(args) -> list[dict]:
+    rng = rng_from_seed(args.seed)
+    return [sweep_row(args, k, rng) for k in range(args.n, -1, -1)]
 
 
 def main(argv=None) -> int:
@@ -78,10 +69,9 @@ def main(argv=None) -> int:
 
 
 def run(args) -> int:
-    cfg = SweepConfig(args.n, args.trials, args.reps, args.seed)
-    rows = run_sweep(cfg)
+    rows = run_sweep(args)
 
-    print(f"n={cfg.n}  trials={cfg.trials}  reps={cfg.reps}  seed={cfg.seed}")
+    print(f"n={args.n}  trials={args.trials}  reps={args.reps}  seed={args.seed}")
     print(f"{'k':>3} {'mean rate':>10} {'mean p(target)':>15} {'majority hit':>13}")
     for row in rows:
         print(

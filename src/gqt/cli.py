@@ -56,6 +56,7 @@ from .haar import (
 from .phasemat import (
     CRITERION_TOL,
     PhaseMatrix,
+    _json_int,
     check_general,
     check_triangular,
     numeric_unitarity_defect,
@@ -66,7 +67,7 @@ from .qstate import (
     QState,
     Swap,
     apply_circuit,
-    bit_table,
+    bit_reverse,
     circuit_to_dense,
     measure_all,
 )
@@ -144,12 +145,12 @@ def circuit_to_json_dict(c: Circuit) -> dict:
 
 def circuit_from_json_dict(data: dict) -> Circuit:
     try:
-        n = int(data["n"])
+        n = _json_int(data["n"], "n")
         gates = []
         for gd in data["gates"]:
             kind = gd["kind"]
             if kind == "swap":
-                gates.append(Swap(int(gd["a"]), int(gd["b"])))
+                gates.append(Swap(_json_int(gd["a"], "a"), _json_int(gd["b"], "b")))
                 continue
             flat = gd["u"]
             u = np.array(
@@ -158,10 +159,13 @@ def circuit_from_json_dict(data: dict) -> Circuit:
             if kind == "single":
                 controls = ()
             elif kind == "controlled":
-                controls = tuple((int(q), int(b)) for q, b in gd["controls"])
+                controls = tuple(
+                    (_json_int(q, "control qubit"), _json_int(b, "control bit"))
+                    for q, b in gd["controls"]
+                )
             else:
                 raise InputError(f"unknown gate kind {kind!r}")
-            target = int(gd["target"])
+            target = _json_int(gd["target"], "target")
             if kind == "controlled" and not controls:
                 raise InputError("controlled gate needs at least one control")
             gates.append(Controlled(controls, target, u))
@@ -209,7 +213,7 @@ def rot_spec_from_json_dict(
      "alpha0": [...] (second variant only)}
     """
     try:
-        n = int(data["n"])
+        n = _json_int(data["n"], "n")
         file_variant = data.get("variant")
         if variant is not None and file_variant is not None and file_variant != variant:
             raise InputError(
@@ -220,10 +224,8 @@ def rot_spec_from_json_dict(
             raise InputError("rotation spec needs a variant")
         thetas = {}
         for rec in data.get("theta", []):
-            thetas[(int(rec["i"]), int(rec["j"]))] = (
-                float(rec["t0"]),
-                float(rec["t1"]),
-            )
+            cell = (_json_int(rec["i"], "i"), _json_int(rec["j"], "j"))
+            thetas[cell] = (float(rec["t0"]), float(rec["t1"]))
         alpha0 = data.get("alpha0")
         if alpha0 is not None:
             alpha0 = tuple(float(a) for a in alpha0)
@@ -375,7 +377,7 @@ def _cmd_compare(args) -> tuple[dict, int]:
         # The swaps gather the circuit's rows in bit-reversed order: row y
         # takes row bit_reverse(y, n), exactly as the kernel applies them.
         dft = dft_dense(n).entries
-        rows = (bit_table(n) @ (1 << np.arange(n - 1, -1, -1))).astype(np.intp)
+        rows = [bit_reverse(y, n) for y in range(1 << n)]
         report["dft_swap_max_abs_diff"] = float(np.max(np.abs(built[rows] - dft)))
     passed = diff < tol
     report.update(
@@ -417,7 +419,6 @@ def _cmd_dhsp(args) -> tuple[dict, int]:
     n, d = args.n, args.d
     samples, mode = _parse_samples(args.samples, n, args.seed)
     inst = dhsp_mod.DhspInstance(n, d, samples)
-    analysis = dhsp_mod.analyze(inst)
     rec = dhsp_mod.recover_d(inst, args.trials, args.seed)
     report = {
         "command": "dhsp",
@@ -430,9 +431,9 @@ def _cmd_dhsp(args) -> tuple[dict, int]:
         "recovered": rec.d_hat == d,
         "empirical_rate": rec.empirical_rate,
         "analytic_p": rec.analytic_p,
-        "lambda": list(analysis.lam),
-        "f": analysis.f,
-        "phi": [list(map(float, row)) for row in analysis.phi.phi],
+        "lambda": list(rec.analysis.lam),
+        "f": rec.analysis.f,
+        "phi": rec.analysis.phi.to_json_dict()["phi"],
         "histogram": hist_to_pairs(rec.histogram),
     }
     return report, 0

@@ -175,31 +175,31 @@ def analyze(inst: DhspInstance) -> DhspAnalysis:
 
 @dataclass(frozen=True)
 class RecoveryResult:
+    """One run: the analysis it ran on (``analytic_p`` is its p_success), the
+    majority estimate of d, the share of trials reading d, the raw outcomes."""
+
+    analysis: DhspAnalysis
     d_hat: int
     empirical_rate: float
-    analytic_p: float
     histogram: dict[int, int]
+
+    @property
+    def analytic_p(self) -> float:
+        return self.analysis.p_success
 
 
 def recover_d(inst: DhspInstance, trials: int, rng_seed: int) -> RecoveryResult:
-    """Measure the procedure output ``trials`` times and bit-reverse outcomes.
+    """Analyze once, run the procedure on that phi, measure ``trials`` times.
 
-    d_hat is the majority candidate (ties toward the smallest integer);
-    empirical_rate is the fraction of trials recovering the true d.
+    d_hat bit-reverses the majority outcome, the smallest among tied ones;
+    empirical_rate is the share of trials that read bit_reverse(d).
     """
-    pm = phi_from_samples(inst)
-    hist = measure_all(run_procedure(inst, pm), rng_seed, trials)
-    # Bit reversal is a bijection, so no two outcomes share a candidate.
-    candidates = {bit_reverse(y, inst.n): c for y, c in hist.items()}
-    best = max(candidates.values())
-    d_hat = min(d for d, c in candidates.items() if c == best)
-    rate = candidates.get(inst.d, 0) / trials
-    return RecoveryResult(
-        d_hat=d_hat,
-        empirical_rate=rate,
-        analytic_p=success_probability(inst, bit_reverse(inst.d, inst.n), pm),
-        histogram=hist,
-    )
+    analysis = analyze(inst)
+    hist = measure_all(run_procedure(inst, analysis.phi), rng_seed, trials)
+    best = max(hist.values())
+    d_hat = min(bit_reverse(y, inst.n) for y, c in hist.items() if c == best)
+    rate = hist.get(bit_reverse(inst.d, inst.n), 0) / trials
+    return RecoveryResult(analysis, d_hat, rate, hist)
 
 
 def search_perfect_samples(n: int) -> tuple[int, ...]:

@@ -136,35 +136,30 @@ def rot2_dense(spec: RotSpec) -> DenseUnitary:
     return DenseUnitary(n, m.astype(np.complex128))
 
 
-def _cascade_gates(spec: RotSpec, i: int) -> list:
-    """The two-branch controlled rotations feeding wire i, highest k first."""
-    gates = []
-    for k in range(i - 1, -1, -1):
-        t0, t1 = spec.theta(i, k)
-        if t0 != 0.0:
-            gates.append(Controlled((), i, rotation(t0)))
-        if t1 != t0:
-            gates.append(Controlled(((k, 1),), i, rotation(t1 - t0)))
-    return gates
+def _cascade_circuit(spec: RotSpec, first) -> Circuit:
+    """Per wire i, high to low: the gate ``first(i)``, then the two-branch
+    controlled rotations feeding wire i, highest k first."""
+    gates: list = []
+    for i in range(spec.n - 1, -1, -1):
+        gates.append(Controlled((), i, first(i)))
+        for k in range(i - 1, -1, -1):
+            t0, t1 = spec.theta(i, k)
+            if t0 != 0.0:
+                gates.append(Controlled((), i, rotation(t0)))
+            if t1 != t0:
+                gates.append(Controlled(((k, 1),), i, rotation(t1 - t0)))
+    return Circuit(spec.n, tuple(gates))
 
 
 def rot1_circuit(spec: RotSpec) -> Circuit:
     """Circuit for hadamard_first: per wire (high to low), H then the cascade."""
     if spec.variant != HADAMARD_FIRST:
         raise InputError(f"spec variant is {spec.variant}, expected hadamard_first")
-    gates: list = []
-    for i in range(spec.n - 1, -1, -1):
-        gates.append(Controlled((), i, HADAMARD))
-        gates.extend(_cascade_gates(spec, i))
-    return Circuit(spec.n, tuple(gates))
+    return _cascade_circuit(spec, lambda i: HADAMARD)
 
 
 def rot2_circuit(spec: RotSpec) -> Circuit:
     """Circuit for rotation_first: per wire, R(alpha0) then the cascade."""
     if spec.variant != ROTATION_FIRST:
         raise InputError(f"spec variant is {spec.variant}, expected rotation_first")
-    gates: list = []
-    for i in range(spec.n - 1, -1, -1):
-        gates.append(Controlled((), i, rotation(spec.alpha0[i])))
-        gates.extend(_cascade_gates(spec, i))
-    return Circuit(spec.n, tuple(gates))
+    return _cascade_circuit(spec, lambda i: rotation(spec.alpha0[i]))

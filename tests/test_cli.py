@@ -302,6 +302,13 @@ def test_dhsp_zero_shift_and_explicit_samples():
     assert report["samples"] == [1, 2]
 
 
+def test_dhsp_builds_phi_and_evaluates_the_outcome_law_once(monkeypatch):
+    counts = _count_calls(monkeypatch, "phi_from_samples", "success_probability")
+    code, out, _ = run_cli("dhsp", "--n", "5", "--d", "3", "--samples", "random")
+    assert code == 0 and "analytic_p" in json.loads(out)
+    assert counts == {"phi_from_samples": 1, "success_probability": 1}
+
+
 def test_dhsp_bad_samples_exit_one():
     code, _, err = run_cli("dhsp", "--n", "3", "--d", "1", "--samples", "mixed:9")
     assert code == 1 and "out of range" in err
@@ -426,6 +433,52 @@ def test_exit_code_one_for_missing_or_malformed_input(tmp_path):
         code, out, err = run_cli(*argv)
         assert code == 1 and out == ""
         assert "need n >= 1" in err
+
+
+_U_ID = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+
+
+# A rounded field would run a different spec from the one the file holds.
+@pytest.mark.parametrize(
+    "command, spec, message",
+    [
+        ("check-unitary", {"n": 2.9, "phi": [[2, 0], [1, 2]]},
+         "spec field 'n' must be an integer, got 2.9"),
+        ("check-unitary", {"n": True, "phi": [[1.0]]},
+         "spec field 'n' must be an integer, got True"),
+        ("simulate", {"n": 2, "gates": [{"kind": "single", "target": 1.9, "u": _U_ID}]},
+         "spec field 'target' must be an integer, got 1.9"),
+        ("simulate", {"n": 2, "gates": [{"kind": "swap", "a": 0.2, "b": 1}]},
+         "spec field 'a' must be an integer, got 0.2"),
+        ("compare",
+         {"n": 2, "variant": "hadamard_first",
+          "theta": [{"i": 1.7, "j": 0.3, "t0": 0.3, "t1": 1.1}]},
+         "spec field 'i' must be an integer, got 1.7"),
+    ],
+    ids=["n-fraction", "n-bool", "target-fraction", "swap-fraction", "theta-fraction"],
+)
+def test_integer_spec_field_that_is_not_a_whole_number_exits_one(
+    tmp_path, command, spec, message
+):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(command, "--spec", str(path))
+    assert code == 1 and out == ""
+    assert err == f"gqt: error: {message}\n"
+
+
+def test_whole_number_float_spec_fields_still_read_as_integers(tmp_path):
+    phase = tmp_path / "phase.json"
+    phase.write_text(json.dumps({"n": 2.0, "phi": [[2, 0], [1, 2]]}))
+    assert run_cli("check-unitary", "--spec", str(phase))[0] == 0
+    circ = tmp_path / "circ.json"
+    gates = [
+        {"kind": "swap", "a": 0.0, "b": 1.0},
+        {"kind": "controlled", "target": 1.0, "controls": [[0.0, 1.0]], "u": _U_ID},
+    ]
+    circ.write_text(json.dumps({"n": 2.0, "gates": gates}))
+    code, out, _ = run_cli("simulate", "--spec", str(circ), "--basis", "1")
+    assert code == 0 and json.loads(out)["gate_count"] == 2
 
 
 @pytest.mark.parametrize(

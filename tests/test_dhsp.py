@@ -1,5 +1,7 @@
 """Hidden-shift recovery pipeline: coset states, recovery matrix, statistics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from gqt import (
     GqftSpec,
     InputError,
     PhaseMatrix,
+    RecoveryResult,
     ValidityError,
     analyze,
     bit_reverse,
@@ -326,6 +329,40 @@ def test_recovery_deterministic_per_seed():
     assert a.d_hat == b.d_hat and a.empirical_rate == b.empirical_rate
     c = recover_d(inst, trials=500, rng_seed=8)
     assert sum(c.histogram.values()) == 500
+
+
+def test_majority_ties_go_to_the_smallest_reversed_outcome():
+    # Few shots over random samples spread the outcomes, so top counts tie.
+    rng = np.random.default_rng(61)
+    ties = 0
+    for case in range(160):
+        n = int(rng.integers(2, 7))
+        trials = (1, 2, 3, 5)[case % 4]
+        inst = random_instance(n, rng)
+        rec = recover_d(inst, trials=trials, rng_seed=case)
+        best = max(rec.histogram.values())
+        top = [y for y, c in rec.histogram.items() if c == best]
+        ties += len(top) > 1
+        assert rec.d_hat == min(bit_reverse(y, n) for y in top)
+        target = rec.histogram.get(bit_reverse(inst.d, n), 0)
+        assert rec.empirical_rate == target / trials
+    assert ties > 20
+
+
+def test_recovery_carries_the_analysis_it_ran_on():
+    rng = np.random.default_rng(62)
+    for n in (1, 2, 3, 5):
+        for _ in range(4):
+            inst = random_instance(n, rng)
+            rec = recover_d(inst, trials=20, rng_seed=3)
+            want = analyze(inst)
+            np.testing.assert_array_equal(rec.analysis.phi.phi, want.phi.phi)
+            assert rec.analysis.phi.n == want.phi.n
+            assert rec.analysis.lam == want.lam
+            assert rec.analysis.p_success == want.p_success
+            assert rec.analysis.f == want.f
+            assert rec.analytic_p == rec.analysis.p_success
+    assert "analytic_p" not in {f.name for f in dataclasses.fields(RecoveryResult)}
 
 
 def test_exact_encoding_matrix_reproduces_phase_integers():
