@@ -6,6 +6,8 @@ integers.  Samples drawn from the unit-upper-triangular family make recovery
 certain; uniform samples degrade it.  This script mixes the two — the first k
 rows ideal, the rest uniform — and measures how the empirical recovery rate
 and the analytic target probability decay as k drops from n to 0.
+Outcomes are sampled wire by wire, with no 2^n statevector, so n runs up to
+the shift cap of 47.
 
 Usage:
     python3 scripts/dhsp_sweep.py --n 4 --trials 300 --reps 25 --out sweep.csv

@@ -19,6 +19,7 @@ from .dhsp import (
     phi_from_samples,
     recover_d,
     run_procedure,
+    sample_outcomes,
     samples_mixed,
     samples_perfect_random,
     samples_random,
@@ -170,6 +171,7 @@ __all__ = [
     "phi_from_samples",
     "recover_d",
     "run_procedure",
+    "sample_outcomes",
     "samples_mixed",
     "samples_perfect_random",
     "samples_random",

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dhsp as dhsp_mod
-from .config import DEFAULT_SEED, STATE_TOL, cap, check_cap, rng_from_seed
+from .config import DEFAULT_SEED, STATE_TOL, cap, check_cap, rng_from_seed, spec_int
 from .errors import (
     CapExceededError,
     GqtError,
@@ -56,7 +56,6 @@ from .haar import (
 from .phasemat import (
     CRITERION_TOL,
     PhaseMatrix,
-    _json_int,
     check_general,
     check_triangular,
     numeric_unitarity_defect,
@@ -145,12 +144,12 @@ def circuit_to_json_dict(c: Circuit) -> dict:
 
 def circuit_from_json_dict(data: dict) -> Circuit:
     try:
-        n = _json_int(data["n"], "n")
+        n = spec_int(data["n"], "n")
         gates = []
         for gd in data["gates"]:
             kind = gd["kind"]
             if kind == "swap":
-                gates.append(Swap(_json_int(gd["a"], "a"), _json_int(gd["b"], "b")))
+                gates.append(Swap(gd["a"], gd["b"]))
                 continue
             flat = gd["u"]
             u = np.array(
@@ -159,16 +158,12 @@ def circuit_from_json_dict(data: dict) -> Circuit:
             if kind == "single":
                 controls = ()
             elif kind == "controlled":
-                controls = tuple(
-                    (_json_int(q, "control qubit"), _json_int(b, "control bit"))
-                    for q, b in gd["controls"]
-                )
+                controls = gd["controls"]
             else:
                 raise InputError(f"unknown gate kind {kind!r}")
-            target = _json_int(gd["target"], "target")
             if kind == "controlled" and not controls:
                 raise InputError("controlled gate needs at least one control")
-            gates.append(Controlled(controls, target, u))
+            gates.append(Controlled(controls, gd["target"], u))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed circuit JSON: {exc}") from exc
     return Circuit(n, tuple(gates))
@@ -213,7 +208,7 @@ def rot_spec_from_json_dict(
      "alpha0": [...] (second variant only)}
     """
     try:
-        n = _json_int(data["n"], "n")
+        n = spec_int(data["n"], "n")
         file_variant = data.get("variant")
         if variant is not None and file_variant is not None and file_variant != variant:
             raise InputError(
@@ -224,8 +219,7 @@ def rot_spec_from_json_dict(
             raise InputError("rotation spec needs a variant")
         thetas = {}
         for rec in data.get("theta", []):
-            cell = (_json_int(rec["i"], "i"), _json_int(rec["j"], "j"))
-            thetas[cell] = (float(rec["t0"]), float(rec["t1"]))
+            thetas[rec["i"], rec["j"]] = (float(rec["t0"]), float(rec["t1"]))
         alpha0 = data.get("alpha0")
         if alpha0 is not None:
             alpha0 = tuple(float(a) for a in alpha0)

@@ -6,6 +6,7 @@ All randomness in the package flows through numpy's PCG64, seeded through
 
 from __future__ import annotations
 
+import numbers
 import os
 
 import numpy as np
@@ -23,9 +24,15 @@ DEFAULT_SEED = 1729
 DENSE_CAP_ENV = "GQT_DENSE_CAP"
 
 # Largest wire count n per cost class: 2^n x 2^n dense matrices (memory and
-# time), statevector-only operations, and the exhaustive unitarity criterion,
-# whose signed enumeration costs O(3^n * n).
-_CAPS = {"dense": 12, "state": 20, "criterion": 20}
+# time), statevector-only operations, the exhaustive unitarity criterion,
+# whose signed enumeration costs O(3^n * n), and shift recovery, which samples
+# wire by wire with no 2^n array.  The shift cap is an exactness limit, not a
+# cost: the outcome law evaluates y.phi in float64 over n cells below N = 2^n,
+# so its sums stay exact integers while n * 2^n < 2^53.  That holds for
+# n = 47 (47 * 2^47 < 6.7e15 < 2^53 ~ 9.0e15) and fails for n = 48
+# (48 * 2^48 > 1.3e16); the float phi entries reported, each below 2^n, are
+# exact as well.
+_CAPS = {"dense": 12, "state": 20, "criterion": 20, "shift": 47}
 
 
 def cap(kind: str) -> int:
@@ -37,6 +44,14 @@ def cap(kind: str) -> int:
         return int(raw)
     except ValueError:
         raise InputError(f"{DENSE_CAP_ENV} must be an integer, got {raw!r}") from None
+
+
+def spec_int(value, field: str) -> int:
+    """An integer spec field: a bool, a string or a fraction is refused, not rounded."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral or isinstance(value, float) and value.is_integer()):
+        raise InputError(f"spec field {field!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_wires(n: int) -> None:

@@ -15,9 +15,16 @@ with lam = z - y.phi.  For samples whose bit matrix is unit upper-triangular
 (bit i of s_i set, lower bits clear) the target lambda vanishes identically
 and recovery is deterministic.
 
-Since w^N = 1, the conjugate transform is the transform of (-phi) mod N,
-which is triangular again; the procedure runs its circuit on the coset state
-and builds no 2^n x 2^n matrix, so shift recovery obeys the state cap.
+Three routes give the outcome law, and the tests hold them against each
+other.  The circuit route: since w^N = 1, the conjugate transform is the
+transform of (-phi) mod N, which is triangular again, so ``run_procedure``
+runs its circuit on the coset state under the state cap.  The formula route:
+``success_probability`` evaluates p(y) for one outcome.  The sampling route:
+lam_i depends only on y_j for j >= i and phi[i][i] = N/2, so p(y) is a chain
+of two-way choices from wire n-1 down to 0, and ``sample_outcomes`` draws y
+wire by wire with no 2^n array.  ``recover_d`` samples, so shift recovery
+obeys the shift cap (47, where the float64 law stops being exact), not the
+state cap.
 
 All modular arithmetic here is exact integer mod 2^n; floats appear only in
 amplitudes and probabilities.
@@ -30,10 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_cap, check_wires
-from .errors import InputError
+from .errors import InputError, ValidityError
 from .gqft import GqftSpec, gqft_circuit
-from .phasemat import PhaseMatrix
-from .qstate import QState, apply_circuit, bit_reverse, measure_all
+from .phasemat import PhaseMatrix, check_triangular
+from .qstate import QState, _shot_draws, apply_circuit, bit_reverse
 
 
 @dataclass(frozen=True)
@@ -113,6 +120,67 @@ def run_procedure(inst: DhspInstance, phi: PhaseMatrix | None = None) -> QState:
     return apply_circuit(coset_state(inst), gqft_circuit(GqftSpec(conj)))
 
 
+def sample_outcomes(
+    inst: DhspInstance, phi: PhaseMatrix, rng_seed: int, shots: int
+) -> dict[int, int]:
+    """Measure the procedure on ``phi`` ``shots`` times without a statevector.
+
+    Returns {outcome y: count}, keys in no set order.  Each shot reads the
+    same uniform u that ``measure_all`` draws and walks the inverse CDF in
+    index order, from wire n-1 (the most significant bit) down to 0, keeping
+    the CDF below its prefix (``lo``) and the prefix's probability
+    (``mass``).  The shot takes
+    y_i = 1 when u >= lo + mass * cos^2(pi c_i / N), where
+    c_i = (z_i - sum_{j>i} y_j phi[j][i]) mod N; the y_i = 1 branch weighs
+    mass * sin^2(pi c_i / N).  So the histogram is that of
+    ``measure_all(run_procedure(inst, phi), rng_seed, shots)`` unless a draw
+    falls within rounding of a CDF boundary, at O(shots * n^2) cost.
+
+    The uniforms are sorted once, and every distinct prefix y_{n-1..i} is one
+    node holding its [start, stop) run of shots, so a wire costs one
+    searchsorted and the counts come out at the leaves.  c_i is exact in
+    uint64 arithmetic masked to n bits, so ``phi`` must be triangular with
+    integral cells below the diagonal.
+    """
+    n, dim = inst.n, 1 << inst.n
+    if phi.n != n:
+        raise InputError(f"{phi.n}-wire phase matrix for a {n}-wire instance")
+    report = check_triangular(phi)
+    if not report.valid:
+        raise ValidityError("phase matrix fails the triangular check", report=report)
+    lower = np.tril(phi.phi, -1)
+    if not np.array_equal(lower, np.round(lower)):
+        raise InputError("sampling needs integral phi cells below the diagonal")
+    rows = np.mod(lower, dim).astype(np.uint64)
+    z = np.array([v % dim for v in inst.z], dtype=np.uint64)
+    mask = np.uint64(dim - 1)
+    draws = np.sort(_shot_draws(rng_seed, shots))
+
+    # One node per distinct prefix of the wires above i.  acc holds, for each
+    # column k <= i still to come, the prefix's sum_{j>i} y_j phi[j][k]
+    # mod 2^64, read masked to n bits.
+    start, stop = np.array([0]), np.array([shots])
+    lo, mass = np.zeros(1), np.ones(1)
+    acc = np.zeros((1, n), dtype=np.uint64)
+    y = np.zeros(1, dtype=np.uint64)
+    for i in range(n - 1, -1, -1):
+        c = (z[i] - acc[:, i]) & mask
+        angle = np.pi * c / float(dim)
+        p0 = np.cos(angle) ** 2
+        cut_u = lo + mass * p0
+        # Each node's own run is sorted, so the global position, clipped to
+        # the run, is where its y_i = 1 shots begin.
+        cut = np.minimum(np.maximum(np.searchsorted(draws, cut_u), start), stop)
+        zero, one = cut > start, stop > cut  # the children holding shots
+        start = np.concatenate((start[zero], cut[one]))
+        stop = np.concatenate((cut[zero], stop[one]))
+        lo = np.concatenate((lo[zero], cut_u[one]))
+        mass = np.concatenate(((mass * p0)[zero], (mass * np.sin(angle) ** 2)[one]))
+        acc = np.concatenate((acc[zero, :i], acc[one, :i] + rows[i, :i]))
+        y = np.concatenate((y[zero], y[one] | np.uint64(1 << i)))
+    return dict(zip(y.tolist(), (stop - start).tolist()))
+
+
 def success_probability(
     inst: DhspInstance, y: int, phi: PhaseMatrix | None = None
 ) -> float:
@@ -189,13 +257,16 @@ class RecoveryResult:
 
 
 def recover_d(inst: DhspInstance, trials: int, rng_seed: int) -> RecoveryResult:
-    """Analyze once, run the procedure on that phi, measure ``trials`` times.
+    """Analyze once, then sample ``trials`` outcomes of the procedure on that phi.
 
-    d_hat bit-reverses the majority outcome, the smallest among tied ones;
+    The outcomes come from ``sample_outcomes``, not from a statevector, so
+    the shift cap applies (checked first), not the state cap.  d_hat
+    bit-reverses the majority outcome, the smallest among tied ones;
     empirical_rate is the share of trials that read bit_reverse(d).
     """
+    check_cap("shift", inst.n)
     analysis = analyze(inst)
-    hist = measure_all(run_procedure(inst, analysis.phi), rng_seed, trials)
+    hist = sample_outcomes(inst, analysis.phi, rng_seed, trials)
     best = max(hist.values())
     d_hat = min(bit_reverse(y, inst.n) for y, c in hist.items() if c == best)
     rate = hist.get(bit_reverse(inst.d, inst.n), 0) / trials

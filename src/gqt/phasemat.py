@@ -20,13 +20,12 @@ over bit vectors x, y (qubit i = weight 2^i).  Two validity regimes:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .config import check_cap, check_wires
+from .config import check_cap, check_wires, spec_int
 from .errors import InputError
 from .qstate import _unitarity_defect, bit_table
 
@@ -34,14 +33,6 @@ from .qstate import _unitarity_defect, bit_table
 CRITERION_TOL = 1e-9
 # Signed vectors per chunk of the criterion sweep (its working-set budget).
 _BLOCK = 3**9
-
-
-def _json_int(value, field: str) -> int:
-    """An integer spec field: a bool, a string or a fraction is refused, not rounded."""
-    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if not (integral or isinstance(value, float) and value.is_integer()):
-        raise InputError(f"spec field {field!r} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -76,7 +67,7 @@ class PhaseMatrix:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PhaseMatrix":
         try:
-            return cls(_json_int(data["n"], "n"), data["phi"])
+            return cls(spec_int(data["n"], "n"), data["phi"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed phase-matrix JSON: {exc}") from exc
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import GATE_TOL, STATE_TOL, check_cap, check_wires, rng_from_seed
+from .config import GATE_TOL, STATE_TOL, check_cap, check_wires, rng_from_seed, spec_int
 from .errors import InputError, NotUnitaryError
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
@@ -115,15 +115,20 @@ class Controlled:
     u: np.ndarray
 
     def __post_init__(self):
-        controls = tuple((int(q), int(b)) for q, b in self.controls)
+        controls = tuple(
+            (spec_int(q, "control qubit"), spec_int(b, "control bit"))
+            for q, b in self.controls
+        )
+        target = spec_int(self.target, "target")
         qubits = [q for q, _ in controls]
         if len(set(qubits)) != len(qubits):
             raise InputError(f"duplicate control qubits in {controls}")
         if any(b not in (0, 1) for _, b in controls):
             raise InputError(f"control bits must be 0/1 in {controls}")
-        if self.target in qubits:
-            raise InputError(f"target {self.target} overlaps controls {controls}")
+        if target in qubits:
+            raise InputError(f"target {target} overlaps controls {controls}")
         object.__setattr__(self, "controls", controls)
+        object.__setattr__(self, "target", target)
         object.__setattr__(self, "u", _check_unitary_2x2(self.u))
 
 
@@ -135,8 +140,11 @@ class Swap:
     b: int
 
     def __post_init__(self):
-        if self.a == self.b:
+        a, b = spec_int(self.a, "a"), spec_int(self.b, "b")
+        if a == b:
             raise InputError("swap needs two distinct qubits")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 Gate = Controlled | Swap
@@ -258,17 +266,21 @@ def apply_dense(state: QState, m: DenseUnitary) -> QState:
     return QState(state.n, m.entries @ state.amps)
 
 
+def _shot_draws(rng_seed: int, shots: int) -> np.ndarray:
+    """The one uniform in [0, 1) per shot that every sampler of outcomes reads."""
+    if shots < 1:
+        raise InputError(f"need shots >= 1, got {shots}")
+    return rng_from_seed(rng_seed).random(shots)
+
+
 def measure_all(state: QState, rng_seed: int, shots: int) -> dict[int, int]:
     """Sample ``shots`` full measurements; returns {basis index: count}.
 
     Identical (state, rng_seed, shots) triples give identical histograms.
     """
-    if shots < 1:
-        raise InputError(f"need shots >= 1, got {shots}")
-    probs = state.probabilities()
-    cdf = np.cumsum(probs)
+    draws = _shot_draws(rng_seed, shots)
+    cdf = np.cumsum(state.probabilities())
     cdf[-1] = 1.0
-    draws = rng_from_seed(rng_seed).random(shots)
     outcomes = np.searchsorted(cdf, draws, side="right")
     values, counts = np.unique(outcomes, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}

@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import check_cap, check_wires
+from .config import check_cap, check_wires, spec_int
 from .errors import InputError
 from .qstate import HADAMARD, Circuit, Controlled, DenseUnitary, bit_table
 
@@ -67,7 +67,7 @@ class RotSpec:
             raise InputError(f"unknown variant {self.variant!r}")
         thetas = {}
         for (i, j), pair in dict(self.thetas).items():
-            i, j = int(i), int(j)
+            i, j = spec_int(i, "i"), spec_int(j, "j")
             if not 0 <= j < i < self.n:
                 raise InputError(f"theta cell ({i},{j}) is not strictly lower")
             t0, t1 = float(pair[0]), float(pair[1])

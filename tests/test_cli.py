@@ -282,7 +282,7 @@ def test_dhsp_perfect_recovery():
 
 
 def test_dhsp_runs_past_the_dense_cap(monkeypatch):
-    # The procedure runs on a statevector, so only the state cap applies.
+    # Shift recovery builds no dense matrix, so the dense cap does not apply.
     code, out, _ = run_cli("dhsp", "--n", "13", "--d", "7", "--trials", "16")
     assert code == 0
     report = json.loads(out)
@@ -290,6 +290,22 @@ def test_dhsp_runs_past_the_dense_cap(monkeypatch):
     monkeypatch.setenv("GQT_DENSE_CAP", "2")
     code, out, _ = run_cli("dhsp", "--n", "3", "--d", "5", "--trials", "16")
     assert code == 0 and json.loads(out)["d_hat"] == 5
+
+
+def test_dhsp_runs_up_to_the_shift_cap():
+    # Outcomes are sampled wire by wire, so the state cap (20) does not apply.
+    d = (1 << 47) - 3
+    code, out, _ = run_cli(
+        "dhsp", "--n", "47", "--d", str(d), "--samples", "random", "--trials", "2000"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert sum(c for _, c in report["histogram"]) == 2000
+    code, out, _ = run_cli("dhsp", "--n", "21", "--d", "9", "--trials", "8")
+    assert code == 0 and json.loads(out)["empirical_rate"] == 1.0
+    code, out, err = run_cli("dhsp", "--n", "48", "--d", "1", "--samples", "random")
+    assert code == 3 and out == ""
+    assert err == "gqt: cap exceeded: n=48 exceeds shift cap 47\n"
 
 
 def test_dhsp_zero_shift_and_explicit_samples():
@@ -450,12 +466,17 @@ _U_ID = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
          "spec field 'target' must be an integer, got 1.9"),
         ("simulate", {"n": 2, "gates": [{"kind": "swap", "a": 0.2, "b": 1}]},
          "spec field 'a' must be an integer, got 0.2"),
+        ("simulate",
+         {"n": 2, "gates": [{"kind": "controlled", "controls": [[0.6, 1]],
+                             "target": 1, "u": _U_ID}]},
+         "spec field 'control qubit' must be an integer, got 0.6"),
         ("compare",
          {"n": 2, "variant": "hadamard_first",
           "theta": [{"i": 1.7, "j": 0.3, "t0": 0.3, "t1": 1.1}]},
          "spec field 'i' must be an integer, got 1.7"),
     ],
-    ids=["n-fraction", "n-bool", "target-fraction", "swap-fraction", "theta-fraction"],
+    ids=["n-fraction", "n-bool", "target-fraction", "swap-fraction", "control-fraction",
+         "theta-fraction"],
 )
 def test_integer_spec_field_that_is_not_a_whole_number_exits_one(
     tmp_path, command, spec, message

@@ -1,6 +1,7 @@
 """Hidden-shift recovery pipeline: coset states, recovery matrix, statistics."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from gqt import (
     phi_from_samples,
     recover_d,
     run_procedure,
+    sample_outcomes,
     samples_mixed,
     samples_perfect_random,
     samples_random,
@@ -33,6 +35,8 @@ from gqt import (
     success_probability,
     toeplitz_phi,
 )
+from gqt import dhsp as dhsp_mod
+from gqt.qstate import measure_all
 
 from _oracles import (
     brute_coset_amps,
@@ -422,6 +426,112 @@ def test_state_cap_applies():
         coset_state(DhspInstance(21, 1, search_perfect_samples(21)))
     with pytest.raises(CapExceededError):
         run_procedure(DhspInstance(21, 1, search_perfect_samples(21)))
+
+
+def integral_triangular_phi(n: int, rng: np.random.Generator) -> PhaseMatrix:
+    """``random_triangular_phi`` with its real cells below the diagonal floored."""
+    phi = random_triangular_phi(n, rng).phi
+    return PhaseMatrix(n, np.where(np.tri(n, k=-1, dtype=bool), np.floor(phi), phi))
+
+
+def sampler_instances(rng: np.random.Generator):
+    """Perfect, random and mixed:k instances for n = 1..12."""
+    for n in range(1, 13):
+        d = int(rng.integers(0, 1 << n))
+        yield DhspInstance(n, d, search_perfect_samples(n))
+        yield random_instance(n, rng)
+        for k in sorted({0, n // 2, n - 1}):
+            yield DhspInstance(n, d, samples_mixed(n, k, rng))
+
+
+def test_sampler_histograms_equal_measuring_the_circuit_route():
+    # Same uniforms, same inverse CDF: identical unless a draw falls within
+    # rounding of a CDF boundary, which none of these seeds does.
+    rng = np.random.default_rng(70)
+    for case, inst in enumerate(sampler_instances(rng)):
+        for pm in (phi_from_samples(inst), integral_triangular_phi(inst.n, rng)):
+            shots = int(rng.integers(1, 3000))
+            got = sample_outcomes(inst, pm, case, shots)
+            assert got == measure_all(run_procedure(inst, pm), case, shots)
+
+
+def binomial_band(p: float, trials: int) -> float:
+    """Six standard deviations of an empirical rate, plus one shot."""
+    return 6.0 * math.sqrt(p * (1.0 - p) / trials) + 1.0 / trials
+
+
+@pytest.mark.parametrize("n", [32, 47])
+def test_sampler_rates_track_the_outcome_law_past_the_state_cap(n):
+    # The target, every outcome likely enough for the normal band (at least
+    # 40 expected hits) and the top wire's marginal, whose y = 1 branch
+    # weighs sin^2(pi z_(n-1) / N), against the formula route.
+    rng = np.random.default_rng(200 + n)
+    trials = 4000
+    for k in (n - 1, n - 2, n - 3, n - 4):
+        d = int(rng.integers(0, 1 << n))
+        inst = DhspInstance(n, d, samples_mixed(n, k, rng))
+        rec = recover_d(inst, trials, rng_seed=k)
+        target = bit_reverse(d, n)
+        p = success_probability(inst, target)
+        assert abs(rec.empirical_rate - p) <= binomial_band(p, trials)
+        seen = 0.0
+        for y, count in rec.histogram.items():
+            p = success_probability(inst, y, rec.analysis.phi)
+            if p >= 0.01:
+                assert abs(count / trials - p) <= binomial_band(p, trials)
+            seen += p
+        assert seen <= 1.0 + 1e-12
+        top = math.sin(math.pi * (inst.z[n - 1] % (1 << n)) / (1 << n)) ** 2
+        rate = sum(c for y, c in rec.histogram.items() if y >> (n - 1)) / trials
+        assert abs(rate - top) <= binomial_band(top, trials)
+
+
+def test_perfect_samples_recover_every_shift_at_the_shift_cap():
+    n = 47
+    rng = np.random.default_rng(47)
+    for d in (0, 1, (1 << n) - 1, int(rng.integers(0, 1 << n))):
+        for s in (search_perfect_samples(n), samples_perfect_random(n, rng)):
+            rec = recover_d(DhspInstance(n, d, s), trials=500, rng_seed=d % 97)
+            assert rec.d_hat == d and rec.empirical_rate == 1.0
+            assert rec.histogram == {bit_reverse(d, n): 500}
+
+
+def test_recovery_runs_past_the_state_cap():
+    rec = recover_d(DhspInstance(21, 5, search_perfect_samples(21)), 50, rng_seed=1)
+    assert rec.d_hat == 5 and rec.empirical_rate == 1.0
+
+
+def test_shift_cap_applies_before_any_work(monkeypatch):
+    def ran(*args, **kwargs):
+        raise AssertionError("recover_d worked past its cap check")
+
+    monkeypatch.setattr(dhsp_mod, "analyze", ran)
+    monkeypatch.setattr(dhsp_mod, "sample_outcomes", ran)
+    inst = DhspInstance(48, 3, search_perfect_samples(48))
+    with pytest.raises(CapExceededError, match="^n=48 exceeds shift cap 47$"):
+        recover_d(inst, trials=10, rng_seed=1)
+
+
+@pytest.mark.parametrize("shots", [0, -3])
+def test_a_shot_count_below_one_is_refused(shots):
+    inst = DhspInstance(3, 5, search_perfect_samples(3))
+    message = f"^need shots >= 1, got {shots}$"
+    with pytest.raises(InputError, match=message):
+        recover_d(inst, trials=shots, rng_seed=1)
+    with pytest.raises(InputError, match=message):
+        sample_outcomes(inst, phi_from_samples(inst), 1, shots)
+
+
+def test_sampler_needs_an_integral_triangular_phi():
+    n = 3
+    inst = DhspInstance(n, 5, (3, 2, 7))
+    with pytest.raises(ValidityError):
+        sample_outcomes(inst, PhaseMatrix(n, toeplitz_phi(n).phi.T), 1, 10)
+    real = random_triangular_phi(n, np.random.default_rng(71))
+    with pytest.raises(InputError, match="integral"):
+        sample_outcomes(inst, real, 1, 10)
+    with pytest.raises(InputError, match="2-wire phase matrix for a 3-wire"):
+        sample_outcomes(inst, phi_from_samples(DhspInstance(2, 1, (1, 2))), 1, 10)
 
 
 @settings(max_examples=30, deadline=None)

@@ -167,6 +167,38 @@ def test_gate_validation_rejects_malformed_inputs():
         Circuit(2, (Swap(-1, 0),))  # negative qubit
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Controlled(((0.6, 1.2),), 1, X), "'control qubit' .* got 0.6"),
+        (lambda: Controlled(((0, 1.2),), 1, X), "'control bit' .* got 1.2"),
+        (lambda: Controlled(((0, True),), 1, X), "'control bit' .* got True"),
+        (lambda: Controlled((), 1.5, X), "'target' .* got 1.5"),
+        (lambda: Controlled((), "1", X), "'target' .* got '1'"),
+        (lambda: Swap(0.5, 1), "'a' must be an integer, got 0.5"),
+        (lambda: Swap(0, 1.5), "'b' must be an integer, got 1.5"),
+    ],
+    ids=["control-qubit", "control-bit", "control-bool", "target", "target-str",
+         "swap-a", "swap-b"],
+)
+def test_fractional_qubit_indices_are_refused_not_rounded(make, message):
+    # int() would have read Controlled(((0.6, 1.2),), 1, X) as controls ((0, 1),),
+    # and a fractional target or swap qubit passed the circuit's range check.
+    with pytest.raises(InputError, match=message):
+        make()
+
+
+def test_whole_number_qubit_indices_are_stored_as_ints():
+    g = Controlled(((np.int64(0), 1.0),), 1.0, X)
+    assert g.controls == ((0, 1),) and g.target == 1
+    assert all(type(v) is int for v in (*g.controls[0], g.target))
+    s = Swap(np.int32(2), 0.0)
+    assert (s.a, s.b) == (2, 0) and type(s.a) is int and type(s.b) is int
+    # An integral float index runs as its integer through the kernel.
+    got = apply_gate(QState.basis(2, 0), Controlled((), 1.0, X))
+    np.testing.assert_array_equal(got.amps, QState.basis(2, 2).amps)
+
+
 def test_circuit_application_matches_matrix_product_oracle():
     rng = np.random.default_rng(10)
     for n in (2, 3, 4):

@@ -114,6 +114,14 @@ def test_spec_validation():
         RotSpec(2, HADAMARD_FIRST, {}, alpha0=(0.1, 0.2))  # alpha0 not allowed
     with pytest.raises(InputError):
         RotSpec(2, ROTATION_FIRST, {}, alpha0=(0.1,))  # wrong length
+    # A fractional cell index is refused, not rounded down to cell (1, 0).
+    with pytest.raises(InputError, match="'i' must be an integer, got 1.7"):
+        RotSpec(2, HADAMARD_FIRST, {(1.7, 0): (0.3, 1.1)})
+    with pytest.raises(InputError, match="'j' must be an integer, got 0.3"):
+        RotSpec(2, HADAMARD_FIRST, {(1, 0.3): (0.3, 1.1)})
+    assert RotSpec(2, HADAMARD_FIRST, {(1.0, 0.0): (0.3, 1.1)}).thetas == {
+        (1, 0): (0.3, 1.1)
+    }
 
 
 def test_rot1_no_angles_degenerates_to_hadamard_tensor():

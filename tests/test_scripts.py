@@ -32,16 +32,16 @@ def test_tiny_run_succeeds(name, capsys):
 
 
 # (argv, stderr) of a run over a cap.  The survey builds dense matrices, so
-# n=3 exceeds GQT_DENSE_CAP=2; the sweep runs on a statevector and first
-# meets a cap at n=21, above the state cap.
+# n=3 exceeds GQT_DENSE_CAP=2; the sweep samples outcomes with no statevector
+# and first meets a cap at n=48, above the shift cap.
 CAPPED = {
     "unitarity_survey": (
         TINY["unitarity_survey"],
         "unitarity_survey: cap exceeded: n=3 exceeds dense cap 2\n",
     ),
     "dhsp_sweep": (
-        ["--n", "21", "--trials", "5", "--reps", "1"],
-        "dhsp_sweep: cap exceeded: n=21 exceeds state cap 20\n",
+        ["--n", "48", "--trials", "5", "--reps", "1"],
+        "dhsp_sweep: cap exceeded: n=48 exceeds shift cap 47\n",
     ),
 }
 
