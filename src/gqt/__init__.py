@@ -80,6 +80,7 @@ from .qstate import (
     bit_table,
     circuit_to_dense,
     measure_all,
+    unit_roots,
 )
 from .rotft import (
     HADAMARD_FIRST,
@@ -122,6 +123,7 @@ __all__ = [
     "bit_table",
     "circuit_to_dense",
     "measure_all",
+    "unit_roots",
     # phasemat
     "PhaseMatrix",
     "ValidityReport",

@@ -20,6 +20,7 @@ The environment variable GQT_DENSE_CAP overrides the dense-matrix cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -411,6 +412,7 @@ def _parse_samples(raw: str, n: int, seed: int) -> tuple[tuple[int, ...], str]:
 
 def _cmd_dhsp(args) -> tuple[dict, int]:
     n, d = args.n, args.d
+    check_cap("shift", n)  # before any draw: uniform samples need n < 64
     samples, mode = _parse_samples(args.samples, n, args.seed)
     inst = dhsp_mod.DhspInstance(n, d, samples)
     rec = dhsp_mod.recover_d(inst, args.trials, args.seed)
@@ -525,7 +527,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=_tolerance, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``gqt`` parser, built once per process (parsing leaves it unchanged)."""
     parser = Parser(
         prog="gqt",
         description=__doc__,

@@ -40,7 +40,7 @@ from .config import check_cap, check_wires
 from .errors import InputError, ValidityError
 from .gqft import GqftSpec, gqft_circuit
 from .phasemat import PhaseMatrix, check_triangular
-from .qstate import QState, _shot_draws, apply_circuit, bit_reverse
+from .qstate import QState, _shot_draws, apply_circuit, bit_reverse, unit_roots
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,10 @@ def coset_state(inst: DhspInstance) -> QState:
     check_cap("state", n)
     dim = 1 << n
     idx = np.arange(dim)
-    zx = np.zeros(dim, dtype=np.float64)
+    zx = np.zeros(dim, dtype=np.int64)
     for i, v in enumerate(inst.z):
         zx += (v % dim) * ((idx >> i) & 1)
-    return QState(n, np.exp(2j * np.pi * np.mod(zx, dim) / dim) / np.sqrt(dim))
+    return QState(n, unit_roots(zx, dim))
 
 
 def phi_from_samples(inst: DhspInstance) -> PhaseMatrix:

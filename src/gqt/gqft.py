@@ -33,6 +33,7 @@ from .qstate import (
     DenseUnitary,
     Swap,
     bit_table,
+    unit_roots,
 )
 
 TRIANGULAR = "triangular"
@@ -128,8 +129,8 @@ def gqft_dense(spec: GqftSpec) -> DenseUnitary:
     check_cap("dense", n)
     dim = 1 << n
     bits = bit_table(n)
-    exponent = np.mod(bits @ _wire_exponents(spec, bits), float(dim))  # [y, x]
-    return DenseUnitary(n, np.exp(2j * np.pi * exponent / dim) / np.sqrt(dim))
+    exponent = bits @ _wire_exponents(spec, bits)  # [y, x]
+    return DenseUnitary(n, unit_roots(exponent, dim))
 
 
 def gqft_circuit(spec: GqftSpec) -> Circuit:
@@ -178,8 +179,7 @@ def dft_dense(n: int) -> DenseUnitary:
     check_cap("dense", n)
     dim = 1 << n
     k = np.arange(dim)
-    exponent = np.mod(np.outer(k, k), dim)
-    return DenseUnitary(n, np.exp(2j * np.pi * exponent / dim) / np.sqrt(dim))
+    return DenseUnitary(n, unit_roots(np.outer(k, k), dim))
 
 
 def dft_circuit(n: int) -> Circuit:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import check_cap, check_wires, spec_int
 from .errors import InputError
-from .qstate import _unitarity_defect, bit_table
+from .qstate import _unitarity_defect, bit_table, unit_roots
 
 # Default tolerance for wraparound congruence tests.
 CRITERION_TOL = 1e-9
@@ -262,8 +262,7 @@ def phase_dense_raw(pm: PhaseMatrix) -> np.ndarray:
     check_cap("dense", pm.n)
     dim = 1 << pm.n
     bits = bit_table(pm.n)
-    exponent = np.mod(bits @ pm.phi @ bits.T, float(dim))  # [y, x]
-    return np.exp(2j * np.pi * exponent / dim) / np.sqrt(dim)
+    return unit_roots(bits @ pm.phi @ bits.T, dim)  # [y, x]
 
 
 def numeric_unitarity_defect(pm: PhaseMatrix) -> float:

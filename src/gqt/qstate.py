@@ -7,7 +7,13 @@ vector (x_0, ..., x_{n-1}) as k = sum_i x_i * 2^i, so qubit i carries weight
 Everything here is a pure function over immutable values: amplitude arrays
 are write-locked and each operation returns a fresh state.  Inside, a
 circuit runs in place on one private copy, through a (2,)*n strided view in
-which each gate touches only the slices its qubits select.
+which each gate touches only the slices its qubits select; a diagonal
+diag(1, u11) gate, such as every phase gate of a transform circuit, scales
+only its target-1 slice.
+
+Every dense route that writes entries w^e / sqrt(N) (the transform
+builders, the raw phase matrix, the coset state) takes them from
+``unit_roots``, which reads integral exponents off one table of N roots.
 """
 
 from __future__ import annotations
@@ -32,6 +38,24 @@ def bit_table(n: int) -> np.ndarray:
     return ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1).astype(
         np.float64
     )
+
+
+def unit_roots(exponent, dim: int) -> np.ndarray:
+    """w^e / sqrt(dim) for every exponent e, w = exp(2*pi*1j/dim), dim = 2^n.
+
+    Integral exponents (any sign) index one table of the dim roots, built
+    with the same float expression as the direct route, so each entry is
+    bit-identical to it; any other exponent is reduced mod dim and
+    exponentiated directly.
+    """
+    e = np.asarray(exponent)
+    if e.dtype.kind == "f":
+        whole = np.rint(e)
+        if not np.array_equal(whole, e):
+            return np.exp(2j * np.pi * np.mod(e, float(dim)) / dim) / np.sqrt(dim)
+        e = whole.astype(np.int64)
+    table = np.exp(2j * np.pi * np.arange(dim, dtype=np.float64) / dim) / np.sqrt(dim)
+    return table[e & (dim - 1)]
 
 
 def _unitarity_defect(m: np.ndarray) -> float:
@@ -195,7 +219,16 @@ def _run_in_place(block: np.ndarray, c: Circuit) -> None:
 
 
 def _apply_gate_inplace(view: np.ndarray, g: Gate, n: int) -> None:
-    """Apply a Circuit-checked gate in place to the qubit view of a block."""
+    """Apply a Circuit-checked gate in place to the qubit view of a block.
+
+    A 2x2 gate computes u00*a0 + u01*a1 and u10*a0 + u11*a1, the float
+    operations of the fancy-index reference kernel in the tests.  A gate
+    that is exactly diag(1, u11) only writes u11*a1 into the target-1 slice:
+    every nonzero amplitude part keeps its bits, but an exact zero keeps the
+    sign of the product instead of that of the sum with 0*a0.  The slice is
+    written by assignment: an in-place ``*=`` is not bit-identical to this
+    product (seen on NumPy 2.4).
+    """
     sel = [slice(None)] * view.ndim
     if isinstance(g, Swap):
         sel[n - 1 - g.a], sel[n - 1 - g.b] = slice(0, 1), slice(1, 2)
@@ -213,6 +246,9 @@ def _apply_gate_inplace(view: np.ndarray, g: Gate, n: int) -> None:
     sel[n - 1 - g.target] = slice(1, 2)
     a1 = view[tuple(sel)]
     u = g.u
+    if u[0, 0] == 1 and u[0, 1] == 0 and u[1, 0] == 0:  # diag(1, u11): a0 stays
+        a1[...] = u[1, 1] * a1
+        return
     new0 = u[0, 0] * a0 + u[0, 1] * a1
     a1[...] = u[1, 0] * a0 + u[1, 1] * a1
     a0[...] = new0

@@ -25,7 +25,9 @@ from gqt import (
     wraparound_distance,
 )
 from gqt.config import check_cap
+from gqt.gqft import _wire_exponents
 from gqt.phasemat import CRITERION_TOL
+from gqt.qstate import bit_table
 
 _I2 = np.eye(2, dtype=np.complex128)
 
@@ -421,3 +423,40 @@ def block_check_general(pm: PhaseMatrix, tol: float = CRITERION_TOL) -> Validity
     plus = tuple(int(i) for i in np.nonzero(best_row > 0)[0])
     minus = tuple(int(i) for i in np.nonzero(best_row < 0)[0])
     return ValidityReport("general", False, witness_plus=plus, witness_minus=minus)
+
+
+# The dense-entry formula each builder inlined before ``qstate.unit_roots``:
+# reduce every exponent mod N, then exponentiate it.  The root table must
+# reproduce these bit for bit.
+
+
+def _direct_roots(exponent: np.ndarray, dim: int) -> np.ndarray:
+    return np.exp(2j * np.pi * exponent / dim) / np.sqrt(dim)
+
+
+def direct_gqft_dense(spec: GqftSpec) -> np.ndarray:
+    n = spec.pm.n
+    dim = 1 << n
+    bits = bit_table(n)
+    return _direct_roots(np.mod(bits @ _wire_exponents(spec, bits), float(dim)), dim)
+
+
+def direct_phase_dense_raw(pm: PhaseMatrix) -> np.ndarray:
+    dim = 1 << pm.n
+    bits = bit_table(pm.n)
+    return _direct_roots(np.mod(bits @ pm.phi @ bits.T, float(dim)), dim)
+
+
+def direct_dft_dense(n: int) -> np.ndarray:
+    dim = 1 << n
+    k = np.arange(dim)
+    return _direct_roots(np.mod(np.outer(k, k), dim), dim)
+
+
+def direct_coset_amps(inst: DhspInstance) -> np.ndarray:
+    dim = 1 << inst.n
+    idx = np.arange(dim)
+    zx = np.zeros(dim, dtype=np.float64)
+    for i, v in enumerate(inst.z):
+        zx += (v % dim) * ((idx >> i) & 1)
+    return _direct_roots(np.mod(zx, dim), dim)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -24,6 +25,7 @@ from gqt import (
     haar_matrix,
     toeplitz_phi,
 )
+from gqt.cli import build_parser
 from gqt.cli import main as cli_main
 from gqt.cli import circuit_from_json_dict, parse_matrix_report
 
@@ -306,6 +308,14 @@ def test_dhsp_runs_up_to_the_shift_cap():
     code, out, err = run_cli("dhsp", "--n", "48", "--d", "1", "--samples", "random")
     assert code == 3 and out == ""
     assert err == "gqt: cap exceeded: n=48 exceeds shift cap 47\n"
+
+
+@pytest.mark.parametrize("samples", ["random", "mixed:3", "perfect"])
+def test_dhsp_past_64_bits_exits_at_the_shift_cap_before_any_draw(samples):
+    # A uniform draw over [0, 2^64) does not fit numpy's int64 bound.
+    code, out, err = run_cli("dhsp", "--n", "64", "--d", "0", "--samples", samples)
+    assert code == 3 and out == ""
+    assert err == "gqt: cap exceeded: n=64 exceeds shift cap 47\n"
 
 
 def test_dhsp_zero_shift_and_explicit_samples():
@@ -648,3 +658,34 @@ def test_module_entry_point_byte_identical():
     b = subprocess.run(cmd, capture_output=True, check=True, cwd=SRC)
     assert a.stdout == b.stdout
     assert a.stdout.endswith(b"\n")
+
+
+def test_simulate_prints_the_sign_of_zero_a_diagonal_gate_gives(tmp_path):
+    # diag(1, u11) scales only the target-1 half, so u11 * (+0) with
+    # Re(u11) < 0 prints as -0.0 (the full 2x2 update printed 0.0).
+    s = 2**-0.5
+    u11 = complex(np.exp(3j * np.pi / 4))
+    circ = {
+        "n": 2,
+        "gates": [
+            {"kind": "single", "target": 1,
+             "u": [[s, 0.0], [s, 0.0], [s, 0.0], [-s, 0.0]]},
+            {"kind": "single", "target": 0,
+             "u": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [u11.real, u11.imag]]},
+        ],
+    }
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps(circ))
+    code, out, _ = run_cli("simulate", "--spec", str(path), "--basis", "0")
+    assert code == 0
+    amps = json.loads(out)["amps"]
+    assert [[math.copysign(1.0, v) for v in pair] for pair in amps] == [
+        [1.0, 1.0], [-1.0, 1.0], [1.0, 1.0], [-1.0, 1.0]
+    ]
+    assert amps[1] == [0.0, 0.0] and amps[3] == [0.0, 0.0]
+
+
+def test_parser_is_built_once_and_reused():
+    assert build_parser() is build_parser()
+    first = run_cli("dhsp", "--n", "3", "--d", "5", "--trials", "16")
+    assert run_cli("dhsp", "--n", "3", "--d", "5", "--trials", "16") == first

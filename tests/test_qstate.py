@@ -11,9 +11,11 @@ from gqt import (
     Circuit,
     Controlled,
     DenseUnitary,
+    DhspInstance,
     GqftSpec,
     InputError,
     NotUnitaryError,
+    PhaseMatrix,
     QState,
     Swap,
     apply_circuit,
@@ -21,20 +23,31 @@ from gqt import (
     apply_gate,
     bit_reverse,
     circuit_to_dense,
+    coset_state,
     dft_circuit,
+    dft_dense,
     gqft_circuit,
+    gqft_dense,
     haar_apply_basis,
     haar_inverse_apply,
     haar_inverse_circuit,
     measure_all,
+    phase_dense_raw,
     rot1_circuit,
     rot2_circuit,
+    samples_random,
+    toeplitz_phi,
+    unit_roots,
 )
 
 from gqt.qstate import _gate_defect, _unitarity_defect
 
 from _oracles import (
     circuit_dense_kron,
+    direct_coset_amps,
+    direct_dft_dense,
+    direct_gqft_dense,
+    direct_phase_dense_raw,
     fancy_index_circuit,
     gate_dense_kron,
     random_circuit,
@@ -267,6 +280,105 @@ def test_kernel_is_bit_identical_to_fancy_index_reference(n):
             for g in gates
         )
 
+
+def random_diagonal_gate(n: int, rng: np.random.Generator) -> Controlled:
+    """diag(1, e^(i theta)) on a random target under up to two random controls."""
+    u = np.diag([1.0, np.exp(1j * rng.uniform(0, 2 * np.pi))]).astype(np.complex128)
+    chosen = rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False)
+    controls = tuple((int(q), int(rng.integers(0, 2))) for q in chosen[1:])
+    return Controlled(controls, int(chosen[0]), u)
+
+
+def assert_nonzero_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
+    """Bit-identical wherever ``want`` has a nonzero part; zero (either sign) elsewhere."""
+    got, want = got.view(np.float64), want.view(np.float64)
+    nonzero = want != 0
+    np.testing.assert_array_equal(
+        got[nonzero].view(np.uint64), want[nonzero].view(np.uint64)
+    )
+    assert np.all(got[~nonzero] == 0)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_diagonal_gates_keep_every_nonzero_part_of_the_reference(n):
+    # The diagonal branch skips the 0*a0 and 0*a1 terms of the full update, so
+    # only the sign of an exact zero may differ from the reference kernel.
+    rng = np.random.default_rng(200 + n)
+    for _ in range(4):
+        gates = []
+        for _ in range(4 * n):
+            gates.append(random_diagonal_gate(n, rng))
+            if rng.random() < 0.5:
+                gates.append(random_gate(n, rng))
+        c = Circuit(n, tuple(gates))
+        dense = circuit_to_dense(c).entries
+        eye = np.eye(1 << n, dtype=np.complex128)
+        assert_nonzero_bits_equal(dense, fancy_index_circuit(c, eye))
+        start = QState(n, random_state(n, rng))
+        got = apply_circuit(start, c).amps
+        assert_nonzero_bits_equal(got, fancy_index_circuit(c, np.array(start.amps)))
+
+
+def test_diagonal_gate_on_an_exact_zero_keeps_the_product_sign():
+    # u11 * (+0) with Re(u11) < 0 is -0.0; the full update added +0 from 0*a0
+    # and gave +0.0.  Pinned: a deliberate change of the printed sign of zero.
+    u11 = np.exp(3j * np.pi / 4)
+    c = Circuit(2, (Controlled((), 1, H), Controlled((), 0, np.diag([1.0, u11]))))
+    start = QState.basis(2, 0)
+    amps = apply_circuit(start, c).amps
+    assert list(np.signbit(amps.real)) == [False, True, False, True]
+    assert not np.any(np.signbit(amps.imag))
+    assert amps[1] == 0 and amps[3] == 0
+    assert_nonzero_bits_equal(amps, fancy_index_circuit(c, np.array(start.amps)))
+
+
+def random_integral_phi(n: int, rng: np.random.Generator) -> PhaseMatrix:
+    """Triangular phi with integral cells: uppers multiples of N, lowers of either sign."""
+    dim = 1 << n
+    phi = np.triu(dim * rng.integers(-2, 3, size=(n, n)), 1).astype(np.float64)
+    phi += np.tril(rng.integers(-3 * dim, 3 * dim, size=(n, n)), -1)
+    np.fill_diagonal(phi, dim / 2)
+    return PhaseMatrix(n, phi)
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_root_table_builders_match_the_direct_formula_bit_for_bit(n):
+    rng = np.random.default_rng(300 + n)
+    dim = 1 << n
+    integral = random_integral_phi(n, rng)
+    fractional = random_triangular_phi(n, rng)  # real lower cells: the direct route
+    specs = [GqftSpec(toeplitz_phi(n)), GqftSpec(integral), GqftSpec(fractional)]
+    if n >= 2:
+        wire = n - 1
+        prefixes = {tuple(int(b) for b in rng.integers(0, 2, size=wire)) for _ in range(n)}
+        for step in (1.0, 0.25):  # integral table values, then fractional ones
+            table = {p: step * float(rng.integers(-dim, dim)) for p in prefixes}
+            specs.append(GqftSpec(integral, row_fns={wire: table}))
+    for spec in specs:
+        assert_same_bits(gqft_dense(spec).entries, direct_gqft_dense(spec))
+    general = PhaseMatrix(n, rng.integers(-dim, dim, size=(n, n)))
+    for pm in (integral, fractional, general):
+        assert_same_bits(phase_dense_raw(pm), direct_phase_dense_raw(pm))
+    assert_same_bits(dft_dense(n).entries, direct_dft_dense(n))
+    for d in sorted({0, dim - 1, int(rng.integers(dim))}):
+        inst = DhspInstance(n, d, samples_random(n, rng))
+        assert_same_bits(coset_state(inst).amps, direct_coset_amps(inst))
+
+
+def test_unit_roots_reads_integers_of_either_sign_and_falls_back_on_fractions():
+    dim = 8
+    integral = np.array([-17.0, -8.0, -0.0, 0.0, 3.0, 8.0, 63.0])
+    want = np.exp(2j * np.pi * np.mod(integral, float(dim)) / dim) / np.sqrt(dim)
+    assert_same_bits(unit_roots(integral, dim), want)
+    assert_same_bits(unit_roots(integral.astype(np.int64), dim), want)
+    mixed = np.array([[1.0, 2.5], [-0.75, 9.0]])
+    want = np.exp(2j * np.pi * np.mod(mixed, float(dim)) / dim) / np.sqrt(dim)
+    assert_same_bits(unit_roots(mixed, dim), want)
+    assert unit_roots(mixed, dim).shape == (2, 2)
 
 def test_apply_circuit_leaves_its_input_unchanged():
     rng = np.random.default_rng(14)
