@@ -284,13 +284,21 @@ def search_perfect_samples(n: int) -> tuple[int, ...]:
     return tuple(1 << i for i in range(n))
 
 
+def _check_draw_bits(n: int) -> None:
+    """Samples are drawn as uint64, so they hold at most 64 bits."""
+    if n > 64:
+        raise InputError(f"n={n} samples do not fit a 64-bit draw")
+
+
 def samples_random(n: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """n uniform samples in [0, 2^n)."""
-    return tuple(int(v) for v in rng.integers(0, 1 << n, size=n))
+    """n uniform samples in [0, 2^n); the draws for n <= 63 equal int64 ones."""
+    _check_draw_bits(n)
+    return tuple(int(v) for v in rng.integers(0, 1 << n, size=n, dtype=np.uint64))
 
 
 def samples_perfect_random(n: int, rng: np.random.Generator) -> tuple[int, ...]:
     """A random member of the unit-upper-triangular family per row."""
+    _check_draw_bits(n)
     out = []
     for i in range(n):
         high = int(rng.integers(0, 1 << (n - i - 1))) if i + 1 < n else 0

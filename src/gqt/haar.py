@@ -66,7 +66,7 @@ class HaarMatrix:
         if np.any(~a.any(axis=1)):
             raise InputError("a must have no zero row")
         dev = _unitarity_defect(p.T)
-        if dev > 1e-10:
+        if not dev <= 1e-10:
             raise InputError(f"p rows deviate from orthonormality by {dev:.3e}")
         a.setflags(write=False)
         p.setflags(write=False)

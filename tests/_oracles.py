@@ -460,3 +460,8 @@ def direct_coset_amps(inst: DhspInstance) -> np.ndarray:
     for i, v in enumerate(inst.z):
         zx += (v % dim) * ((idx >> i) & 1)
     return _direct_roots(np.mod(zx, dim), dim)
+
+
+def full_unitarity_defect(m: np.ndarray) -> float:
+    """max |M^dagger M - I| from one full product, the check's former formula."""
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))

@@ -546,6 +546,19 @@ def test_exit_code_two_for_invalid_phase_matrix(tmp_path):
     assert "witness" in err  # the report rides along on stderr
 
 
+@pytest.mark.parametrize("entry", range(4))
+def test_simulate_refuses_a_gate_with_nan(tmp_path, entry):
+    # json reads NaN; the gate check must refuse it rather than print NaN
+    # amplitudes, which are not JSON.
+    u = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    u[entry] = [math.nan, 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"n": 2, "gates": [{"kind": "single", "target": 0, "u": u}]}))
+    code, out, err = run_cli("simulate", "--spec", str(path), "--basis", "1")
+    assert (code, out) == (2, "")
+    assert err == "gqt: validity failure: 2x2 gate deviates from unitarity by nan\n"
+
+
 def test_exit_code_three_for_dense_cap(tmp_path, monkeypatch):
     monkeypatch.setenv("GQT_DENSE_CAP", "2")
     spec_path = write_phi(

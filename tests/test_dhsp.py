@@ -26,6 +26,7 @@ from gqt import (
     phi0_matrix,
     phi_from_samples,
     recover_d,
+    rng_from_seed,
     run_procedure,
     sample_outcomes,
     samples_mixed,
@@ -297,6 +298,50 @@ def test_perfect_random_samples_bit_structure():
             for i, v in enumerate(s):
                 assert (v >> i) & 1 == 1
                 assert v & ((1 << i) - 1) == 0
+
+
+def test_random_samples_keep_their_seeded_draws():
+    # The uint64 draw must give the values the int64 draw gave for n <= 63.
+    want = {
+        1: (1,),
+        3: (6, 1, 0),
+        6: (54, 11, 1, 40, 23, 29),
+        13: (6978, 1465, 216, 5242, 2993, 3827, 653, 3035, 5271, 2907, 6808, 6475, 5770),
+    }
+    for n, draws in want.items():
+        assert samples_random(n, rng_from_seed(2026)) == draws
+    ends = {
+        31: (1829338325, 384259586, 1384146074),
+        47: (25182836256009, 90059771708257, 81631747652739),
+        63: (1650382356873837781, 5902157198672373343, 4611271173392509258),
+    }
+    for n, (first, second, last) in ends.items():
+        s = samples_random(n, rng_from_seed(2026))
+        assert len(s) == n and s[:2] == (first, second) and s[-1] == last
+    assert samples_mixed(63, 5, rng_from_seed(2026))[3:7] == (
+        3417264201368325688, 3273534616666675984, 3432425485218306942, 3875598763626825700
+    )
+    for n in (2, 17, 40, 63):
+        for seed in range(5):
+            old = rng_from_seed(seed).integers(0, 1 << n, size=n)
+            assert samples_random(n, rng_from_seed(seed)) == tuple(int(v) for v in old)
+
+
+def test_samples_fill_64_bits_and_refuse_more():
+    s = samples_random(64, rng_from_seed(7))
+    assert len(s) == 64 and all(0 <= v < 1 << 64 for v in s)
+    assert max(s) >= 1 << 63  # the top bit is drawn too
+    mixed = samples_mixed(64, 3, rng_from_seed(7))
+    assert len(mixed) == 64 and all(0 <= v < 1 << 64 for v in mixed)
+    for i in range(3):
+        assert (mixed[i] >> i) & 1 == 1 and mixed[i] & ((1 << i) - 1) == 0
+    for draw in (
+        lambda: samples_random(65, rng_from_seed(7)),
+        lambda: samples_perfect_random(65, rng_from_seed(7)),
+        lambda: samples_mixed(65, 3, rng_from_seed(7)),
+    ):
+        with pytest.raises(InputError, match="^n=65 samples do not fit a 64-bit draw$"):
+            draw()
 
 
 def test_mixed_samples_split_and_validation():

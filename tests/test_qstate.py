@@ -1,5 +1,8 @@
 """Simulator core: states, gates, circuits, dense lifting, measurement."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from gqt import (
     DenseUnitary,
     DhspInstance,
     GqftSpec,
+    HaarMatrix,
     InputError,
     NotUnitaryError,
     PhaseMatrix,
@@ -31,6 +35,7 @@ from gqt import (
     haar_apply_basis,
     haar_inverse_apply,
     haar_inverse_circuit,
+    haar_matrix,
     measure_all,
     phase_dense_raw,
     rot1_circuit,
@@ -49,6 +54,7 @@ from _oracles import (
     direct_gqft_dense,
     direct_phase_dense_raw,
     fancy_index_circuit,
+    full_unitarity_defect,
     gate_dense_kron,
     random_circuit,
     random_gate,
@@ -394,6 +400,94 @@ def test_apply_circuit_leaves_its_input_unchanged():
 def test_dense_unitary_rejects_non_unitary():
     with pytest.raises(NotUnitaryError):
         DenseUnitary(1, np.array([[1.0, 0.0], [0.0, 0.5]], dtype=np.complex128))
+
+
+def _random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+def test_block_defect_matches_the_full_product():
+    # The block-row check reads the upper block triangle of M^dagger M; it
+    # must give the full product's max |M^dagger M - I| up to rounding, on
+    # unitary, real orthogonal and perturbed matrices of every size 2..512.
+    rng = np.random.default_rng(61)
+    eps = np.finfo(np.float64).eps
+    for n in range(1, 10):
+        dim = 1 << n
+        u = _random_unitary(dim, rng)
+        cases = [
+            u,
+            haar_matrix(n).p,
+            haar_matrix(n).p.T,
+            gqft_dense(GqftSpec(toeplitz_phi(n))).entries,
+            u + 1e-7 * rng.normal(size=(dim, dim)),
+            u * (1 + 1e-3 * rng.uniform(size=dim)),  # column norms off
+            rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)),
+        ]
+        for m in cases:
+            scale = float(np.max(np.sum(np.abs(m) ** 2, axis=0)))
+            want = full_unitarity_defect(m)
+            assert abs(_unitarity_defect(m) - want) <= 4 * dim * eps * scale
+
+
+def test_block_defect_is_nan_when_any_block_holds_one():
+    rng = np.random.default_rng(62)
+    for dim in (2, 8, 16):
+        u = _random_unitary(dim, rng)
+        for r in range(dim):
+            for c in range(dim):
+                m = u.copy()
+                m[r, c] = complex(math.nan, 0.0) if (r + c) % 2 else complex(0.0, math.nan)
+                assert math.isnan(_unitarity_defect(m)), (dim, r, c)
+
+
+def test_dense_unitary_rejects_a_small_perturbation_at_every_entry():
+    u = _random_unitary(8, np.random.default_rng(63))
+    DenseUnitary(3, u)
+    for r in range(8):
+        for c in range(8):
+            m = u.copy()
+            m[r, c] += 1e-6
+            with pytest.raises(NotUnitaryError):
+                DenseUnitary(3, m)
+
+
+def test_unitarity_and_norm_checks_fail_closed_on_nan():
+    for r in range(2):
+        for c in range(2):
+            u = np.eye(2, dtype=np.complex128)
+            u[r, c] = math.nan
+            assert math.isnan(_gate_defect(u))
+            with pytest.raises(NotUnitaryError):
+                Controlled((), 0, u)
+    amps = np.array([1.0, math.nan], dtype=np.complex128)
+    with pytest.raises(InputError, match="state norm nan"):
+        QState(1, amps)
+    entries = np.eye(4, dtype=np.complex128)
+    entries[3, 2] = math.nan
+    with pytest.raises(NotUnitaryError, match="by nan"):
+        DenseUnitary(2, entries)
+    hm = haar_matrix(2)
+    p = hm.p.copy()
+    p[1, 0] = math.nan
+    with pytest.raises(InputError, match="orthonormality by nan"):
+        HaarMatrix(2, hm.a, p)
+
+
+def test_block_defect_stays_below_the_size_of_the_matrix():
+    # At n=10 the matrix takes 16 MiB; the former full product took 32 MiB
+    # (the conjugate transpose and the product).  The block rows hold at
+    # most a quarter-size block, its product and that product's magnitude.
+    m = dft_dense(10).entries
+    tracemalloc.start()
+    try:
+        dev = _unitarity_defect(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dev < 1e-9
+    assert peak < m.nbytes
 
 
 def test_empty_circuit_is_identity():
