@@ -69,4 +69,6 @@ def check_cap(kind: str, n: int) -> None:
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """The package-wide named generator: PCG64 seeded via SeedSequence."""
+    if seed < 0:
+        raise InputError(f"need seed >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))

@@ -139,8 +139,8 @@ def sample_outcomes(
     The uniforms are sorted once, and every distinct prefix y_{n-1..i} is one
     node holding its [start, stop) run of shots, so a wire costs one
     searchsorted and the counts come out at the leaves.  c_i is exact in
-    uint64 arithmetic masked to n bits, so ``phi`` must be triangular with
-    integral cells below the diagonal.
+    uint64 arithmetic masked to n bits, so ``phi`` must be triangular and
+    have residues (every cell an integer).
     """
     n, dim = inst.n, 1 << inst.n
     if phi.n != n:
@@ -148,10 +148,9 @@ def sample_outcomes(
     report = check_triangular(phi)
     if not report.valid:
         raise ValidityError("phase matrix fails the triangular check", report=report)
-    lower = np.tril(phi.phi, -1)
-    if not np.array_equal(lower, np.round(lower)):
-        raise InputError("sampling needs integral phi cells below the diagonal")
-    rows = np.mod(lower, dim).astype(np.uint64)
+    if phi.residues is None:
+        raise InputError("sampling needs integral phi cells (and n <= 63)")
+    rows = np.tril(phi.residues, -1)
     z = np.array([v % dim for v in inst.z], dtype=np.uint64)
     mask = np.uint64(dim - 1)
     draws = np.sort(_shot_draws(rng_seed, shots))

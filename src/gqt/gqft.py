@@ -130,6 +130,8 @@ def gqft_dense(spec: GqftSpec) -> DenseUnitary:
     dim = 1 << n
     bits = bit_table(n)
     exponent = bits @ _wire_exponents(spec, bits)  # [y, x]
+    if spec.pm.residues is not None and not spec.row_fns:
+        exponent = exponent.astype(np.int64)  # integral: the root table reads it
     return DenseUnitary(n, unit_roots(exponent, dim))
 
 

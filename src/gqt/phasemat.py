@@ -19,6 +19,7 @@ over bit vectors x, y (qubit i = weight 2^i).  Two validity regimes:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,6 +34,8 @@ from .qstate import _unitarity_defect, bit_table, unit_roots
 CRITERION_TOL = 1e-9
 # Signed vectors per chunk of the criterion sweep (its working-set budget).
 _BLOCK = 3**9
+# Widest phase matrix: its entry bound 4^n overflows float64 from n = 512.
+_MAX_WIRES = 511
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,10 @@ class PhaseMatrix:
 
     def __post_init__(self):
         check_wires(self.n)
+        if self.n > _MAX_WIRES:
+            raise InputError(
+                f"n={self.n} exceeds {_MAX_WIRES}: the entry bound 4^n overflows float64"
+            )
         phi = np.array(self.phi, dtype=np.float64)
         if phi.shape != (self.n, self.n):
             raise InputError(f"phi shape {phi.shape} does not match n={self.n}")
@@ -60,6 +67,20 @@ class PhaseMatrix:
     @property
     def modulus(self) -> int:
         return 1 << self.n
+
+    @functools.cached_property
+    def residues(self) -> np.ndarray | None:
+        """phi mod N as a read-only uint64 array, or None unless every entry
+        is an integer and n <= 63: the one integrality decision, which every
+        exact integer route reads.  ``np.fmod`` by N is exact and keeps the
+        sign, so its remainder fits int64 and the mask takes it to [0, N)."""
+        phi = self.phi
+        if self.n > 63 or not np.array_equal(phi, np.rint(phi)):
+            return None
+        dim = self.modulus
+        res = (np.fmod(phi, float(dim)).astype(np.int64) & (dim - 1)).astype(np.uint64)
+        res.setflags(write=False)
+        return res
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "phi": [list(map(float, row)) for row in self.phi]}
@@ -172,12 +193,12 @@ def check_general(pm: PhaseMatrix, tol: float = CRITERION_TOL) -> ValidityReport
     low_n = (n + 1) // 2
     low_z, high_z = _signed_vectors(low_n), _signed_vectors(n - low_n)
     phi = pm.phi
-    integral = bool(np.all(phi == np.round(phi)))
+    integral = pm.residues is not None
     if integral:
         # An integer distance d to N/2 is below tol iff d <= k = ceil(tol) - 1,
         # i.e. (s - N/2 + k) mod N <= 2k.  A reach of -1 hits no residue
         # (tol <= 0 or NaN), a reach of N every one (tol > N/2).
-        iphi = phi.astype(np.int64) & (dim - 1)
+        iphi = pm.residues.astype(np.int64)
         if not tol > 0:
             shift, reach = 0, -1
         elif tol > half:
@@ -262,7 +283,10 @@ def phase_dense_raw(pm: PhaseMatrix) -> np.ndarray:
     check_cap("dense", pm.n)
     dim = 1 << pm.n
     bits = bit_table(pm.n)
-    return unit_roots(bits @ pm.phi @ bits.T, dim)  # [y, x]
+    exponent = bits @ pm.phi @ bits.T  # [y, x]
+    if pm.residues is not None:
+        exponent = exponent.astype(np.int64)  # integral: the root table reads it
+    return unit_roots(exponent, dim)
 
 
 def numeric_unitarity_defect(pm: PhaseMatrix) -> float:

@@ -13,7 +13,7 @@ only its target-1 slice.
 
 Every dense route that writes entries w^e / sqrt(N) (the transform
 builders, the raw phase matrix, the coset state) takes them from
-``unit_roots``, which reads integral exponents off one table of N roots.
+``unit_roots``, which reads integer exponents off one table of N roots.
 """
 
 from __future__ import annotations
@@ -44,17 +44,15 @@ def bit_table(n: int) -> np.ndarray:
 def unit_roots(exponent, dim: int) -> np.ndarray:
     """w^e / sqrt(dim) for every exponent e, w = exp(2*pi*1j/dim), dim = 2^n.
 
-    Integral exponents (any sign) index one table of the dim roots, built
+    Integer exponents (any sign) index one table of the dim roots, built
     with the same float expression as the direct route, so each entry is
-    bit-identical to it; any other exponent is reduced mod dim and
-    exponentiated directly.
+    bit-identical to it; float exponents are reduced mod dim and
+    exponentiated directly.  Callers that know their exponents are integral
+    (``PhaseMatrix.residues``) pass them as integers.
     """
     e = np.asarray(exponent)
     if e.dtype.kind == "f":
-        whole = np.rint(e)
-        if not np.array_equal(whole, e):
-            return np.exp(2j * np.pi * np.mod(e, float(dim)) / dim) / np.sqrt(dim)
-        e = whole.astype(np.int64)
+        return np.exp(2j * np.pi * np.mod(e, float(dim)) / dim) / np.sqrt(dim)
     table = np.exp(2j * np.pi * np.arange(dim, dtype=np.float64) / dim) / np.sqrt(dim)
     return table[e & (dim - 1)]
 

@@ -649,6 +649,35 @@ def test_reports_echo_settings(tmp_path):
     assert report["dense_cap"] == 12
 
 
+def test_a_negative_seed_exits_one_where_it_seeds_a_draw(tmp_path):
+    spec_path = write_phi(tmp_path / "phi.json", [[2, 0], [1, 2]])
+    circ = tmp_path / "circ.json"
+    code, _, _ = run_cli("matrix", "--kind", "gqft", "--spec", spec_path,
+                         "--emit-circuit", str(circ))
+    assert code == 0
+    for argv in (
+        ("dhsp", "--n", "3", "--d", "1", "--seed", "-1"),
+        ("simulate", "--spec", str(circ), "--trials", "5", "--seed", "-1"),
+    ):
+        assert run_cli(*argv) == (1, "", "gqt: error: need seed >= 0, got -1\n")
+    # Commands that only echo the seed still run.
+    for argv in (
+        ("matrix", "--kind", "dft", "--n", "2"),
+        ("compare", "--spec", spec_path),
+        ("check-unitary", "--spec", spec_path),
+        ("simulate", "--spec", str(circ)),
+    ):
+        code, out, err = run_cli(*argv, "--seed", "-1")
+        assert (code, err) == (0, "") and json.loads(out)["seed"] == -1
+
+
+def test_a_phase_matrix_too_wide_for_float64_exits_one(tmp_path):
+    spec_path = write_phi(tmp_path / "wide.json", np.zeros((512, 512)))
+    code, out, err = run_cli("check-unitary", "--spec", spec_path)
+    assert (code, out) == (1, "")
+    assert err == "gqt: error: n=512 exceeds 511: the entry bound 4^n overflows float64\n"
+
+
 def test_out_flag_writes_file_instead_of_stdout(tmp_path):
     target = tmp_path / "r.json"
     code, out, _ = run_cli(

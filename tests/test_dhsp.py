@@ -567,6 +567,14 @@ def test_a_shot_count_below_one_is_refused(shots):
         sample_outcomes(inst, phi_from_samples(inst), 1, shots)
 
 
+def test_a_negative_seed_is_refused_by_the_one_generator():
+    with pytest.raises(InputError, match="^need seed >= 0, got -1$"):
+        rng_from_seed(-1)
+    inst = DhspInstance(3, 5, search_perfect_samples(3))
+    with pytest.raises(InputError, match="^need seed >= 0, got -2$"):
+        recover_d(inst, trials=5, rng_seed=-2)
+
+
 def test_sampler_needs_an_integral_triangular_phi():
     n = 3
     inst = DhspInstance(n, 5, (3, 2, 7))
@@ -577,6 +585,33 @@ def test_sampler_needs_an_integral_triangular_phi():
         sample_outcomes(inst, real, 1, 10)
     with pytest.raises(InputError, match="2-wire phase matrix for a 3-wire"):
         sample_outcomes(inst, phi_from_samples(DhspInstance(2, 1, (1, 2))), 1, 10)
+
+
+def test_sample_derived_residues_are_the_shifted_samples_at_the_shift_cap():
+    n = 47
+    inst = DhspInstance(n, 5, samples_random(n, np.random.default_rng(47)))
+    res = phi_from_samples(inst).residues
+    assert np.diag(res).tolist() == [1 << (n - 1)] * n
+    assert not np.triu(res, 1).any()
+    below = [[int(res[j, i]) for i in range(j)] for j in range(n)]
+    assert below == [[inst.shifted_sample(n - j - 1, i) for i in range(j)] for j in range(n)]
+
+
+def test_sampler_refuses_an_upper_cell_within_tol_of_a_multiple_of_n():
+    # A deliberate change: the cell N + 1e-12 passes the triangular check,
+    # but it is no integer, so the phase matrix has no residues and the
+    # sampler refuses it (it used to read only the cells below the diagonal).
+    # The circuit route still runs it.
+    n, dim = 3, 8
+    inst = DhspInstance(n, 5, (3, 2, 7))
+    phi = np.array(phi_from_samples(inst).phi)
+    phi[0, 2] = dim + 1e-12
+    pm = PhaseMatrix(n, phi)
+    assert check_triangular(pm).valid and pm.residues is None
+    with pytest.raises(InputError, match="integral"):
+        sample_outcomes(inst, pm, 1, 10)
+    amps = run_procedure(inst, pm).amps
+    np.testing.assert_allclose(amps, run_procedure(inst).amps, atol=1e-9)
 
 
 @settings(max_examples=30, deadline=None)

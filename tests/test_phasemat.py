@@ -23,6 +23,7 @@ from gqt import (
     normalized_upper,
     numeric_unitarity_defect,
     phase_dense_raw,
+    toeplitz_phi,
     transpose_row_into_column,
     wraparound_distance,
 )
@@ -64,6 +65,46 @@ def test_phase_matrix_json_round_trip():
     np.testing.assert_array_equal(again.phi, pm.phi)
     with pytest.raises(InputError):
         PhaseMatrix.from_json_dict({"n": 2})
+
+
+def test_phase_matrix_refuses_widths_whose_entry_bound_overflows():
+    with pytest.raises(InputError, match="^n=512 exceeds 511: .* overflows float64$"):
+        PhaseMatrix(512, np.zeros((512, 512)))
+    widest = PhaseMatrix(511, np.eye(511) * 2.0**510)
+    assert check_triangular(widest).valid and widest.residues is None
+
+
+def _integral_entries(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Integral float entries below 2^b, b up to 2n, of either sign; the
+    first cells hold -0.0, +-4^n and -1."""
+    b = rng.integers(0, 2 * n, size=(n, n), endpoint=True)
+    top = np.minimum(b, 53)  # an exact float mantissa, then a power of two
+    mantissa = rng.integers(0, np.int64(1) << top).astype(np.float64)
+    phi = np.ldexp(rng.choice([-1.0, 1.0], size=(n, n)) * mantissa, b - top)
+    corners = (-0.0, 4.0**n, -(4.0**n), -1.0)
+    for k, v in enumerate(corners[: n * n]):
+        phi.flat[k] = v
+    return phi
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 47, 54, 63])
+def test_residues_are_the_exact_integer_remainders(n):
+    rng = np.random.default_rng(500 + n)
+    pm = PhaseMatrix(n, _integral_entries(n, rng))
+    dim = 1 << n
+    res = pm.residues
+    assert res.dtype == np.uint64 and not res.flags.writeable
+    assert res.tolist() == [[int(v) % dim for v in row] for row in pm.phi]
+    assert pm.residues is res  # decided once
+    with pytest.raises(ValueError):
+        res[0, 0] = 1
+
+
+def test_residues_are_none_for_a_fraction_and_past_63_wires():
+    assert PhaseMatrix(2, [[2.0, 0.0], [0.5, 2.0]]).residues is None
+    assert PhaseMatrix(3, np.eye(3) * (4.0 + 1e-12)).residues is None
+    assert PhaseMatrix(63, np.eye(63)).residues is not None
+    assert PhaseMatrix(64, np.eye(64)).residues is None
 
 
 def test_wraparound_distance_basics():
@@ -357,6 +398,19 @@ def test_raw_dense_build_obeys_the_dense_cap(monkeypatch):
     monkeypatch.setenv("GQT_DENSE_CAP", "many")
     with pytest.raises(InputError, match="GQT_DENSE_CAP"):
         phase_dense_raw(small)
+
+
+def test_raw_dense_build_peaks_near_twice_its_matrix():
+    # The 16 MiB matrix plus its int64 exponent and masked index; a float
+    # integrality scan beside them peaked at 48 MiB.
+    pm = toeplitz_phi(10)
+    tracemalloc.start()
+    try:
+        phase_dense_raw(pm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 34 << 20
 
 
 def test_validity_report_json_shape():

@@ -87,3 +87,21 @@ def test_malformed_flag_exits_one(name, flag, capsys):
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert f"error: argument {flag}: {complaint}" in err
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_negative_seed_exits_one(name, capsys):
+    assert load(name).main([*TINY[name], "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == f"{name}: error: need seed >= 0, got -1\n"
+
+
+def test_cli_digest_is_deterministic(capsys):
+    digest = load("cli_digest")
+    outputs = []
+    for _ in range(2):
+        assert digest.main(["--max-n", "3"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].out.splitlines()
+    assert lines[-1].startswith("digest ") and len(lines) > 100
+    assert all(line.split()[0] in ("0", "1", "2", "3") for line in lines[:-1])
