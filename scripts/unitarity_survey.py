@@ -24,7 +24,7 @@ import numpy as np
 
 from gqt import PhaseMatrix, check_general, numeric_unitarity_defect
 from gqt.cli import Parser, int_at_least
-from gqt.config import DEFAULT_SEED, rng_from_seed
+from gqt.config import DEFAULT_SEED, check_cap, check_wires, rng_from_seed
 from gqt.errors import GqtError
 from gqt.phasemat import CRITERION_TOL
 
@@ -104,13 +104,21 @@ def main(argv=None) -> int:
 
 
 def run(args) -> int:
+    # Refuse bad input before any pass runs or prints: the wire count, the
+    # seed, and the caps that the random pass consults at n.
+    check_wires(args.n)
+    rng = rng_from_seed(args.seed)
+    if args.samples:
+        check_cap("criterion", args.n)
+        check_cap("dense", args.n)
+
     g = grid_pass(args.grid_max)
     print(
         f"grid pass: {g['valid']}/{g['total']} valid, "
         f"{g['disagreements']} disagreements"
     )
 
-    r = random_pass(args.n, args.samples, rng_from_seed(args.seed))
+    r = random_pass(args.n, args.samples, rng)
     print(
         f"random pass (n={args.n}): {r['valid']}/{r['total']} valid, "
         f"{r['disagreements']} disagreements"

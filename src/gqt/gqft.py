@@ -175,13 +175,20 @@ def toeplitz_phi(n: int) -> PhaseMatrix:
     return PhaseMatrix(n, 2.0 ** (n - 1 - i + j))
 
 
-def dft_dense(n: int) -> DenseUnitary:
-    """The standard DFT: F[y][x] = w^(x*y) / sqrt(N) over integer products."""
+def dft_dense(
+    n: int, near: DenseUnitary | None = None, rows: np.ndarray | None = None
+) -> DenseUnitary:
+    """The standard DFT: F[y][x] = w^(x*y) / sqrt(N) over integer products.
+
+    ``near`` and ``rows`` pass a verified matrix that F should equal (row y
+    against its row ``rows[y]``) to ``DenseUnitary``, which then derives
+    F's check from their distance instead of repeating the exact one.
+    """
     check_wires(n)
     check_cap("dense", n)
     dim = 1 << n
     k = np.arange(dim)
-    return DenseUnitary(n, unit_roots(np.outer(k, k), dim))
+    return DenseUnitary(n, unit_roots(np.outer(k, k), dim), near=near, rows=rows)
 
 
 def dft_circuit(n: int) -> Circuit:

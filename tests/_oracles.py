@@ -27,7 +27,7 @@ from gqt import (
 from gqt.config import check_cap
 from gqt.gqft import _wire_exponents
 from gqt.phasemat import CRITERION_TOL
-from gqt.qstate import bit_table
+from gqt.qstate import _run_in_place, bit_table
 
 _I2 = np.eye(2, dtype=np.complex128)
 
@@ -358,6 +358,17 @@ def fancy_index_circuit(c: Circuit, block: np.ndarray) -> np.ndarray:
     """Run every gate of ``c`` through :func:`fancy_index_gate`."""
     for g in c.gates:
         block = fancy_index_gate(block, g, c.n)
+    return block
+
+
+def one_block_circuit_dense(c: Circuit) -> np.ndarray:
+    """The library kernel run once on the whole 2^n x 2^n identity block.
+
+    This is how ``circuit_to_dense`` built a circuit's matrix before it ran
+    the kernel over column chunks; the chunked build must match it bit for bit.
+    """
+    block = np.eye(1 << c.n, dtype=np.complex128)
+    _run_in_place(block, c)
     return block
 
 

@@ -1,0 +1,187 @@
+"""Unitarity derived from a verified matrix: the bound, its fallback, and compare."""
+
+import io
+import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+import pytest
+
+from gqt import (
+    DenseUnitary,
+    GqftSpec,
+    NotUnitaryError,
+    PhaseMatrix,
+    circuit_to_dense,
+    gqft_circuit,
+    gqft_dense,
+    haar_matrix,
+    toeplitz_phi,
+)
+from gqt import qstate
+from gqt.cli import main as cli_main
+from gqt.config import STATE_TOL
+from gqt.qstate import _defect_bound, _max_abs_diff, _unitarity_defect
+from _oracles import one_block_circuit_dense
+
+# Accepted on the bound; bound above the tolerance but the exact check
+# passes; refused by the exact check.
+EPSILONS = (1e-16, 1e-13, 1e-10, 1e-6)
+
+
+def _random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+def _references(n: int, rng: np.random.Generator) -> dict:
+    return {
+        "random": _random_unitary(1 << n, rng),
+        "haar": haar_matrix(n).p.astype(np.complex128),
+        "toeplitz": gqft_dense(GqftSpec(toeplitz_phi(n))).entries,
+    }
+
+
+def _perturbed(m: np.ndarray, eps: float, rng: np.random.Generator) -> np.ndarray:
+    e = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
+    return m + eps * e / np.max(np.abs(e))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_bound_covers_the_exact_defect(n):
+    # Dims 2..512, three kinds of verified matrix, perturbations 1e-16..1e-6,
+    # against the reference itself and against a row permutation of it.
+    rng = np.random.default_rng(1700 + n)
+    dim = 1 << n
+    for kind, u in _references(n, rng).items():
+        ref = DenseUnitary(n, u)
+        assert ref.defect == _unitarity_defect(u)
+        for eps in EPSILONS:
+            for rows in (None, rng.permutation(dim)):
+                target = u if rows is None else u[rows]
+                b = _perturbed(target, eps, rng)
+                dist = _max_abs_diff(b, u, rows)
+                assert dist == float(np.max(np.abs(b - target)))
+                bound = _defect_bound(ref.defect, dist, dim)
+                exact = _unitarity_defect(b)
+                assert exact <= bound, (kind, eps, rows is None)
+                if exact > STATE_TOL:
+                    with pytest.raises(NotUnitaryError):
+                        DenseUnitary(n, b, near=ref, rows=rows)
+                    continue
+                derived = DenseUnitary(n, b, near=ref, rows=rows)
+                assert derived.distance == dist
+                assert derived.defect == (bound if bound <= STATE_TOL else exact)
+
+
+def test_derived_check_refuses_exactly_what_the_exact_check_refuses():
+    rng = np.random.default_rng(1701)
+    u = _random_unitary(8, rng)
+    ref = DenseUnitary(3, u)
+    for r in range(8):
+        for c in range(8):
+            for shift in (1e-6, 1e-11, complex(math.nan, 0.0)):
+                m = u.copy()
+                m[r, c] += shift
+                try:
+                    DenseUnitary(3, m)
+                except NotUnitaryError as exc:
+                    with pytest.raises(NotUnitaryError) as derived:
+                        DenseUnitary(3, m, near=ref)
+                    assert str(derived.value) == str(exc)
+                else:
+                    DenseUnitary(3, m, near=ref)
+
+
+def test_a_nan_entry_fails_the_derived_check_by_nan():
+    u = np.eye(4, dtype=np.complex128)
+    ref = DenseUnitary(2, u)
+    for rows in (None, np.array([3, 2, 1, 0])):
+        m = u.copy() if rows is None else u[rows]
+        m[3, 2] = math.nan
+        assert math.isnan(_max_abs_diff(m, u, rows))
+        with pytest.raises(NotUnitaryError, match="by nan"):
+            DenseUnitary(2, m, near=ref, rows=rows)
+
+
+@pytest.mark.parametrize("budget_rows", [1, 3, 5, 64])
+def test_row_block_distance_equals_the_one_shot_max(monkeypatch, budget_rows):
+    rng = np.random.default_rng(1702 + budget_rows)
+    for n in (1, 4, 6):
+        dim = 1 << n
+        monkeypatch.setattr(qstate, "_CHUNK_BYTES", 16 * dim * budget_rows)
+        d = _random_unitary(dim, rng)
+        b = _perturbed(d, 1e-9, rng)
+        perm = rng.permutation(dim)
+        assert _max_abs_diff(b, d) == float(np.max(np.abs(b - d)))
+        assert _max_abs_diff(b, d, perm) == float(np.max(np.abs(b - d[perm])))
+
+
+def _run_compare(spec_path) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_main(["compare", "--spec", str(spec_path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _write_phi(path, phi) -> str:
+    path.write_text(json.dumps({"n": len(phi), "phi": [[float(v) for v in r] for r in phi]}))
+    return str(path)
+
+
+TRI3 = [[4, 0, 0], [3, 4, 0], [1, 2, 4]]
+TOEPLITZ3 = [[4, 8, 16], [2, 4, 8], [1, 2, 4]]
+
+
+@pytest.mark.parametrize("phi", [TRI3, TOEPLITZ3])
+@pytest.mark.parametrize(
+    "shift, stderr",
+    [
+        (1e-6, "gqt: validity failure: matrix deviates from unitarity by 7.071e-07\n"),
+        (complex(math.nan, 0.0), "gqt: validity failure: matrix deviates from unitarity by nan\n"),
+    ],
+)
+def test_compare_refuses_a_perturbed_circuit_matrix(tmp_path, monkeypatch, phi, shift, stderr):
+    # stderr is what the exact-check-only compare printed for the same kernel.
+    kernel = qstate._run_in_place
+
+    def shifted(block, c):
+        kernel(block, c)
+        block[0, 0] += shift
+
+    spec_path = _write_phi(tmp_path / "phi.json", phi)
+    want = one_block_circuit_dense(gqft_circuit(GqftSpec(PhaseMatrix(3, phi))))
+    want[0, 0] += shift
+    assert stderr.endswith(f"by {_unitarity_defect(want):.3e}\n")
+    monkeypatch.setattr(qstate, "_run_in_place", shifted)
+    assert _run_compare(spec_path) == (2, "", stderr)
+
+
+def test_compare_runs_the_exact_check_once(tmp_path, monkeypatch):
+    calls = []
+    exact = qstate._unitarity_defect
+
+    def counted(m):
+        calls.append(m.shape[0])
+        return exact(m)
+
+    monkeypatch.setattr(qstate, "_unitarity_defect", counted)
+    for phi in (TRI3, TOEPLITZ3, toeplitz_phi(9).phi):
+        calls.clear()
+        code, out, _ = _run_compare(_write_phi(tmp_path / "phi.json", phi))
+        report = json.loads(out)
+        assert code == 0 and report["pass"] is True
+        assert calls == [1 << report["n"]]
+
+
+def test_compare_reports_the_distance_its_bound_used(tmp_path):
+    n = 9
+    spec = GqftSpec(toeplitz_phi(n))
+    dense = gqft_dense(spec)
+    built = circuit_to_dense(gqft_circuit(spec), near=dense)
+    _, out, _ = _run_compare(_write_phi(tmp_path / "phi.json", toeplitz_phi(n).phi))
+    report = json.loads(out)
+    assert report["max_abs_diff"] == built.distance
+    assert built.distance == float(np.max(np.abs(built.entries - dense.entries)))
+    assert built.defect <= STATE_TOL

@@ -95,6 +95,24 @@ def test_negative_seed_exits_one(name, capsys):
     assert capsys.readouterr().err == f"{name}: error: need seed >= 0, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "flags, code, stderr",
+    [
+        (["--seed", "-1"], 1, "error: need seed >= 0, got -1"),
+        (["--n", "0"], 1, "error: need n >= 1, got 0"),
+        (["--n", "25"], 3, "cap exceeded: n=25 exceeds criterion cap 20"),
+        (["--n", "13"], 3, "cap exceeded: n=13 exceeds dense cap 12"),
+    ],
+)
+def test_survey_refuses_bad_input_before_any_pass(flags, code, stderr, capsys, monkeypatch):
+    # Refused before the grid pass runs, so nothing reaches stdout.
+    monkeypatch.delenv("GQT_DENSE_CAP", raising=False)
+    survey = load("unitarity_survey")
+    assert survey.main(["--grid-max", "3", "--samples", "3", *flags]) == code
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"unitarity_survey: {stderr}\n")
+
+
 def test_cli_digest_is_deterministic(capsys):
     digest = load("cli_digest")
     outputs = []
