@@ -67,7 +67,6 @@ from .qstate import (
     QState,
     Swap,
     apply_circuit,
-    bit_reverse,
     circuit_to_dense,
     measure_all,
 )
@@ -334,6 +333,11 @@ def _cmd_simulate(args) -> tuple[dict, int]:
     return report, 0
 
 
+def _bit_reversed_rows(n: int) -> np.ndarray:
+    """``bit_reverse(y, n)`` for every y in [0, 2^n), as one int64 array."""
+    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) @ (1 << np.arange(n)[::-1])
+
+
 def _cmd_compare(args) -> tuple[dict, int]:
     data = _load_json(args.spec)
     tol = args.tol if args.tol is not None else STATE_TOL
@@ -374,7 +378,7 @@ def _cmd_compare(args) -> tuple[dict, int]:
         )
         # The swaps gather the circuit's rows in bit-reversed order: row y
         # takes row bit_reverse(y, n), exactly as the kernel applies them.
-        rows = np.array([bit_reverse(y, n) for y in range(1 << n)])
+        rows = _bit_reversed_rows(n)
         report["dft_swap_max_abs_diff"] = dft_dense(n, near=built, rows=rows).distance
     passed = diff < tol
     report.update(

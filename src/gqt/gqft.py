@@ -32,6 +32,7 @@ from .qstate import (
     Controlled,
     DenseUnitary,
     Swap,
+    _root_table_error,
     bit_table,
     unit_roots,
 )
@@ -124,15 +125,24 @@ def _wire_exponents(spec: GqftSpec, bits: np.ndarray) -> np.ndarray:
 
 
 def gqft_dense(spec: GqftSpec) -> DenseUnitary:
-    """Materialize the transform; every entry has modulus 1/sqrt(N)."""
+    """Materialize the transform; every entry has modulus 1/sqrt(N).
+
+    An integral phi without row tables has integer exponents, which the root
+    table reads; they are exact, as |E| <= n^2 4^n < 2^53 up to n = 22, past
+    any dense n that fits in memory.  The spec's criterion is then exact in
+    integers, so the exact matrix is unitary and ``DenseUnitary`` certifies
+    its check from the table's error (``within``) instead of forming U^dagger U.
+    """
     n = spec.pm.n
     check_cap("dense", n)
     dim = 1 << n
     bits = bit_table(n)
     exponent = bits @ _wire_exponents(spec, bits)  # [y, x]
+    within = None
     if spec.pm.residues is not None and not spec.row_fns:
         exponent = exponent.astype(np.int64)  # integral: the root table reads it
-    return DenseUnitary(n, unit_roots(exponent, dim))
+        within = _root_table_error(dim)
+    return DenseUnitary(n, unit_roots(exponent, dim), within=within)
 
 
 def gqft_circuit(spec: GqftSpec) -> Circuit:
@@ -183,12 +193,17 @@ def dft_dense(
     ``near`` and ``rows`` pass a verified matrix that F should equal (row y
     against its row ``rows[y]``) to ``DenseUnitary``, which then derives
     F's check from their distance instead of repeating the exact one.
+    Without ``near`` the check is certified from the root table's error, as
+    the exact DFT is unitary.
     """
     check_wires(n)
     check_cap("dense", n)
     dim = 1 << n
     k = np.arange(dim)
-    return DenseUnitary(n, unit_roots(np.outer(k, k), dim), near=near, rows=rows)
+    within = _root_table_error(dim) if near is None else None
+    return DenseUnitary(
+        n, unit_roots(np.outer(k, k), dim), near=near, rows=rows, within=within
+    )
 
 
 def dft_circuit(n: int) -> Circuit:

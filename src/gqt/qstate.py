@@ -14,6 +14,8 @@ only its target-1 slice.
 Every dense route that writes entries w^e / sqrt(N) (the transform
 builders, the raw phase matrix, the coset state) takes them from
 ``unit_roots``, which reads integer exponents off one table of N roots.
+That table's distance to the exact roots (``_root_table_error``) certifies
+the unitarity of a matrix read off it whose exact entries form a unitary.
 """
 
 from __future__ import annotations
@@ -41,6 +43,41 @@ def bit_table(n: int) -> np.ndarray:
     )
 
 
+# Float type of the exact roots that ``_root_table_error`` compares the table
+# against: the 64-bit-mantissa long double on x86-64 Linux.  Where it is no
+# wider than float64 there is no certificate and the exact check runs.
+_WIDE = np.longdouble
+
+
+def _root_table(dim: int) -> np.ndarray:
+    """The dim roots w^k / sqrt(dim), k = 0..dim-1, that integer exponents index."""
+    return np.exp(2j * np.pi * np.arange(dim, dtype=np.float64) / dim) / np.sqrt(dim)
+
+
+def _root_table_error(dim: int) -> float:
+    """A bound on max_k |table[k] - w^k / sqrt(dim)| over ``_root_table(dim)``.
+
+    The exact roots are taken in ``_WIDE`` with unit roundoff u = its eps:
+    the angle is k/dim (exact, dim = 2^n) times 8 arctan(1), within 16 u of
+    2 pi k/dim; cos and sin add an ulp, and the division by sqrt(dim), the
+    subtraction and ``hypot`` a few u more, so the reference is within 32 u
+    of the exact root and 64 u is added to the computed max.  O(dim), and
+    computed on each call.  NaN when ``_WIDE`` is no wider than float64 or
+    the table holds a NaN, so that the caller takes the exact check.
+    """
+    unit = np.finfo(_WIDE).eps
+    if not unit < np.finfo(np.float64).eps:
+        return math.nan
+    table = _root_table(dim)
+    theta = np.arange(dim).astype(_WIDE) / _WIDE(dim) * (8 * np.arctan(_WIDE(1)))
+    scale = np.sqrt(_WIDE(dim))
+    dist = np.hypot(
+        table.real.astype(_WIDE) - np.cos(theta) / scale,
+        table.imag.astype(_WIDE) - np.sin(theta) / scale,
+    )
+    return float(np.max(dist) + 64 * unit)
+
+
 def unit_roots(exponent, dim: int) -> np.ndarray:
     """w^e / sqrt(dim) for every exponent e, w = exp(2*pi*1j/dim), dim = 2^n.
 
@@ -53,8 +90,7 @@ def unit_roots(exponent, dim: int) -> np.ndarray:
     e = np.asarray(exponent)
     if e.dtype.kind == "f":
         return np.exp(2j * np.pi * np.mod(e, float(dim)) / dim) / np.sqrt(dim)
-    table = np.exp(2j * np.pi * np.arange(dim, dtype=np.float64) / dim) / np.sqrt(dim)
-    return table[e & (dim - 1)]
+    return _root_table(dim)[e & (dim - 1)]
 
 
 def _unitarity_defect(m: np.ndarray) -> float:
@@ -360,16 +396,29 @@ class DenseUnitary:
     with the bound as its ``defect``.  Otherwise the exact check runs, so
     ``NotUnitaryError`` is raised in exactly the cases, and with the message,
     of the exact check alone; a NaN makes the bound NaN and takes that path.
+
+    Given ``within`` instead, a bound eps on max |B - M*| for a matrix M*
+    that is unitary in exact arithmetic, the same argument with D = M* has
+    Delta = 0 and no computed check of D, so the check on B would compute
+    at most gamma + 2 sqrt(N) eps + N eps^2, which the bound above with
+    delta = 0 exceeds.  The builders pass it for a matrix read off the root
+    table, B[y][x] = table[e(y, x) mod N] with an exact integer exponent e:
+    then max |B - M*| is at most the table's error ``_root_table_error``,
+    an O(N) quantity, and M* = (w^e / sqrt(N)) is the standard transform or
+    a transform whose integral phi passed the exact integer criterion.  The
+    same fallback applies: a NaN or a bound above ``STATE_TOL`` takes the
+    exact check.
     """
 
     n: int
     entries: np.ndarray
     near: InitVar[DenseUnitary | None] = None
     rows: InitVar[np.ndarray | None] = None
+    within: InitVar[float | None] = None
     defect: float = field(init=False, repr=False, compare=False)
     distance: float | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self, near, rows):
+    def __post_init__(self, near, rows, within):
         dim = 1 << self.n
         entries = np.asarray(self.entries, dtype=np.complex128)
         if entries.shape != (dim, dim):
@@ -381,6 +430,8 @@ class DenseUnitary:
             eps = _max_abs_diff(entries, near.entries, rows)
             object.__setattr__(self, "distance", eps)
             dev = _defect_bound(near.defect, eps, dim)
+        elif within is not None:
+            dev = _defect_bound(0.0, within, dim)
         if not dev <= STATE_TOL:
             dev = _unitarity_defect(entries)
             if not dev <= STATE_TOL:

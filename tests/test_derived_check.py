@@ -159,6 +159,9 @@ def test_compare_refuses_a_perturbed_circuit_matrix(tmp_path, monkeypatch, phi, 
 
 
 def test_compare_runs_the_exact_check_once(tmp_path, monkeypatch):
+    # At most once: an integral phi's formula matrix is certified from the
+    # root table's error and takes no exact check at all; a real phi's takes
+    # exactly one, and every later matrix derives its check from it.
     calls = []
     exact = qstate._unitarity_defect
 
@@ -167,12 +170,13 @@ def test_compare_runs_the_exact_check_once(tmp_path, monkeypatch):
         return exact(m)
 
     monkeypatch.setattr(qstate, "_unitarity_defect", counted)
-    for phi in (TRI3, TOEPLITZ3, toeplitz_phi(9).phi):
+    real_tri3 = [[4, 0, 0], [0.5, 4, 0], [1, 2, 4]]
+    for phi, want in ((TRI3, 0), (TOEPLITZ3, 0), (toeplitz_phi(9).phi, 0), (real_tri3, 1)):
         calls.clear()
         code, out, _ = _run_compare(_write_phi(tmp_path / "phi.json", phi))
         report = json.loads(out)
         assert code == 0 and report["pass"] is True
-        assert calls == [1 << report["n"]]
+        assert calls == [1 << report["n"]] * want
 
 
 def test_compare_reports_the_distance_its_bound_used(tmp_path):
