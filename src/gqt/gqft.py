@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import check_cap, check_wires
 from .errors import CapExceededError, InputError, UnsupportedRegimeError, ValidityError
-from .phasemat import PhaseMatrix, check_general, check_triangular
+from .phasemat import PhaseMatrix, _residue_exponents, check_general, check_triangular
 from .qstate import (
     HADAMARD,
     Circuit,
@@ -127,22 +127,20 @@ def _wire_exponents(spec: GqftSpec, bits: np.ndarray) -> np.ndarray:
 def gqft_dense(spec: GqftSpec) -> DenseUnitary:
     """Materialize the transform; every entry has modulus 1/sqrt(N).
 
-    An integral phi without row tables has integer exponents, which the root
-    table reads; they are exact, as |E| <= n^2 4^n < 2^53 up to n = 22, past
-    any dense n that fits in memory.  The spec's criterion is then exact in
-    integers, so the exact matrix is unitary and ``DenseUnitary`` certifies
-    its check from the table's error (``within``) instead of forming U^dagger U.
+    An integral phi without row tables has integer exponents: the root table
+    reads them mod N off ``_residue_exponents``, one int64 array built in
+    integers.  The spec's criterion is then exact in integers, so the exact
+    matrix is unitary and ``DenseUnitary`` certifies its check from the
+    table's error (``within``) instead of forming U^dagger U.
     """
     n = spec.pm.n
     check_cap("dense", n)
     dim = 1 << n
-    bits = bit_table(n)
-    exponent = bits @ _wire_exponents(spec, bits)  # [y, x]
-    within = None
     if spec.pm.residues is not None and not spec.row_fns:
-        exponent = exponent.astype(np.int64)  # integral: the root table reads it
-        within = _root_table_error(dim)
-    return DenseUnitary(n, unit_roots(exponent, dim), within=within)
+        entries = unit_roots(_residue_exponents(spec.pm), dim, reduced=True)
+        return DenseUnitary(n, entries, within=_root_table_error(dim))
+    bits = bit_table(n)
+    return DenseUnitary(n, unit_roots(bits @ _wire_exponents(spec, bits), dim))
 
 
 def gqft_circuit(spec: GqftSpec) -> Circuit:
@@ -200,10 +198,12 @@ def dft_dense(
     check_cap("dense", n)
     dim = 1 << n
     k = np.arange(dim)
+    exponent = np.outer(k, k)
+    np.bitwise_and(exponent, dim - 1, out=exponent)
+    entries = unit_roots(exponent, dim, reduced=True)
+    del exponent
     within = _root_table_error(dim) if near is None else None
-    return DenseUnitary(
-        n, unit_roots(np.outer(k, k), dim), near=near, rows=rows, within=within
-    )
+    return DenseUnitary(n, entries, near=near, rows=rows, within=within)
 
 
 def dft_circuit(n: int) -> Circuit:

@@ -282,11 +282,38 @@ def phase_dense_raw(pm: PhaseMatrix) -> np.ndarray:
     """
     check_cap("dense", pm.n)
     dim = 1 << pm.n
-    bits = bit_table(pm.n)
-    exponent = bits @ pm.phi @ bits.T  # [y, x]
     if pm.residues is not None:
-        exponent = exponent.astype(np.int64)  # integral: the root table reads it
-    return unit_roots(exponent, dim)
+        return unit_roots(_residue_exponents(pm), dim, reduced=True)
+    bits = bit_table(pm.n)
+    return unit_roots(bits @ pm.phi @ bits.T, dim)
+
+
+def _doubled_sums(terms: np.ndarray, mask: int) -> np.ndarray:
+    """S[r] = (sum_i r_i * terms[i]) & mask for every r < 2^m, terms (m, w) int64.
+
+    Built by doubling: rows 2^i .. 2^(i+1)-1 are rows 0 .. 2^i-1 plus
+    terms[i], masked in place, so every row is reduced as it is written.
+    """
+    out = np.empty((1 << terms.shape[0], terms.shape[1]), dtype=np.int64)
+    out[0] = 0
+    for i, term in enumerate(terms):
+        half = out[1 << i : 2 << i]
+        np.add(out[: 1 << i], term, out=half)
+        np.bitwise_and(half, mask, out=half)
+    return out
+
+
+def _residue_exponents(pm: PhaseMatrix) -> np.ndarray:
+    """E[y, x] = (y . phi . x) mod N as one int64 (N, N) array, for an integral phi.
+
+    From ``pm.residues`` in integers, with no float product or BLAS call:
+    first W[x, i] = sum_j phi[i][j] x_j, then E[y] = sum_i y_i W[:, i], both
+    mod N by ``_doubled_sums``.  Every sum stays below 2N, so E equals the
+    exact exponent mod N.
+    """
+    mask = pm.modulus - 1
+    w = _doubled_sums(pm.residues.T.astype(np.int64), mask)  # [x, i]
+    return _doubled_sums(w.T, mask)
 
 
 def numeric_unitarity_defect(pm: PhaseMatrix) -> float:

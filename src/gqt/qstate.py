@@ -11,6 +11,14 @@ which each gate touches only the slices its qubits select; a diagonal
 diag(1, u11) gate, such as every phase gate of a transform circuit, scales
 only its target-1 slice.
 
+A transform circuit mixes each wire once, with an uncontrolled gate, so each
+column of its dense matrix is a product state whose support doubles per
+wire.  ``circuit_to_dense`` grows such columns from that support with the
+kernel's own products, and skips the structural zeros the kernel would add.
+That can only flip the sign of an exact zero, where a product part is -0;
+such columns are marked as they grow and rebuilt by the kernel, so the
+matrix stays bit-identical to a whole-block kernel run.
+
 Every dense route that writes entries w^e / sqrt(N) (the transform
 builders, the raw phase matrix, the coset state) takes them from
 ``unit_roots``, which reads integer exponents off one table of N roots.
@@ -78,19 +86,20 @@ def _root_table_error(dim: int) -> float:
     return float(np.max(dist) + 64 * unit)
 
 
-def unit_roots(exponent, dim: int) -> np.ndarray:
+def unit_roots(exponent, dim: int, reduced: bool = False) -> np.ndarray:
     """w^e / sqrt(dim) for every exponent e, w = exp(2*pi*1j/dim), dim = 2^n.
 
     Integer exponents (any sign) index one table of the dim roots, built
     with the same float expression as the direct route, so each entry is
     bit-identical to it; float exponents are reduced mod dim and
     exponentiated directly.  Callers that know their exponents are integral
-    (``PhaseMatrix.residues``) pass them as integers.
+    (``PhaseMatrix.residues``) pass them as integers, and with ``reduced``
+    when they already lie in [0, dim), which skips the masked copy.
     """
     e = np.asarray(exponent)
     if e.dtype.kind == "f":
         return np.exp(2j * np.pi * np.mod(e, float(dim)) / dim) / np.sqrt(dim)
-    return _root_table(dim)[e & (dim - 1)]
+    return _root_table(dim)[e if reduced else e & (dim - 1)]
 
 
 def _unitarity_defect(m: np.ndarray) -> float:
@@ -270,41 +279,67 @@ def _run_in_place(block: np.ndarray, c: Circuit) -> None:
     """
     view = block.reshape((2,) * c.n + block.shape[1:])
     assert np.shares_memory(view, block), "reshape copied; in-place gates would be lost"
+    axes = range(c.n - 1, -1, -1)
     for g in c.gates:
-        _apply_gate_inplace(view, g, c.n)
+        _apply_gate_inplace(view, g, axes)
 
 
-def _apply_gate_inplace(view: np.ndarray, g: Gate, n: int) -> None:
-    """Apply a Circuit-checked gate in place to the qubit view of a block.
+def _is_phase(u: np.ndarray) -> bool:
+    """Whether a 2x2 gate is exactly diag(1, u11), as every transform phase gate is."""
+    return u[0, 0] == 1 and u[0, 1] == 0 and u[1, 0] == 0
+
+
+def _apply_gate_inplace(view: np.ndarray, g: Gate, axes, held=None) -> None:
+    """Apply a Circuit-checked gate in place to an array of amplitudes.
+
+    Qubit q's bit is axis ``axes[q]`` of ``view``, except for a qubit in
+    ``held`` (a mapping qubit -> bit), which holds that one bit over the
+    whole view: a control on its other bit leaves the view as it is, and a
+    diag(1, u11) gate on it scales all of the view or none.  A swap, and a
+    gate that is not diag(1, u11), need their qubits on axes.
 
     A 2x2 gate computes u00*a0 + u01*a1 and u10*a0 + u11*a1, the float
     operations of the fancy-index reference kernel in the tests.  A gate
-    that is exactly diag(1, u11) only writes u11*a1 into the target-1 slice:
-    every nonzero amplitude part keeps its bits, but an exact zero keeps the
-    sign of the product instead of that of the sum with 0*a0.  The slice is
-    written by assignment: an in-place ``*=`` is not bit-identical to this
-    product (seen on NumPy 2.4).
+    that is exactly diag(1, u11) only computes u11*a1 in place in the
+    target-1 slice: every nonzero amplitude part keeps its bits, but an
+    exact zero keeps the sign of the product instead of that of the sum with
+    0*a0.  Every product is taken scalar first, ``np.multiply(u, a)``, which
+    gives the same bits at any stride and into any ``out``; ``a *= u`` does
+    not, nor does ``out=a`` on a one-element ``a``, which NumPy 2.4 runs
+    through an unfused scalar loop (seen with FMA on AVX-512).
     """
+    held = held or {}
     sel = [slice(None)] * view.ndim
     if isinstance(g, Swap):
-        sel[n - 1 - g.a], sel[n - 1 - g.b] = slice(0, 1), slice(1, 2)
+        sel[axes[g.a]], sel[axes[g.b]] = slice(0, 1), slice(1, 2)
         a = view[tuple(sel)]
-        sel[n - 1 - g.a], sel[n - 1 - g.b] = slice(1, 2), slice(0, 1)
+        sel[axes[g.a]], sel[axes[g.b]] = slice(1, 2), slice(0, 1)
         b = view[tuple(sel)]
-        held = a.copy()
+        saved = a.copy()
         a[...] = b
-        b[...] = held
+        b[...] = saved
         return
     for q, bit in g.controls:
-        sel[n - 1 - q] = slice(bit, bit + 1)
-    sel[n - 1 - g.target] = slice(0, 1)
-    a0 = view[tuple(sel)]
-    sel[n - 1 - g.target] = slice(1, 2)
-    a1 = view[tuple(sel)]
+        if q not in held:
+            sel[axes[q]] = slice(bit, bit + 1)
+        elif held[q] != bit:
+            return
     u = g.u
-    if u[0, 0] == 1 and u[0, 1] == 0 and u[1, 0] == 0:  # diag(1, u11): a0 stays
-        a1[...] = u[1, 1] * a1
+    if _is_phase(u):  # a0 stays
+        if g.target not in held:
+            sel[axes[g.target]] = slice(1, 2)
+        elif not held[g.target]:
+            return
+        a1 = view[tuple(sel)]
+        if a1.size > 1:
+            np.multiply(u[1, 1], a1, out=a1)
+        else:  # in place on one element NumPy takes an unfused loop
+            a1[...] = u[1, 1] * a1
         return
+    sel[axes[g.target]] = slice(0, 1)
+    a0 = view[tuple(sel)]
+    sel[axes[g.target]] = slice(1, 2)
+    a1 = view[tuple(sel)]
     new0 = u[0, 0] * a0 + u[0, 1] * a1
     a1[...] = u[1, 0] * a0 + u[1, 1] * a1
     a0[...] = new0
@@ -440,30 +475,180 @@ class DenseUnitary:
         object.__setattr__(self, "entries", _locked(entries))
 
 
+def _growth_length(c: Circuit) -> int | None:
+    """How many leading gates of ``c`` a column chunk grows through, or None.
+
+    A wire is mixed once a gate other than diag(1, u11) has acted on it; a
+    swap carries that state with the wires.  A circuit grows when each such
+    gate is uncontrolled and lands on a wire not yet mixed, up to the gate
+    that mixes the last wire, whose index + 1 is returned.  Decided on the
+    gate list alone, before any amplitude is computed.
+    """
+    mixed = [False] * c.n
+    left = c.n
+    for i, g in enumerate(c.gates):
+        if isinstance(g, Swap):
+            mixed[g.a], mixed[g.b] = mixed[g.b], mixed[g.a]
+        elif not _is_phase(g.u):
+            if g.controls or mixed[g.target]:
+                return None
+            mixed[g.target] = True
+            left -= 1
+            if not left:
+                return i + 1
+    return None
+
+
+def _mix(t: np.ndarray, u: np.ndarray, axis, bit, out: np.ndarray) -> None:
+    """Grow ``t`` by a gate u on a wire that still holds its column's bit x.
+
+    Writes out[y] = u[y, x] * t for the wire's row bit y, where x runs over
+    column axis ``axis`` of t or, if that is None, is ``bit`` over all of t.
+    These are the kernel's products with the structural zero half of the
+    column dropped.
+    """
+    if axis is None:
+        for y in (0, 1):
+            np.multiply(u[y, bit], t, out=out[y])
+        return
+    sel = [slice(None)] * t.ndim
+    for x in (0, 1):
+        sel[axis] = slice(x, x + 1)
+        half = tuple(sel)
+        for y in (0, 1):
+            np.multiply(u[y, x], t[half], out=out[y][half])
+
+
+_NEG_ZERO = np.uint64(1 << 63)
+
+
+def _mark_negative_zeros(marked: np.ndarray, a: np.ndarray) -> None:
+    """Set ``marked`` (one flag per trailing column of contiguous ``a``) where
+    that column holds a -0 part."""
+    hit = a.reshape(-1, marked.size).view(np.uint64) == _NEG_ZERO
+    if hit.any():
+        marked |= hit.any(axis=0).reshape(marked.size, 2).any(axis=1)
+
+
+def _grow_chunk(chunk: np.ndarray, spare: np.ndarray, gates: tuple, j: int) -> np.ndarray:
+    """Write into ``chunk`` columns j, j+1, ... of ``gates`` run on the identity.
+
+    ``chunk`` is a contiguous (2^n, w) block, w a power of two and j a
+    multiple of w, ``spare`` a flat complex array of half its size, and
+    ``gates`` a circuit's growth prefix (``_growth_length``).  Column x
+    starts as one amplitude 1 and, while a wire is unmixed, that wire's row
+    bit is a bit of x: so the chunk is a tensor t with one axis per column
+    bit that varies over it (bit c at axis -2-c) and a last axis of length
+    1, plus one leading axis per mixed wire.  ``axes[q]`` is the axis wire
+    q's bit lives on, and ``held[q]`` the bit of an unmixed wire tied to a
+    column bit that is fixed over the chunk.  A swap exchanges two wires'
+    entries, a diag(1, u11) gate runs through the kernel on t, and a mixing
+    gate grows t by ``_mix``, into ``spare`` and the front of ``chunk`` by
+    turns; the last one writes the dense chunk over all of ``chunk``.
+
+    The kernel computes each grown entry as such a product plus one with a
+    structural zero, which is the product itself unless a part of the
+    product is -0 and the zero +0.  Returned: the columns in which some
+    product held a -0 part, whose bits the kernel may not share; every
+    other column is bit-identical to the kernel's.
+    """
+    n = chunk.shape[0].bit_length() - 1
+    width = chunk.shape[1]
+    k = width.bit_length() - 1
+    t = np.ones((2,) * k + (1,), dtype=np.complex128)
+    axes = [-2 - q if q < k else None for q in range(n)]
+    held = {q: (j >> q) & 1 for q in range(k, n)}
+    marked = np.zeros(width, dtype=bool)
+    pools = (chunk.reshape(-1), spare)  # t with an even / odd count of wires left
+    left = n
+    for g in gates:
+        if isinstance(g, Swap):
+            axes[g.a], axes[g.b] = axes[g.b], axes[g.a]
+            held.update({b: held.pop(a) for a, b in ((g.a, g.b), (g.b, g.a)) if a in held})
+        elif _is_phase(g.u):
+            _apply_gate_inplace(t, g, axes, held)
+        else:
+            axis, bit = axes[g.target], held.pop(g.target, None)
+            axes[g.target] = -1 - t.ndim
+            left -= 1
+            if left:
+                grown = pools[left % 2][: 2 * t.size].reshape((2,) + t.shape)
+                _mix(t, g.u, axis, bit, grown)
+                t = grown
+                _mark_negative_zeros(marked, t)
+                continue
+            # every wire is mixed: lay t's axes over the chunk's (2,)*n view
+            order = list(range(n + k + 1))
+            for q in range(n):
+                order[axes[q] + n + k + 1] = n - 1 - q
+            _mix(t, g.u, axis, bit, chunk.reshape((2,) * (n + k) + (1,)).transpose(order))
+            _mark_negative_zeros(marked, chunk)
+    return marked
+
+
+def _kernel_columns(block: np.ndarray, cols, c: Circuit) -> None:
+    """Overwrite ``block`` ((2^n, m)) with ``c`` run on identity columns ``cols``."""
+    block[...] = 0.0
+    block[cols, np.arange(block.shape[1])] = 1.0
+    _run_in_place(block, c)
+
+
+def _kernel_columns_into(out: np.ndarray, cols: np.ndarray, c: Circuit) -> None:
+    """Overwrite columns ``cols`` of ``out`` with ``c`` run on them, in one block."""
+    block = np.empty((out.shape[0], cols.size), dtype=np.complex128)
+    _kernel_columns(block, cols, c)
+    out[:, cols] = block
+
+
 def circuit_to_dense(c: Circuit, near: DenseUnitary | None = None) -> DenseUnitary:
     """Materialize a circuit: column x of the result is the circuit run on |x>.
 
-    The kernel runs on column chunks of the identity (``_CHUNK_BYTES``) in
-    one contiguous buffer, each copied into its column slice of the result:
-    a column slice of the result itself puts each row's few entries 2^n * 16
-    bytes apart, where they share cache sets.  When one chunk holds every
-    column the buffer is the result and the copy is a no-op.  Each column
-    sees the same float operations as in one whole-block run, so the entries
-    are bit-identical to it.  ``near`` is passed on to ``DenseUnitary``.
+    The columns are built in chunks (``_CHUNK_BYTES``) in one contiguous
+    buffer, each copied into its column slice of the result: a column slice
+    of the result itself puts each row's few entries 2^n * 16 bytes apart,
+    where they share cache sets.  When one chunk holds every column the
+    buffer is the result and the copy is a no-op.
+
+    A circuit whose mixing gates are uncontrolled and land each on a fresh
+    wire, as a transform circuit's Hadamards do (``_growth_length``), has
+    product-state columns.  Each chunk is then grown from the support of
+    its identity columns (``_grow_chunk``): a wire's gates touch only its
+    column's nonzero amplitudes, and the kernel runs only the gates left
+    once every wire is mixed (a DFT circuit's swaps).  Chunks are then
+    aligned power-of-two column ranges.  Columns in which growth met a -0
+    product part are rebuilt by the kernel from their identity columns, in
+    blocks of at most a chunk.  Any other circuit runs the kernel on each
+    chunk of the identity.
+
+    Each column sees the same float operations as in one whole-block kernel
+    run, or operations with the same result, so the entries are
+    bit-identical to it.  ``near`` is passed on to ``DenseUnitary``.
     """
     check_cap("dense", c.n)
     dim = 1 << c.n
     width = min(dim, max(1, _CHUNK_BYTES // (16 * dim)))
+    grow = _growth_length(c)
+    if grow is not None:
+        width = 1 << (width.bit_length() - 1)
+        rest = Circuit(c.n, c.gates[grow:])
+        marked = np.zeros(dim, dtype=bool)
+        spare = np.empty(dim * width // 2, dtype=np.complex128)
     out = np.empty((dim, dim), dtype=np.complex128)
     buf = out if width == dim else np.empty((dim, width), dtype=np.complex128)
     for j in range(0, dim, width):
         chunk = buf[:, : min(width, dim - j)]
-        k = np.arange(chunk.shape[1])
-        chunk[...] = 0.0
-        chunk[j + k, k] = 1.0
-        _run_in_place(chunk, c)
+        if grow is None:
+            _kernel_columns(chunk, j + np.arange(chunk.shape[1]), c)
+        else:
+            marked[j : j + width] = _grow_chunk(chunk, spare, c.gates[:grow], j)
+            _run_in_place(chunk, rest)
         out[:, j : j + chunk.shape[1]] = chunk
     del buf, chunk  # the exact check below needs that memory
+    if grow is not None:
+        del spare
+        cols = np.flatnonzero(marked)
+        for i in range(0, cols.size, width):
+            _kernel_columns_into(out, cols[i : i + width], c)
     return DenseUnitary(c.n, out, near=near)
 
 

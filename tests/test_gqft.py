@@ -1,5 +1,7 @@
 """Phase-matrix Fourier transforms: dense formula, circuits, special cases."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from gqt import (
     dft_dense,
     gqft_circuit,
     gqft_dense,
+    phase_dense_raw,
     toeplitz_phi,
 )
 
@@ -277,3 +280,24 @@ def test_property_triangular_specs_build_unitaries_matching_circuits(n, seed):
     dense = gqft_dense(spec).entries  # DenseUnitary construction checks unitarity
     lifted = circuit_to_dense(gqft_circuit(spec)).entries
     assert np.max(np.abs(lifted - dense)) < 1e-9
+
+
+@pytest.mark.parametrize("build", ["gqft_dense", "phase_dense_raw", "dft_dense"])
+def test_integral_dense_builds_hold_only_the_result_and_one_index_array(build):
+    # At n=10 the result takes 16 MiB and the int64 exponents 8 MiB.  A float
+    # exponent, its int64 copy and the masked index took 32 MiB or more.
+    n = 10
+    spec = GqftSpec(toeplitz_phi(n))
+    run = {
+        "gqft_dense": lambda: gqft_dense(spec).entries,
+        "phase_dense_raw": lambda: phase_dense_raw(spec.pm),
+        "dft_dense": lambda: dft_dense(n).entries,
+    }[build]
+    tracemalloc.start()
+    try:
+        m = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.nbytes == 16 << 20
+    assert peak <= 25 << 20

@@ -1,0 +1,225 @@
+"""Transform-circuit matrices grown from the support of each identity column.
+
+A circuit whose mixing gates are uncontrolled and each land on a fresh wire
+is built by ``_grow_chunk``; its matrix must equal the one-block kernel run
+bit for bit, including the columns rebuilt after a -0 product part.
+"""
+
+import numpy as np
+import pytest
+
+from gqt import (
+    HADAMARD,
+    HADAMARD_FIRST,
+    ROTATION_FIRST,
+    Circuit,
+    Controlled,
+    GqftSpec,
+    PhaseMatrix,
+    Swap,
+    circuit_to_dense,
+    dft_circuit,
+    gqft_circuit,
+    gqft_dense,
+    haar_inverse_circuit,
+    rot1_circuit,
+    rot2_circuit,
+    toeplitz_phi,
+)
+from gqt import qstate
+from _oracles import (
+    one_block_circuit_dense,
+    random_rot_spec,
+    random_triangular_phi,
+    random_unitary2,
+)
+
+X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+
+
+def _assert_bit_identical(got: np.ndarray, want: np.ndarray, label) -> None:
+    assert got.shape == want.shape, label
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), label
+
+
+def _row_table_spec(n: int, rng: np.random.Generator) -> GqftSpec:
+    """A random triangular spec with a row table on the top wire (n >= 3)."""
+    table = {
+        tuple(int(b) for b in rng.integers(0, 2, size=n - 1)): float(rng.uniform(0, 1 << n))
+        for _ in range(n)
+    }
+    return GqftSpec(random_triangular_phi(n, rng), row_fns={n - 1: table})
+
+
+def _zero_lower_phi(n: int, rng: np.random.Generator) -> PhaseMatrix:
+    """A triangular integral phi with some lower entries = 0 mod N: identity phase gates."""
+    dim = 1 << n
+    phi = np.triu(dim * rng.integers(-1, 2, size=(n, n)), 1).astype(np.float64)
+    lower = rng.integers(0, dim, size=(n, n)) * (rng.random((n, n)) < 0.5)
+    phi += np.tril(lower + dim * rng.integers(-1, 2, size=(n, n)), -1)
+    phi[1, 0] = dim * int(rng.integers(-1, 2))  # at least one cell = 0 mod N
+    np.fill_diagonal(phi, dim / 2)
+    return PhaseMatrix(n, phi)
+
+
+def _phase(theta: float) -> np.ndarray:
+    return np.diag([1.0, np.exp(1j * theta)]).astype(np.complex128)
+
+
+def _synthetic_circuit(n: int, rng: np.random.Generator) -> Circuit:
+    """A growing circuit with swaps and phase gates before, between and after
+    the mixing gates, and any gate once every wire is mixed.
+
+    Mixing gates are Hadamards, random 2x2 unitaries or X (whose zero entries
+    make -0 products); phase gates take random targets and 0/1 controls,
+    some with u11 = 1.
+    """
+    mixed = [False] * n
+    gates: list = []
+
+    def phase_gate():
+        chosen = rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False)
+        controls = tuple((int(q), int(rng.integers(0, 2))) for q in chosen[1:])
+        theta = 0.0 if rng.random() < 0.2 else float(rng.uniform(0, 2 * np.pi))
+        return Controlled(controls, int(chosen[0]), _phase(theta))
+
+    while not all(mixed):
+        for _ in range(int(rng.integers(0, 3))):
+            if n > 1 and rng.random() < 0.4:
+                a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+                gates.append(Swap(a, b))
+                mixed[a], mixed[b] = mixed[b], mixed[a]
+            else:
+                gates.append(phase_gate())
+        target = int(rng.choice([q for q in range(n) if not mixed[q]]))
+        u = (HADAMARD, random_unitary2(rng), X)[int(rng.integers(0, 3))]
+        gates.append(Controlled((), target, u))
+        mixed[target] = True
+    for _ in range(int(rng.integers(0, 4))):
+        if n > 1 and rng.random() < 0.5:
+            a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+            gates.append(Swap(a, b))
+        elif n > 1:
+            t, q = (int(v) for v in rng.choice(n, size=2, replace=False))
+            gates.append(Controlled(((q, int(rng.integers(0, 2))),), t, random_unitary2(rng)))
+        else:
+            gates.append(phase_gate())
+    c = Circuit(n, tuple(gates))
+    assert qstate._growth_length(c) is not None
+    return c
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_grown_transform_circuits_are_bit_identical_to_one_block(n):
+    # From n = 9 on the chunks are narrower than 2^n: high column bits are
+    # held fixed over a chunk.
+    rng = np.random.default_rng(2000 + n)
+    circuits = {
+        "toeplitz": gqft_circuit(GqftSpec(toeplitz_phi(n))),
+        "triangular": gqft_circuit(GqftSpec(random_triangular_phi(n, rng))),
+        "dft": dft_circuit(n),
+    }
+    if n >= 3:
+        circuits["row_table"] = gqft_circuit(_row_table_spec(n, rng))
+    for name, c in circuits.items():
+        assert qstate._growth_length(c) is not None, name
+        _assert_bit_identical(circuit_to_dense(c).entries, one_block_circuit_dense(c), (name, n))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_zero_phase_cells_force_column_rebuilds_and_stay_bit_identical(n, monkeypatch):
+    rng = np.random.default_rng(2100 + n)
+    rebuilt = []
+    kernel_columns_into = qstate._kernel_columns_into
+
+    def counted(out, cols, c):
+        rebuilt.append(cols.size)
+        kernel_columns_into(out, cols, c)
+
+    monkeypatch.setattr(qstate, "_kernel_columns_into", counted)
+    for _ in range(3):
+        spec = GqftSpec(_zero_lower_phi(n, rng))
+        c = gqft_circuit(spec)
+        got = circuit_to_dense(c, near=gqft_dense(spec)).entries
+        _assert_bit_identical(got, one_block_circuit_dense(c), n)
+    assert sum(rebuilt) > 0
+
+
+def test_the_rebuild_mends_a_sign_of_zero_that_growth_alone_gets_wrong(monkeypatch):
+    # Without the rebuild some marked column differs from the kernel's run:
+    # so the -0 certificate is needed, not merely conservative.
+    rng = np.random.default_rng(2200)
+    monkeypatch.setattr(qstate, "_kernel_columns_into", lambda out, cols, c: None)
+    differs = 0
+    for n in range(2, 8):
+        for _ in range(3):
+            c = gqft_circuit(GqftSpec(_zero_lower_phi(n, rng)))
+            got, want = circuit_to_dense(c).entries, one_block_circuit_dense(c)
+            differs += not np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(got, want)  # only signs of zeros may differ
+    assert differs > 0
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_synthetic_growing_circuits_are_bit_identical_to_one_block(n):
+    rng = np.random.default_rng(2300 + n)
+    for _ in range(4 if n <= 8 else 1):
+        c = _synthetic_circuit(n, rng)
+        _assert_bit_identical(circuit_to_dense(c).entries, one_block_circuit_dense(c), n)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 6])
+def test_narrow_chunks_hold_column_bits_and_stay_bit_identical(monkeypatch, width):
+    # A budget of `width` columns is taken down to a power of two for a
+    # growing circuit; every column bit above it is held over a chunk.
+    rng = np.random.default_rng(2400 + width)
+    for n in (3, 4, 6):
+        monkeypatch.setattr(qstate, "_CHUNK_BYTES", 16 * (1 << n) * width)
+        circuits = [_synthetic_circuit(n, rng) for _ in range(3)]
+        circuits += [dft_circuit(n), gqft_circuit(GqftSpec(_zero_lower_phi(n, rng)))]
+        for c in circuits:
+            _assert_bit_identical(circuit_to_dense(c).entries, one_block_circuit_dense(c), (n, width))
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    original = getattr(qstate, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(qstate, name, counted)
+    return calls
+
+
+def test_non_growing_circuits_take_the_kernel_with_no_growth_attempt(monkeypatch):
+    rng = np.random.default_rng(2500)
+    grown = _count_calls(monkeypatch, "_grow_chunk")
+    n = 6
+    circuits = {
+        "rot1": rot1_circuit(random_rot_spec(n, HADAMARD_FIRST, rng)),
+        "rot2": rot2_circuit(random_rot_spec(n, ROTATION_FIRST, rng)),
+        "haar_inverse": haar_inverse_circuit(n, 2),
+        "controlled_mixing": Circuit(2, (Controlled(((0, 1),), 1, HADAMARD), Controlled((), 0, HADAMARD))),
+        "mixed_twice": Circuit(2, (Controlled((), 0, HADAMARD), Controlled((), 0, HADAMARD))),
+        "wire_never_mixed": Circuit(3, (Controlled((), 0, HADAMARD), Controlled((), 2, HADAMARD))),
+        "no_gates": Circuit(2, ()),
+    }
+    for name, c in circuits.items():
+        assert qstate._growth_length(c) is None, name
+        kernel = _count_calls(monkeypatch, "_run_in_place")
+        _assert_bit_identical(circuit_to_dense(c).entries, one_block_circuit_dense(c), name)
+        assert [args[1] is c for args in kernel] == [True], name
+    assert grown == []
+
+
+def test_toeplitz_build_runs_no_transform_gate_through_the_kernel(monkeypatch):
+    n = 8
+    c = gqft_circuit(GqftSpec(toeplitz_phi(n)))
+    assert qstate._growth_length(c) == c.gate_count
+    grown = _count_calls(monkeypatch, "_grow_chunk")
+    kernel = _count_calls(monkeypatch, "_run_in_place")
+    circuit_to_dense(c)
+    assert len(grown) == 1  # one chunk holds all 2^8 columns
+    assert [args[1].gate_count for args in kernel] == [0]

@@ -45,7 +45,7 @@ from gqt import (
     unit_roots,
 )
 
-from gqt.qstate import _gate_defect, _unitarity_defect
+from gqt.qstate import _gate_defect, _run_in_place, _unitarity_defect
 
 from _oracles import (
     circuit_dense_kron,
@@ -336,6 +336,26 @@ def test_diagonal_gate_on_an_exact_zero_keeps_the_product_sign():
     assert not np.any(np.signbit(amps.imag))
     assert amps[1] == 0 and amps[3] == 0
     assert_nonzero_bits_equal(amps, fancy_index_circuit(c, np.array(start.amps)))
+
+
+@pytest.mark.parametrize("target", [0, 7, 15])
+def test_diagonal_gate_scales_its_slice_in_place(target):
+    # The target-1 slice of 2^16 amplitudes takes 512 KiB.  The product is
+    # written where the slice lies: a strided slice may cost NumPy's two
+    # iteration buffers of 8192 amplitudes, never a slice-sized product.
+    n = 16
+    u = np.diag([1.0, np.exp(0.3j)]).astype(np.complex128)
+    c = Circuit(n, (Controlled((), target, u),))
+    amps = np.full(1 << n, 1.0 / 256, dtype=np.complex128)
+    want = fancy_index_circuit(c, amps.copy())
+    tracemalloc.start()
+    try:
+        _run_in_place(amps, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert_nonzero_bits_equal(amps, want)
+    assert peak < 512 << 10
 
 
 def random_integral_phi(n: int, rng: np.random.Generator) -> PhaseMatrix:
