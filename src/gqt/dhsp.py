@@ -39,7 +39,7 @@ import numpy as np
 from .config import check_cap, check_wires
 from .errors import InputError, ValidityError
 from .gqft import GqftSpec, gqft_circuit
-from .phasemat import PhaseMatrix, check_triangular
+from .phasemat import PhaseMatrix, _doubled_sums, check_triangular
 from .qstate import QState, _shot_draws, apply_circuit, bit_reverse, unit_roots
 
 
@@ -81,11 +81,9 @@ def coset_state(inst: DhspInstance) -> QState:
     n = inst.n
     check_cap("state", n)
     dim = 1 << n
-    idx = np.arange(dim)
-    zx = np.zeros(dim, dtype=np.int64)
-    for i, v in enumerate(inst.z):
-        zx += (v % dim) * ((idx >> i) & 1)
-    return QState(n, unit_roots(zx, dim))
+    z = np.array([[v % dim] for v in inst.z], dtype=np.int64)
+    zx = _doubled_sums(z, dim - 1)[:, 0]  # (z . x) mod N for every x
+    return QState(n, unit_roots(zx, dim, reduced=True))
 
 
 def phi_from_samples(inst: DhspInstance) -> PhaseMatrix:

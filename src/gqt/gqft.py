@@ -14,6 +14,10 @@ by a phase, so it is the phi entry phi[i][j] = f1 - f0.
 For triangular-regime specs the transform factorizes per output wire, which
 yields the circuit: process wires from highest to lowest, Hadamard first,
 then diagonal phase gates controlled on the still-unconsumed lower wires.
+
+The standard DFT is the transform of phi[i][j] = 2^(i+j), as y * x =
+sum_ij y_i x_j 2^(i+j); like every integral phi without row tables, it is
+built by ``phase_dense_raw`` and certified from the root table.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from .config import check_cap, check_wires
 from .errors import CapExceededError, InputError, UnsupportedRegimeError, ValidityError
-from .phasemat import PhaseMatrix, _residue_exponents, check_general, check_triangular
+from .phasemat import PhaseMatrix, check_general, check_triangular, phase_dense_raw
 from .qstate import (
     HADAMARD,
     Circuit,
@@ -127,18 +131,17 @@ def _wire_exponents(spec: GqftSpec, bits: np.ndarray) -> np.ndarray:
 def gqft_dense(spec: GqftSpec) -> DenseUnitary:
     """Materialize the transform; every entry has modulus 1/sqrt(N).
 
-    An integral phi without row tables has integer exponents: the root table
-    reads them mod N off ``_residue_exponents``, one int64 array built in
-    integers.  The spec's criterion is then exact in integers, so the exact
-    matrix is unitary and ``DenseUnitary`` certifies its check from the
-    table's error (``within``) instead of forming U^dagger U.
+    An integral phi without row tables has integer exponents, which
+    ``phase_dense_raw`` reads off the root table mod N, built in integers.
+    The spec's criterion is then exact in integers, so the exact matrix is
+    unitary and ``DenseUnitary`` certifies its check from the table's error
+    (``within``) instead of forming U^dagger U.
     """
     n = spec.pm.n
     check_cap("dense", n)
     dim = 1 << n
     if spec.pm.residues is not None and not spec.row_fns:
-        entries = unit_roots(_residue_exponents(spec.pm), dim, reduced=True)
-        return DenseUnitary(n, entries, within=_root_table_error(dim))
+        return DenseUnitary(n, phase_dense_raw(spec.pm), within=_root_table_error(dim))
     bits = bit_table(n)
     return DenseUnitary(n, unit_roots(bits @ _wire_exponents(spec, bits), dim))
 
@@ -183,27 +186,17 @@ def toeplitz_phi(n: int) -> PhaseMatrix:
     return PhaseMatrix(n, 2.0 ** (n - 1 - i + j))
 
 
-def dft_dense(
-    n: int, near: DenseUnitary | None = None, rows: np.ndarray | None = None
-) -> DenseUnitary:
-    """The standard DFT: F[y][x] = w^(x*y) / sqrt(N) over integer products.
-
-    ``near`` and ``rows`` pass a verified matrix that F should equal (row y
-    against its row ``rows[y]``) to ``DenseUnitary``, which then derives
-    F's check from their distance instead of repeating the exact one.
-    Without ``near`` the check is certified from the root table's error, as
-    the exact DFT is unitary.
+def dft_dense(n: int) -> DenseUnitary:
+    """The standard DFT F[y][x] = w^(x*y) / sqrt(N): the transform of
+    phi[i][j] = 2^(i+j), certified from the root table's error like any
+    integral transform.  The cap is checked before phi is built, whose
+    entries overflow float64 from n = 513.
     """
     check_wires(n)
     check_cap("dense", n)
-    dim = 1 << n
-    k = np.arange(dim)
-    exponent = np.outer(k, k)
-    np.bitwise_and(exponent, dim - 1, out=exponent)
-    entries = unit_roots(exponent, dim, reduced=True)
-    del exponent
-    within = _root_table_error(dim) if near is None else None
-    return DenseUnitary(n, entries, near=near, rows=rows, within=within)
+    i = np.arange(n)
+    pm = PhaseMatrix(n, 2.0 ** (i[:, None] + i))
+    return DenseUnitary(n, phase_dense_raw(pm), within=_root_table_error(1 << n))
 
 
 def dft_circuit(n: int) -> Circuit:

@@ -405,23 +405,22 @@ class DenseUnitary:
 
     The exact check computes max |M^dagger M - I| (``_unitarity_defect``) and
     keeps it as ``defect``.  Given ``near``, an already verified matrix D
-    that the entries B should equal up to rounding (row y of B against row
-    ``rows[y]`` of D when ``rows`` is given), the check is first derived from
-    eps = max |B - D| (kept as ``distance``):
+    that the entries B should equal up to rounding, the check is first
+    derived from eps = max |B - D| (kept as ``distance``):
 
     Let N = 2^n, E = B - D, and let Delta be the true max |D^dagger D - I|.
     Then B^dagger B - I = (D^dagger D - I) + D^dagger E + E^dagger D + E^dagger E,
     and by Cauchy-Schwarz, with |d_j|^2 = (D^dagger D)_jj <= 1 + Delta and
     |e_j| <= sqrt(N) eps for every column j, each entry of B^dagger B - I is
-    at most Delta + 2 sqrt((1 + Delta) N) eps + N eps^2.  A row permutation of
-    D leaves D^dagger D, and so Delta, unchanged.  A computed check differs
-    from the true max by at most gamma = 4 N eps_mach: each Gram entry is a
-    length-N complex inner product of columns of norm at most about 1, whose
-    rounding error is below (N + 2) sqrt(2) u with u = eps_mach / 2 (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2002, sections 3.1 and
-    3.6), and the diagonal's subtraction of 1 is exact.  So Delta <= delta +
-    gamma, where delta is D's ``defect`` (the computed check, or a bound on
-    it), and the check on B would compute at most
+    at most Delta + 2 sqrt((1 + Delta) N) eps + N eps^2.  A computed check
+    differs from the true max by at most gamma = 4 N eps_mach: each Gram
+    entry is a length-N complex inner product of columns of norm at most
+    about 1, whose rounding error is below (N + 2) sqrt(2) u with
+    u = eps_mach / 2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sections 3.1 and 3.6), and the diagonal's subtraction
+    of 1 is exact.  So Delta <= delta + gamma, where delta is D's
+    ``defect`` (the computed check, or a bound on it), and the check on B
+    would compute at most
 
         delta + 2 gamma + 2 sqrt((1 + delta + gamma) N) eps + N eps^2.
 
@@ -439,21 +438,20 @@ class DenseUnitary:
     delta = 0 exceeds.  The builders pass it for a matrix read off the root
     table, B[y][x] = table[e(y, x) mod N] with an exact integer exponent e:
     then max |B - M*| is at most the table's error ``_root_table_error``,
-    an O(N) quantity, and M* = (w^e / sqrt(N)) is the standard transform or
-    a transform whose integral phi passed the exact integer criterion.  The
-    same fallback applies: a NaN or a bound above ``STATE_TOL`` takes the
-    exact check.
+    an O(N) quantity, and M* = (w^e / sqrt(N)) is the transform of an
+    integral phi that passed the exact integer criterion, or the standard
+    DFT (phi[i][j] = 2^(i+j)).  The same fallback applies: a NaN or a bound
+    above ``STATE_TOL`` takes the exact check.
     """
 
     n: int
     entries: np.ndarray
     near: InitVar[DenseUnitary | None] = None
-    rows: InitVar[np.ndarray | None] = None
     within: InitVar[float | None] = None
     defect: float = field(init=False, repr=False, compare=False)
     distance: float | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self, near, rows, within):
+    def __post_init__(self, near, within):
         dim = 1 << self.n
         entries = np.asarray(self.entries, dtype=np.complex128)
         if entries.shape != (dim, dim):
@@ -462,7 +460,7 @@ class DenseUnitary:
             )
         dev = math.nan
         if near is not None:
-            eps = _max_abs_diff(entries, near.entries, rows)
+            eps = _max_abs_diff(entries, near.entries)
             object.__setattr__(self, "distance", eps)
             dev = _defect_bound(near.defect, eps, dim)
         elif within is not None:

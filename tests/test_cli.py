@@ -259,6 +259,16 @@ def test_compare_rotation_spec(tmp_path):
     assert report["pass"] is True and report["spec_kind"] == "rot:rotation_first"
 
 
+def test_rotation_spec_naming_a_theta_cell_twice_exits_one(tmp_path):
+    theta = [{"i": 1, "j": 0, "t0": 0.4, "t1": 1.3}, {"i": 1.0, "j": 0, "t0": 0.2, "t1": 0.0}]
+    path = tmp_path / "rot.json"
+    path.write_text(json.dumps({"n": 2, "variant": "hadamard_first", "theta": theta}))
+    for argv in (("matrix", "--kind", "rot1"), ("compare",)):
+        code, out, err = run_cli(*argv, "--spec", str(path))
+        assert code == 1 and out == ""
+        assert err == "gqt: error: theta cell (1,0) is given twice\n"
+
+
 def test_dhsp_perfect_recovery():
     code, out, _ = run_cli(
         "dhsp", "--n", "3", "--d", "5", "--samples", "perfect", "--trials", "64"
@@ -443,6 +453,14 @@ def test_exit_code_one_for_missing_or_malformed_input(tmp_path):
     code, out, err = run_cli("simulate", "--spec", str(no_controls))
     assert code == 1 and out == ""
     assert err == "gqt: error: controlled gate needs at least one control\n"
+    # Run with no control, X on wire 1 would move |0> to index 2.
+    controlled_single = tmp_path / "controlled_single.json"
+    x_gate = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+    gate = {"kind": "single", "controls": [[0, 1]], "target": 1, "u": x_gate}
+    controlled_single.write_text(json.dumps({"n": 2, "gates": [gate]}))
+    code, out, err = run_cli("simulate", "--spec", str(controlled_single), "--basis", "0")
+    assert code == 1 and out == ""
+    assert err == "gqt: error: single gate takes no controls; use kind controlled\n"
     tri = write_phi(tmp_path / "tri.json", [[4, 0, 0], [1, 4, 0], [2, 3, 4]])
     for argv, stray in (
         (("matrix", "--kind", "gqft", "--spec", tri, "--n", "7"), "--n"),

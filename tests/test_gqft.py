@@ -1,6 +1,9 @@
 """Phase-matrix Fourier transforms: dense formula, circuits, special cases."""
 
+import io
 import tracemalloc
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -27,6 +30,9 @@ from gqt import (
     phase_dense_raw,
     toeplitz_phi,
 )
+from gqt import qstate
+from gqt.cli import main as cli_main
+from gqt.phasemat import check_general, check_triangular
 
 from _oracles import brute_dft, brute_phase_transform, random_triangular_phi
 
@@ -175,6 +181,42 @@ def test_dft_circuit_equals_dft_dense():
         assert len(swaps) == n // 2
         lifted = circuit_to_dense(circ).entries
         np.testing.assert_allclose(lifted, dft_dense(n).entries, atol=1e-10)
+
+
+def dft_phi(n: int) -> PhaseMatrix:
+    """phi[i][j] = 2^(i+j): y . phi . x = y * x, so its transform is the DFT."""
+    i = np.arange(n)
+    return PhaseMatrix(n, 2.0 ** (i[:, None] + i))
+
+
+def test_dft_phase_matrix_passes_only_the_general_criterion():
+    for n in range(1, 13):
+        assert check_general(dft_phi(n)).valid
+        assert check_triangular(dft_phi(n)).valid is (n == 1)
+
+
+def test_dft_phase_matrix_transform_is_dft_dense_bit_for_bit(monkeypatch):
+    calls = []
+    exact = qstate._unitarity_defect
+    monkeypatch.setattr(qstate, "_unitarity_defect", lambda m: calls.append(m) or exact(m))
+    for n in range(1, 11):
+        got = gqft_dense(GqftSpec(dft_phi(n), GENERAL)).entries
+        np.testing.assert_array_equal(got.view(np.uint64), dft_dense(n).entries.view(np.uint64))
+    assert calls == []
+
+
+def test_dft_dense_checks_the_cap_before_building_phi(monkeypatch):
+    # phi's entries 2.0 ** (i + j) overflow float64 from n = 513.
+    monkeypatch.delenv("GQT_DENSE_CAP", raising=False)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CapExceededError, match="^n=600 exceeds dense cap 12$"):
+            dft_dense(600)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli_main(["matrix", "--kind", "dft", "--n", "600"])
+    assert (code, out.getvalue()) == (3, "")
+    assert err.getvalue().endswith("n=600 exceeds dense cap 12\n")
 
 
 def cell_table_transform(phi, i, j, f0, f1) -> np.ndarray:
