@@ -21,7 +21,7 @@ import numpy as np
 from gqt import DhspInstance, recover_d, samples_mixed
 from gqt.cli import Parser, int_at_least
 from gqt.config import DEFAULT_SEED, rng_from_seed
-from gqt.errors import GqtError
+from gqt.errors import GqtError, InputError
 
 
 def sweep_row(args, k: int, rng: np.random.Generator) -> dict:
@@ -72,6 +72,14 @@ def main(argv=None) -> int:
 
 def run(args) -> int:
     rows = run_sweep(args)
+    if args.out:
+        try:
+            with open(args.out, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
 
     print(f"n={args.n}  trials={args.trials}  reps={args.reps}  seed={args.seed}")
     print(f"{'k':>3} {'mean rate':>10} {'mean p(target)':>15} {'majority hit':>13}")
@@ -80,12 +88,7 @@ def run(args) -> int:
             f"{row['k']:>3} {row['mean_rate']:>10.4f} "
             f"{row['mean_target_p']:>15.4f} {row['majority_hit_fraction']:>13.4f}"
         )
-
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
         print(f"wrote {args.out}")
     return 0
 

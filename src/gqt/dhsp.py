@@ -193,6 +193,8 @@ def success_probability(
     if not 0 <= y < dim:
         raise InputError(f"outcome {y} out of range [0, {dim})")
     pm = phi if phi is not None else phi_from_samples(inst)
+    if pm.n != n:
+        raise InputError(f"{pm.n}-wire phase matrix for a {n}-wire instance")
     z = np.array([v % dim for v in inst.z], dtype=np.float64)
     y_bits = np.array([(y >> j) & 1 for j in range(n)], dtype=np.float64)
     lam = np.mod(z - y_bits @ pm.phi, dim)

@@ -16,8 +16,9 @@ yields the circuit: process wires from highest to lowest, Hadamard first,
 then diagonal phase gates controlled on the still-unconsumed lower wires.
 
 The standard DFT is the transform of phi[i][j] = 2^(i+j), as y * x =
-sum_ij y_i x_j 2^(i+j); like every integral phi without row tables, it is
-built by ``phase_dense_raw`` and certified from the root table.
+sum_ij y_i x_j 2^(i+j): ``dft_dense`` is ``gqft_dense`` of that validated
+spec, read off the root table and certified from its error like every
+integral phi without row tables.
 """
 
 from __future__ import annotations
@@ -187,16 +188,15 @@ def toeplitz_phi(n: int) -> PhaseMatrix:
 
 
 def dft_dense(n: int) -> DenseUnitary:
-    """The standard DFT F[y][x] = w^(x*y) / sqrt(N): the transform of
-    phi[i][j] = 2^(i+j), certified from the root table's error like any
-    integral transform.  The cap is checked before phi is built, whose
-    entries overflow float64 from n = 513.
+    """The standard DFT F[y][x] = w^(x*y) / sqrt(N): ``gqft_dense`` of the
+    validated spec of phi[i][j] = 2^(i+j), which passes only the general
+    criterion.  The cap is checked before phi is built, whose entries
+    overflow float64 from n = 513.
     """
     check_wires(n)
     check_cap("dense", n)
     i = np.arange(n)
-    pm = PhaseMatrix(n, 2.0 ** (i[:, None] + i))
-    return DenseUnitary(n, phase_dense_raw(pm), within=_root_table_error(1 << n))
+    return gqft_dense(GqftSpec(PhaseMatrix(n, 2.0 ** (i[:, None] + i)), GENERAL))
 
 
 def dft_circuit(n: int) -> Circuit:

@@ -94,8 +94,12 @@ def unit_roots(exponent, dim: int, reduced: bool = False) -> np.ndarray:
     bit-identical to it; float exponents are reduced mod dim and
     exponentiated directly.  Callers that know their exponents are integral
     (``PhaseMatrix.residues``) pass them as integers, and with ``reduced``
-    when they already lie in [0, dim), which skips the masked copy.
+    when they already lie in [0, dim), which skips the masked copy.  A dim
+    that is not a power of two, where the mask is no reduction mod dim, is
+    refused.
     """
+    if dim < 1 or dim & (dim - 1):
+        raise InputError(f"root count {dim} is not a power of two")
     e = np.asarray(exponent)
     if e.dtype.kind == "f":
         return np.exp(2j * np.pi * np.mod(e, float(dim)) / dim) / np.sqrt(dim)
@@ -368,19 +372,18 @@ def apply_circuit(state: QState, c: Circuit) -> QState:
 _CHUNK_BYTES = 1 << 20
 
 
-def _max_abs_diff(b: np.ndarray, d: np.ndarray, rows=None) -> float:
-    """max |B - D[rows]| over all entries (rows=None: max |B - D|).
+def _max_abs_diff(b: np.ndarray, d: np.ndarray) -> float:
+    """max |B - D| over all entries.
 
-    Taken in row blocks of at most ``_CHUNK_BYTES``, so no difference, abs or
-    gathered array of the matrices' size is allocated; a max is exact, so
-    the result equals the one-shot ``np.max(np.abs(B - D[rows]))`` bit for
-    bit.  A NaN in either matrix makes it NaN.
+    Taken in row blocks of at most ``_CHUNK_BYTES``, so no difference or abs
+    array of the matrices' size is allocated; a max is exact, so the result
+    equals the one-shot ``np.max(np.abs(B - D))`` bit for bit.  A NaN in
+    either matrix makes it NaN.
     """
     step = max(1, _CHUNK_BYTES // (16 * b.shape[1]))
     worst = 0.0
     for i in range(0, b.shape[0], step):
-        ref = d[i : i + step] if rows is None else d[rows[i : i + step]]
-        worst = np.maximum(worst, np.max(np.abs(b[i : i + step] - ref)))
+        worst = np.maximum(worst, np.max(np.abs(b[i : i + step] - d[i : i + step])))
     return float(worst)
 
 
@@ -439,8 +442,8 @@ class DenseUnitary:
     table, B[y][x] = table[e(y, x) mod N] with an exact integer exponent e:
     then max |B - M*| is at most the table's error ``_root_table_error``,
     an O(N) quantity, and M* = (w^e / sqrt(N)) is the transform of an
-    integral phi that passed the exact integer criterion, or the standard
-    DFT (phi[i][j] = 2^(i+j)).  The same fallback applies: a NaN or a bound
+    integral phi that passed the exact integer criterion (``gqft_dense``,
+    its one caller).  The same fallback applies: a NaN or a bound
     above ``STATE_TOL`` takes the exact check.
     """
 

@@ -20,7 +20,6 @@ from gqt import (
     toeplitz_phi,
 )
 from gqt import phasemat, qstate
-from gqt.cli import _bit_reversed_rows
 from gqt.config import STATE_TOL
 from gqt.qstate import (
     _defect_bound,
@@ -149,9 +148,11 @@ def test_real_phi_row_tables_rotations_and_the_numeric_defect_keep_the_exact_che
     assert exact_calls == [8, 8, 8, 8]
 
 
-def test_bit_reversed_rows_match_bit_reverse():
+def test_toeplitz_rows_gathered_bit_reversed_are_dft_dense_bit_for_bit():
+    # The identity that lets compare report its formula distance as the
+    # swapped circuit's distance to the standard transform.
     for n in range(1, 13):
-        want = np.array([bit_reverse(y, n) for y in range(1 << n)])
-        got = _bit_reversed_rows(n)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+        rows = [bit_reverse(y, n) for y in range(1 << n)]
+        got = gqft_dense(GqftSpec(toeplitz_phi(n))).entries[rows]
+        want = dft_dense(n).entries
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n

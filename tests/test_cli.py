@@ -25,6 +25,7 @@ from gqt import (
     haar_matrix,
     toeplitz_phi,
 )
+from gqt import gqft as gqft_mod
 from gqt.cli import build_parser
 from gqt.cli import main as cli_main
 from gqt.cli import circuit_from_json_dict, parse_matrix_report
@@ -223,6 +224,25 @@ def test_compare_toeplitz_builds_its_circuit_once(tmp_path, monkeypatch):
     }
 
 
+def test_compare_toeplitz_reads_the_dft_distance_off_the_formula_distance(
+    tmp_path, monkeypatch
+):
+    # Bit-reversed, the Toeplitz formula matrix's rows are dft_dense(n), so no
+    # third matrix is built and the root table is certified once.
+    counts = _count_calls(monkeypatch, "dft_dense")
+    table_calls = []
+    table_error = gqft_mod._root_table_error
+    monkeypatch.setattr(
+        gqft_mod, "_root_table_error", lambda dim: table_calls.append(dim) or table_error(dim)
+    )
+    spec_path = write_phi(tmp_path / "phi.json", toeplitz_phi(6).phi)
+    code, out, _ = run_cli("compare", "--spec", spec_path)
+    report = json.loads(out)
+    assert code == 0
+    assert report["dft_swap_max_abs_diff"] == report["max_abs_diff"]
+    assert counts == {"dft_dense": 0} and table_calls == [64]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_compare_toeplitz_row_gather_equals_swap_circuit(tmp_path, n):
     # The swaps of dft_circuit, run by the kernel, are the reference route.
@@ -387,6 +407,22 @@ def test_haar_dump_alias_writes_file(tmp_path):
     got = parse_matrix_report(target.read_text())
     np.testing.assert_array_equal(got, haar_matrix(2).p.astype(np.complex128))
     assert report["command"] == "haar"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "--kind", "dft", "--n", "2", "--out"],
+        ["matrix", "--kind", "dft", "--n", "2", "--emit-circuit"],
+        ["haar", "--n", "2", "--dump"],
+    ],
+)
+def test_an_unwritable_output_path_exits_one(tmp_path, argv):
+    target = str(tmp_path / "missing" / "x.json")
+    code, out, err = run_cli(*argv, target)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"gqt: error: cannot write {target}: ")
+    assert err.count("\n") == 1
 
 
 def test_matrix_haar_refuses_circuit_emission(tmp_path):

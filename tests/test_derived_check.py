@@ -94,13 +94,11 @@ def test_derived_check_refuses_exactly_what_the_exact_check_refuses():
 def test_a_nan_entry_fails_the_derived_check_by_nan():
     u = np.eye(4, dtype=np.complex128)
     ref = DenseUnitary(2, u)
-    for rows in (None, np.array([3, 2, 1, 0])):
-        m = u.copy() if rows is None else u[rows]
-        m[3, 2] = math.nan
-        assert math.isnan(_max_abs_diff(m, u, rows))
-        if rows is None:
-            with pytest.raises(NotUnitaryError, match="by nan"):
-                DenseUnitary(2, m, near=ref)
+    m = u.copy()
+    m[3, 2] = math.nan
+    assert math.isnan(_max_abs_diff(m, u))
+    with pytest.raises(NotUnitaryError, match="by nan"):
+        DenseUnitary(2, m, near=ref)
 
 
 @pytest.mark.parametrize("budget_rows", [1, 3, 5, 64])
@@ -111,9 +109,7 @@ def test_row_block_distance_equals_the_one_shot_max(monkeypatch, budget_rows):
         monkeypatch.setattr(qstate, "_CHUNK_BYTES", 16 * dim * budget_rows)
         d = _random_unitary(dim, rng)
         b = _perturbed(d, 1e-9, rng)
-        perm = rng.permutation(dim)
         assert _max_abs_diff(b, d) == float(np.max(np.abs(b - d)))
-        assert _max_abs_diff(b, d, perm) == float(np.max(np.abs(b - d[perm])))
 
 
 def _run_compare(spec_path) -> tuple[int, str, str]:

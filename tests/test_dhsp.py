@@ -201,6 +201,12 @@ def test_success_probability_is_exactly_zero_with_a_wire_at_half():
                 assert (success_probability(inst, y) == 0.0) == (dim // 2 in lam)
 
 
+def test_success_probability_refuses_a_phase_matrix_of_another_width():
+    inst = DhspInstance(2, 1, (1, 2))
+    with pytest.raises(InputError, match="^3-wire phase matrix for a 2-wire instance$"):
+        success_probability(inst, 0, PhaseMatrix(3, 4 * np.eye(3)))
+
+
 def test_success_probability_integer_and_float_paths_agree():
     # The default matrix and the same matrix passed explicitly agree.
     rng = np.random.default_rng(54)

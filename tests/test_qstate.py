@@ -406,6 +406,16 @@ def test_unit_roots_reads_integers_of_either_sign_and_falls_back_on_fractions():
     assert_same_bits(unit_roots(mixed, dim), want)
     assert unit_roots(mixed, dim).shape == (2, 2)
 
+
+def test_unit_roots_refuses_a_root_count_that_is_not_a_power_of_two():
+    # The integer branch masks with dim - 1, which reduces mod dim only for
+    # dim = 2^n: at dim 6 it read w^1 for the exponent 3.
+    for dim in (0, 3, 6, 12):
+        for exponent in (np.array([3]), np.array([3.0])):
+            with pytest.raises(InputError, match=f"^root count {dim} is not a power of two$"):
+                unit_roots(exponent, dim)
+
+
 def test_apply_circuit_leaves_its_input_unchanged():
     rng = np.random.default_rng(14)
     for n in (1, 3, 6):

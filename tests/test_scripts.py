@@ -113,6 +113,15 @@ def test_survey_refuses_bad_input_before_any_pass(flags, code, stderr, capsys, m
     assert (out, err) == ("", f"unitarity_survey: {stderr}\n")
 
 
+def test_sweep_refuses_an_unwritable_out_path(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "s.csv")
+    assert load("dhsp_sweep").main([*TINY["dhsp_sweep"], "--out", target]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"dhsp_sweep: error: cannot write {target}: ")
+    assert err.count("\n") == 1
+
+
 def test_cli_digest_is_deterministic(capsys):
     digest = load("cli_digest")
     outputs = []
