@@ -25,7 +25,7 @@ import numpy as np
 from gqt import PhaseMatrix, check_general, numeric_unitarity_defect
 from gqt.cli import Parser, int_at_least
 from gqt.config import DEFAULT_SEED, check_cap, check_wires, rng_from_seed
-from gqt.errors import GqtError
+from gqt.errors import GqtError, InputError
 from gqt.phasemat import CRITERION_TOL
 
 
@@ -113,19 +113,28 @@ def run(args) -> int:
         check_cap("dense", args.n)
 
     g = grid_pass(args.grid_max)
+    r = random_pass(args.n, args.samples, rng)
+    params = (-2.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0)
+    rows = family_table(params)
+    # Written before anything is printed, so an unwritable path is refused
+    # with one line and no tables.
+    if args.out:
+        try:
+            with open(args.out, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
+
     print(
         f"grid pass: {g['valid']}/{g['total']} valid, "
         f"{g['disagreements']} disagreements"
     )
-
-    r = random_pass(args.n, args.samples, rng)
     print(
         f"random pass (n={args.n}): {r['valid']}/{r['total']} valid, "
         f"{r['disagreements']} disagreements"
     )
-
-    params = (-2.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0)
-    rows = family_table(params)
     print(f"{'family':<30} {'a':>5} {'structural':>11} {'numeric':>8} {'defect':>10}")
     for row in rows:
         print(
@@ -142,10 +151,6 @@ def run(args) -> int:
         return 1
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
         print(f"wrote {args.out}")
     return 0
 

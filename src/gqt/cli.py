@@ -40,6 +40,7 @@ from .errors import (
 )
 from .gqft import (
     GqftSpec,
+    _formula_columns,
     dft_circuit,
     dft_dense,
     gqft_circuit,
@@ -66,8 +67,9 @@ from .qstate import (
     Controlled,
     QState,
     Swap,
+    _circuit_distance,
+    _dense_columns,
     apply_circuit,
-    circuit_to_dense,
     measure_all,
 )
 from .rotft import (
@@ -356,6 +358,7 @@ def _cmd_compare(args) -> tuple[dict, int]:
         ceiling = n + n * (n - 1)
         report["spec_kind"] = f"rot:{spec.variant}"
         toeplitz = False
+        formula = _dense_columns(dense_fn(spec))
     else:
         pm = PhaseMatrix.from_json_dict(data)
         try:
@@ -365,18 +368,18 @@ def _cmd_compare(args) -> tuple[dict, int]:
                 "comparison needs a lower-triangular phase matrix "
                 "(circuits exist only in that regime) or a rotation spec"
             ) from None
-        dense_fn, circuit_fn = gqft_dense, gqft_circuit
+        circuit_fn = gqft_circuit
         n = pm.n
         ceiling = n + n * (n - 1) // 2
         report["spec_kind"] = "phase"
         toeplitz = np.array_equal(pm.phi, toeplitz_phi(n).phi)
+        formula = _formula_columns(spec)
     # Only the formula matrix may take the exact unitarity check; the
-    # circuit's matrix derives its check from its distance to it, and that
-    # distance is the one reported.
-    dense = dense_fn(spec)
+    # circuit's matrix, held against it one column chunk at a time, derives
+    # its check from its distance to it, and that distance is the one
+    # reported.
     circ = circuit_fn(spec)
-    built = circuit_to_dense(circ, near=dense)
-    diff = built.distance
+    diff = _circuit_distance(circ, *formula)
     if toeplitz:
         report["note"] = (
             "rows are the bit-reversal of the standard transform's; "
@@ -632,6 +635,8 @@ def main(argv=None) -> int:
         args.out = args.dump
     try:
         dense_cap = cap("dense")  # a malformed GQT_DENSE_CAP fails before any work
+        if args.format == "csv" and args.command not in _CSV_KEYS:
+            raise InputError(f"--format csv is not supported for {args.command}")
         report, code = _COMMANDS[args.command](args)
         report["seed"] = args.seed
         report["format"] = args.format

@@ -23,21 +23,31 @@ integral phi without row tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .config import check_cap, check_wires
+from .config import STATE_TOL, check_cap, check_wires
 from .errors import CapExceededError, InputError, UnsupportedRegimeError, ValidityError
-from .phasemat import PhaseMatrix, check_general, check_triangular, phase_dense_raw
+from .phasemat import (
+    PhaseMatrix,
+    _residue_exponents,
+    check_general,
+    check_triangular,
+    phase_dense_raw,
+)
 from .qstate import (
     HADAMARD,
     Circuit,
     Controlled,
     DenseUnitary,
     Swap,
-    _root_table_error,
+    _certified_defect,
+    _dense_columns,
+    _root_table,
+    _scratch,
     bit_table,
     unit_roots,
 )
@@ -136,15 +146,47 @@ def gqft_dense(spec: GqftSpec) -> DenseUnitary:
     ``phase_dense_raw`` reads off the root table mod N, built in integers.
     The spec's criterion is then exact in integers, so the exact matrix is
     unitary and ``DenseUnitary`` certifies its check from the table's error
-    (``within``) instead of forming U^dagger U.
+    (``certified``) instead of forming U^dagger U.
+    """
+    n = spec.pm.n
+    check_cap("dense", n)
+    if _on_root_table(spec):
+        return DenseUnitary(n, phase_dense_raw(spec.pm), certified=True)
+    bits = bit_table(n)
+    return DenseUnitary(n, unit_roots(bits @ _wire_exponents(spec, bits), 1 << n))
+
+
+def _on_root_table(spec: GqftSpec) -> bool:
+    """Whether the transform's entries are read off the root table at exact
+    integer exponents: an integral phi without row tables."""
+    return spec.pm.residues is not None and not spec.row_fns
+
+
+def _formula_columns(spec: GqftSpec):
+    """The transform as a formula for ``qstate._circuit_distance``: a reader
+    of its columns, and its checked defect or a bound on it.
+
+    Where ``gqft_dense`` would certify the matrix from the root table's
+    error, the columns j..j+w-1 are read off the table one call at a time,
+    at the exponents ``_residue_exponents`` gives for them, into workspace
+    buffers: bit-identical to ``gqft_dense``'s columns, with no array of the
+    matrix's size.  Otherwise (a real phi, row tables, or a certificate that
+    is NaN or above ``STATE_TOL``) ``gqft_dense`` builds the matrix with its
+    exact check, and the columns are its slices.
     """
     n = spec.pm.n
     check_cap("dense", n)
     dim = 1 << n
-    if spec.pm.residues is not None and not spec.row_fns:
-        return DenseUnitary(n, phase_dense_raw(spec.pm), within=_root_table_error(dim))
-    bits = bit_table(n)
-    return DenseUnitary(n, unit_roots(bits @ _wire_exponents(spec, bits), dim))
+    defect = _certified_defect(dim) if _on_root_table(spec) else math.nan
+    if not defect <= STATE_TOL:
+        return _dense_columns(gqft_dense(spec))
+    table = _root_table(dim)
+
+    def columns(j: int, w: int) -> np.ndarray:
+        e = _residue_exponents(spec.pm, j, j + w, _scratch("exponents", (dim, w), np.int64))
+        return np.take(table, e, out=_scratch("formula", (dim, w)), mode="wrap")
+
+    return columns, defect
 
 
 def gqft_circuit(spec: GqftSpec) -> Circuit:

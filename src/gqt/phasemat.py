@@ -288,13 +288,15 @@ def phase_dense_raw(pm: PhaseMatrix) -> np.ndarray:
     return unit_roots(bits @ pm.phi @ bits.T, dim)
 
 
-def _doubled_sums(terms: np.ndarray, mask: int) -> np.ndarray:
+def _doubled_sums(terms: np.ndarray, mask: int, out: np.ndarray | None = None) -> np.ndarray:
     """S[r] = (sum_i r_i * terms[i]) & mask for every r < 2^m, terms (m, w) int64.
 
     Built by doubling: rows 2^i .. 2^(i+1)-1 are rows 0 .. 2^i-1 plus
     terms[i], masked in place, so every row is reduced as it is written.
+    Written into ``out`` ((2^m, w) int64) when given.
     """
-    out = np.empty((1 << terms.shape[0], terms.shape[1]), dtype=np.int64)
+    if out is None:
+        out = np.empty((1 << terms.shape[0], terms.shape[1]), dtype=np.int64)
     out[0] = 0
     for i, term in enumerate(terms):
         half = out[1 << i : 2 << i]
@@ -303,17 +305,23 @@ def _doubled_sums(terms: np.ndarray, mask: int) -> np.ndarray:
     return out
 
 
-def _residue_exponents(pm: PhaseMatrix) -> np.ndarray:
-    """E[y, x] = (y . phi . x) mod N as one int64 (N, N) array, for an integral phi.
+def _residue_exponents(
+    pm: PhaseMatrix, start: int = 0, stop: int | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """E[y, x - start] = (y . phi . x) mod N for the columns x in [start, stop)
+    (all of them by default), as int64, for an integral phi.
 
-    From ``pm.residues`` in integers, with no float product or BLAS call:
-    first W[x, i] = sum_j phi[i][j] x_j, then E[y] = sum_i y_i W[:, i], both
-    mod N by ``_doubled_sums``.  Every sum stays below 2N, so E equals the
-    exact exponent mod N.
+    The formula's columns as exponents, from ``pm.residues`` in integers,
+    with no float product or BLAS call: first W[x, i] = sum_j phi[i][j] x_j
+    mod N, then E[y] = sum_i y_i W[:, i] by ``_doubled_sums``.  Every sum
+    stays below n N, so E equals the exact exponent mod N.  Written into
+    ``out`` ((N, stop - start) int64) when given.
     """
     mask = pm.modulus - 1
-    w = _doubled_sums(pm.residues.T.astype(np.int64), mask)  # [x, i]
-    return _doubled_sums(w.T, mask)
+    x = np.arange(start, pm.modulus if stop is None else stop)
+    bits = (x[:, None] >> np.arange(pm.n)) & 1
+    w = (bits @ pm.residues.T.astype(np.int64)) & mask  # [x, i]
+    return _doubled_sums(w.T, mask, out)
 
 
 def numeric_unitarity_defect(pm: PhaseMatrix) -> float:

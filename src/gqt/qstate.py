@@ -11,13 +11,23 @@ which each gate touches only the slices its qubits select; a diagonal
 diag(1, u11) gate, such as every phase gate of a transform circuit, scales
 only its target-1 slice.
 
-A transform circuit mixes each wire once, with an uncontrolled gate, so each
-column of its dense matrix is a product state whose support doubles per
-wire.  ``circuit_to_dense`` grows such columns from that support with the
-kernel's own products, and skips the structural zeros the kernel would add.
-That can only flip the sign of an exact zero, where a product part is -0;
-such columns are marked as they grow and rebuilt by the kernel, so the
-matrix stays bit-identical to a whole-block kernel run.
+State kept across calls is private, and no result aliases it: the root
+table's error per size (``_root_table_error``, cached), and a workspace of
+chunk-sized buffers (``_scratch``) for the column-chunk routes, allocated on
+first use and reused, so that a run of them faults in no fresh pages.  The
+workspace serves one call at a time: the chunk routes are not thread-safe.
+
+A circuit's dense matrix is built one column chunk at a time
+(``_circuit_chunks``).  A transform circuit mixes each wire once, with an
+uncontrolled gate, so each column is a product state whose support doubles
+per wire; such columns are grown from that support with the kernel's own
+products, skipping the structural zeros the kernel would add.  That can
+only flip the sign of an exact zero, where a product part is -0; such
+columns are marked as they grow and rebuilt by the kernel inside their
+chunk, so every chunk stays bit-identical to a whole-block kernel run.
+``circuit_to_dense`` gathers the chunks into a matrix; ``_circuit_distance``
+holds each against the matching columns of a formula and keeps only the
+largest distance.
 
 Every dense route that writes entries w^e / sqrt(N) (the transform
 builders, the raw phase matrix, the coset state) takes them from
@@ -28,6 +38,7 @@ the unitarity of a matrix read off it whose exact entries form a unitary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass, field
 
@@ -62,6 +73,7 @@ def _root_table(dim: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(dim, dtype=np.float64) / dim) / np.sqrt(dim)
 
 
+@functools.cache
 def _root_table_error(dim: int) -> float:
     """A bound on max_k |table[k] - w^k / sqrt(dim)| over ``_root_table(dim)``.
 
@@ -70,7 +82,8 @@ def _root_table_error(dim: int) -> float:
     2 pi k/dim; cos and sin add an ulp, and the division by sqrt(dim), the
     subtraction and ``hypot`` a few u more, so the reference is within 32 u
     of the exact root and 64 u is added to the computed max.  O(dim), and
-    computed on each call.  NaN when ``_WIDE`` is no wider than float64 or
+    cached per dim (a test that patches ``_root_table`` or ``_WIDE`` clears
+    the cache).  NaN when ``_WIDE`` is no wider than float64 or
     the table holds a NaN, so that the caller takes the exact check.
     """
     unit = np.finfo(_WIDE).eps
@@ -127,6 +140,7 @@ def _unitarity_defect(m: np.ndarray) -> float:
         k = np.arange(g.shape[0])
         g[k, k] -= 1.0
         worst = np.maximum(worst, np.max(np.abs(g)))
+        del g  # so that no two block products are held at once
     return float(worst)
 
 
@@ -367,49 +381,30 @@ def apply_circuit(state: QState, c: Circuit) -> QState:
 # its temporaries stay in a core's L2.  At n <= 8 the whole block is one chunk.
 # Measured on a 2-core Xeon with 2 MiB of L2 per core, Toeplitz circuit:
 # 256 KiB to 2 MiB all beat the single block from n = 10 on; 1 MiB was best
-# or within noise of it at every n from 9 to 12.  Distances between matrices
-# are taken in row blocks of the same size.
+# or within noise of it at every n from 9 to 12.
 _CHUNK_BYTES = 1 << 20
 
+# The workspace: one flat buffer per name, replaced only by a larger one.
+_WORKSPACE: dict[str, np.ndarray] = {}
 
-def _max_abs_diff(b: np.ndarray, d: np.ndarray) -> float:
-    """max |B - D| over all entries.
 
-    Taken in row blocks of at most ``_CHUNK_BYTES``, so no difference or abs
-    array of the matrices' size is allocated; a max is exact, so the result
-    equals the one-shot ``np.max(np.abs(B - D))`` bit for bit.  A NaN in
-    either matrix makes it NaN.
+def _scratch(name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
+    """A contiguous ``shape`` view of the workspace buffer ``name``.
+
+    The buffer is allocated on first use and kept, so a run of chunk routes
+    reuses the same pages: with a fresh buffer per call, glibc maps each
+    1 MiB request anew once no larger block has been freed, and every page
+    faults on first touch.  A view is valid until ``name`` is asked for again.
     """
-    step = max(1, _CHUNK_BYTES // (16 * b.shape[1]))
-    worst = 0.0
-    for i in range(0, b.shape[0], step):
-        worst = np.maximum(worst, np.max(np.abs(b[i : i + step] - d[i : i + step])))
-    return float(worst)
+    size = math.prod(shape)
+    flat = _WORKSPACE.get(name)
+    if flat is None or flat.size < size or flat.dtype != dtype:
+        flat = _WORKSPACE[name] = np.empty(size, dtype=dtype)
+    return flat[:size].reshape(shape)
 
 
 def _defect_bound(ref_defect: float, eps: float, dim: int) -> float:
-    """Bound on the exact check's result for B, from a verified D and max|B - D|.
-
-    See ``DenseUnitary``; ``ref_defect`` is D's ``defect`` and ``eps`` the
-    computed max |B - D|.  NaN in, NaN out.
-    """
-    gamma = 4 * dim * np.finfo(np.float64).eps
-    return (
-        ref_defect
-        + 2 * gamma
-        + 2 * math.sqrt((1 + ref_defect + gamma) * dim) * eps
-        + dim * eps * eps
-    )
-
-
-@dataclass(frozen=True)
-class DenseUnitary:
-    """A 2^n x 2^n unitary; unitarity is validated at construction (1e-9).
-
-    The exact check computes max |M^dagger M - I| (``_unitarity_defect``) and
-    keeps it as ``defect``.  Given ``near``, an already verified matrix D
-    that the entries B should equal up to rounding, the check is first
-    derived from eps = max |B - D| (kept as ``distance``):
+    """Bound on the exact check's result for B, from a reference D and max |B - D|.
 
     Let N = 2^n, E = B - D, and let Delta be the true max |D^dagger D - I|.
     Then B^dagger B - I = (D^dagger D - I) + D^dagger E + E^dagger D + E^dagger E,
@@ -421,53 +416,65 @@ class DenseUnitary:
     about 1, whose rounding error is below (N + 2) sqrt(2) u with
     u = eps_mach / 2 (Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, sections 3.1 and 3.6), and the diagonal's subtraction
-    of 1 is exact.  So Delta <= delta + gamma, where delta is D's
-    ``defect`` (the computed check, or a bound on it), and the check on B
-    would compute at most
+    of 1 is exact.  So Delta <= delta + gamma, where delta = ``ref_defect``
+    is D's computed check (or a bound on it), and the check on B would
+    compute at most
 
-        delta + 2 gamma + 2 sqrt((1 + delta + gamma) N) eps + N eps^2.
+        delta + 2 gamma + 2 sqrt((1 + delta + gamma) N) eps + N eps^2,
 
-    The relative rounding of eps and of this sum is a few u on values below
-    1e-9, far below gamma >= 8 eps_mach.  When the bound is at most
-    ``STATE_TOL``, the exact check on B would have passed, and B is accepted
-    with the bound as its ``defect``.  Otherwise the exact check runs, so
-    ``NotUnitaryError`` is raised in exactly the cases, and with the message,
-    of the exact check alone; a NaN makes the bound NaN and takes that path.
+    which is returned.  The relative rounding of eps and of this sum is a
+    few u on values below 1e-9, far below gamma >= 8 eps_mach.  So when the
+    bound is at most ``STATE_TOL``, the exact check on B would have passed.
+    NaN in, NaN out, so a ``not bound <= tol`` test fails closed.
+    """
+    gamma = 4 * dim * np.finfo(np.float64).eps
+    return (
+        ref_defect
+        + 2 * gamma
+        + 2 * math.sqrt((1 + ref_defect + gamma) * dim) * eps
+        + dim * eps * eps
+    )
 
-    Given ``within`` instead, a bound eps on max |B - M*| for a matrix M*
-    that is unitary in exact arithmetic, the same argument with D = M* has
-    Delta = 0 and no computed check of D, so the check on B would compute
-    at most gamma + 2 sqrt(N) eps + N eps^2, which the bound above with
-    delta = 0 exceeds.  The builders pass it for a matrix read off the root
-    table, B[y][x] = table[e(y, x) mod N] with an exact integer exponent e:
-    then max |B - M*| is at most the table's error ``_root_table_error``,
-    an O(N) quantity, and M* = (w^e / sqrt(N)) is the transform of an
-    integral phi that passed the exact integer criterion (``gqft_dense``,
-    its one caller).  The same fallback applies: a NaN or a bound
-    above ``STATE_TOL`` takes the exact check.
+
+def _certified_defect(dim: int) -> float:
+    """``_defect_bound`` for a matrix read off the root table at exact integer
+    exponents e whose exact entries w^e / sqrt(N) form a unitary: they are the
+    reference, with no defect, and the table's error bounds the distance to
+    them.  NaN where the table has no certificate.
+    """
+    return _defect_bound(0.0, _root_table_error(dim), dim)
+
+
+@dataclass(frozen=True)
+class DenseUnitary:
+    """A 2^n x 2^n unitary; unitarity is validated at construction (1e-9).
+
+    The exact check computes max |M^dagger M - I| (``_unitarity_defect``) and
+    keeps it as ``defect``.  A builder passes ``certified`` for a matrix read
+    off the root table at the exact integer exponents of a transform that is
+    unitary in exact arithmetic: an integral phi that passed the exact
+    integer criterion (``gqft_dense``, its one caller).  The check is then
+    first derived from the table's error (``_certified_defect``).  When that
+    bound is at most ``STATE_TOL``, the exact check would have passed, and
+    the matrix is accepted with the bound as its ``defect``.  Otherwise the
+    exact check runs, so ``NotUnitaryError`` is raised in exactly the cases,
+    and with the message, of the exact check alone; a NaN makes the bound
+    NaN and takes that path.
     """
 
     n: int
     entries: np.ndarray
-    near: InitVar[DenseUnitary | None] = None
-    within: InitVar[float | None] = None
+    certified: InitVar[bool] = False
     defect: float = field(init=False, repr=False, compare=False)
-    distance: float | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self, near, within):
+    def __post_init__(self, certified):
         dim = 1 << self.n
         entries = np.asarray(self.entries, dtype=np.complex128)
         if entries.shape != (dim, dim):
             raise InputError(
                 f"matrix shape {entries.shape} does not match n={self.n}"
             )
-        dev = math.nan
-        if near is not None:
-            eps = _max_abs_diff(entries, near.entries)
-            object.__setattr__(self, "distance", eps)
-            dev = _defect_bound(near.defect, eps, dim)
-        elif within is not None:
-            dev = _defect_bound(0.0, within, dim)
+        dev = _certified_defect(dim) if certified else math.nan
         if not dev <= STATE_TOL:
             dev = _unitarity_defect(entries)
             if not dev <= STATE_TOL:
@@ -594,21 +601,28 @@ def _kernel_columns(block: np.ndarray, cols, c: Circuit) -> None:
     _run_in_place(block, c)
 
 
-def _kernel_columns_into(out: np.ndarray, cols: np.ndarray, c: Circuit) -> None:
-    """Overwrite columns ``cols`` of ``out`` with ``c`` run on them, in one block."""
-    block = np.empty((out.shape[0], cols.size), dtype=np.complex128)
-    _kernel_columns(block, cols, c)
-    out[:, cols] = block
+def _kernel_columns_into(
+    chunk: np.ndarray, cols: np.ndarray, j: int, spare: np.ndarray, c: Circuit
+) -> None:
+    """Overwrite columns ``cols`` of ``chunk``, which holds columns j.. of c's
+    matrix, with ``c`` run on their identity columns, in blocks that ``spare``
+    holds."""
+    dim = chunk.shape[0]
+    step = spare.size // dim
+    for i in range(0, cols.size, step):
+        part = cols[i : i + step]
+        block = spare[: dim * part.size].reshape(dim, part.size)
+        _kernel_columns(block, j + part, c)
+        chunk[:, part] = block
 
 
-def circuit_to_dense(c: Circuit, near: DenseUnitary | None = None) -> DenseUnitary:
-    """Materialize a circuit: column x of the result is the circuit run on |x>.
+def _circuit_chunks(c: Circuit):
+    """Yield (j, chunk) over the column chunks of a circuit's dense matrix.
 
-    The columns are built in chunks (``_CHUNK_BYTES``) in one contiguous
-    buffer, each copied into its column slice of the result: a column slice
-    of the result itself puts each row's few entries 2^n * 16 bytes apart,
-    where they share cache sets.  When one chunk holds every column the
-    buffer is the result and the copy is a no-op.
+    ``chunk`` holds columns j, j+1, ... as a contiguous (2^n, w) view of the
+    workspace, w at most ``_CHUNK_BYTES`` // (16 * 2^n) but at least 1; the
+    last chunk may be narrower.  It is valid, and may be overwritten, until
+    the next chunk is asked for.
 
     A circuit whose mixing gates are uncontrolled and land each on a fresh
     wire, as a transform circuit's Hadamards do (``_growth_length``), has
@@ -617,40 +631,86 @@ def circuit_to_dense(c: Circuit, near: DenseUnitary | None = None) -> DenseUnita
     column's nonzero amplitudes, and the kernel runs only the gates left
     once every wire is mixed (a DFT circuit's swaps).  Chunks are then
     aligned power-of-two column ranges.  Columns in which growth met a -0
-    product part are rebuilt by the kernel from their identity columns, in
-    blocks of at most a chunk.  Any other circuit runs the kernel on each
-    chunk of the identity.
+    product part are rebuilt by the kernel from their identity columns,
+    inside their chunk.  Any other circuit runs the kernel on each chunk of
+    the identity.
 
     Each column sees the same float operations as in one whole-block kernel
-    run, or operations with the same result, so the entries are
-    bit-identical to it.  ``near`` is passed on to ``DenseUnitary``.
+    run, or operations with the same result, so every chunk is bit-identical
+    to the matching columns of that run.
     """
-    check_cap("dense", c.n)
     dim = 1 << c.n
     width = min(dim, max(1, _CHUNK_BYTES // (16 * dim)))
     grow = _growth_length(c)
     if grow is not None:
         width = 1 << (width.bit_length() - 1)
-        rest = Circuit(c.n, c.gates[grow:])
-        marked = np.zeros(dim, dtype=bool)
-        spare = np.empty(dim * width // 2, dtype=np.complex128)
-    out = np.empty((dim, dim), dtype=np.complex128)
-    buf = out if width == dim else np.empty((dim, width), dtype=np.complex128)
+        prefix, rest = c.gates[:grow], Circuit(c.n, c.gates[grow:])
+        # half a chunk for growth, and at least one column for a rebuild
+        spare = _scratch("spare", (max(dim * width // 2, dim),))
     for j in range(0, dim, width):
-        chunk = buf[:, : min(width, dim - j)]
+        chunk = _scratch("chunk", (dim, min(width, dim - j)))
         if grow is None:
             _kernel_columns(chunk, j + np.arange(chunk.shape[1]), c)
         else:
-            marked[j : j + width] = _grow_chunk(chunk, spare, c.gates[:grow], j)
+            marked = _grow_chunk(chunk, spare, prefix, j)
             _run_in_place(chunk, rest)
+            _kernel_columns_into(chunk, np.flatnonzero(marked), j, spare, c)
+        yield j, chunk
+
+
+def circuit_to_dense(c: Circuit) -> DenseUnitary:
+    """Materialize a circuit: column x of the result is the circuit run on |x>.
+
+    Each chunk of ``_circuit_chunks`` is built in the workspace and copied
+    into its column slice of the result: built in a column slice of the
+    result itself, each row's few entries would lie 2^n * 16 bytes apart,
+    where they share cache sets.  The entries are bit-identical to one
+    whole-block kernel run, and the exact check runs on them.
+    """
+    check_cap("dense", c.n)
+    out = np.empty((1 << c.n, 1 << c.n), dtype=np.complex128)
+    for j, chunk in _circuit_chunks(c):
         out[:, j : j + chunk.shape[1]] = chunk
-    del buf, chunk  # the exact check below needs that memory
-    if grow is not None:
-        del spare
-        cols = np.flatnonzero(marked)
-        for i in range(0, cols.size, width):
-            _kernel_columns_into(out, cols[i : i + width], c)
-    return DenseUnitary(c.n, out, near=near)
+    return DenseUnitary(c.n, out)
+
+
+def _dense_columns(m: DenseUnitary):
+    """A built matrix as a formula for ``_circuit_distance``: its column
+    slices, and its checked defect."""
+    return (lambda j, w: m.entries[:, j : j + w]), m.defect
+
+
+def _circuit_distance(c: Circuit, columns, ref_defect: float) -> float:
+    """max |C - F| over a circuit's matrix C and a formula matrix F, held
+    against each other one column chunk at a time.
+
+    ``columns(j, w)`` returns F's columns j..j+w-1 as a (2^n, w) array, and
+    ``ref_defect`` is F's checked defect or a bound on it.  Each chunk of C
+    (``_circuit_chunks``) has F's columns subtracted in place, and the
+    moduli go to a workspace buffer, so no array of the matrices' size is
+    allocated.  A max is exact, so the result equals the one-shot
+    ``np.max(np.abs(C - F))`` bit for bit; a NaN in either makes it NaN.
+
+    C's unitarity check is derived from F's: when
+    ``_defect_bound(ref_defect, eps, N)`` is at most ``STATE_TOL``, the exact
+    check on C would have passed.  Otherwise, a NaN included,
+    ``circuit_to_dense`` builds C and runs that check, so ``NotUnitaryError``
+    is raised in exactly the cases, and with the message, of the exact check
+    alone.
+    """
+    check_cap("dense", c.n)
+    dim = 1 << c.n
+    worst = 0.0
+    for j, chunk in _circuit_chunks(c):
+        w = chunk.shape[1]
+        np.subtract(chunk, columns(j, w), out=chunk)
+        dist = _scratch("distance", (dim, w), np.float64)
+        np.abs(chunk, out=dist)
+        worst = np.maximum(worst, dist.max())
+    eps = float(worst)
+    if not _defect_bound(ref_defect, eps, dim) <= STATE_TOL:
+        circuit_to_dense(c)
+    return eps
 
 
 def apply_dense(state: QState, m: DenseUnitary) -> QState:

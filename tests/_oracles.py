@@ -169,6 +169,17 @@ def random_triangular_phi(n: int, rng: np.random.Generator) -> PhaseMatrix:
     return PhaseMatrix(n, phi)
 
 
+def zero_lower_phi(n: int, rng: np.random.Generator) -> PhaseMatrix:
+    """A triangular integral phi with some lower entries = 0 mod N: identity phase gates."""
+    dim = 1 << n
+    phi = np.triu(dim * rng.integers(-1, 2, size=(n, n)), 1).astype(np.float64)
+    lower = rng.integers(0, dim, size=(n, n)) * (rng.random((n, n)) < 0.5)
+    phi += np.tril(lower + dim * rng.integers(-1, 2, size=(n, n)), -1)
+    phi[1, 0] = dim * int(rng.integers(-1, 2))  # at least one cell = 0 mod N
+    np.fill_diagonal(phi, dim / 2)
+    return PhaseMatrix(n, phi)
+
+
 def random_cond4_spec(n: int, rng: np.random.Generator) -> GqftSpec:
     return GqftSpec.from_phase_matrix(random_triangular_phi(n, rng))
 

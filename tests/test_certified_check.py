@@ -19,7 +19,7 @@ from gqt import (
     rot1_dense,
     toeplitz_phi,
 )
-from gqt import phasemat, qstate
+from gqt import qstate
 from gqt.config import STATE_TOL
 from gqt.qstate import (
     _defect_bound,
@@ -53,23 +53,6 @@ def _phis(n: int) -> dict:
     }
 
 
-@pytest.fixture
-def exact_calls(monkeypatch):
-    """Sizes of the matrices the exact check runs on, in qstate and phasemat."""
-    calls = []
-
-    def counting(exact):
-        def counted(m):
-            calls.append(m.shape[0])
-            return exact(m)
-
-        return counted
-
-    monkeypatch.setattr(qstate, "_unitarity_defect", counting(qstate._unitarity_defect))
-    monkeypatch.setattr(phasemat, "_unitarity_defect", counting(phasemat._unitarity_defect))
-    return calls
-
-
 @pytest.mark.parametrize("n", range(1, 11))
 def test_certified_defect_covers_the_exact_defect(n, exact_calls):
     dim = 1 << n
@@ -93,6 +76,14 @@ def test_table_error_is_near_the_float64_rounding_of_the_roots():
         assert 0.0 < eps < 4 * np.finfo(np.float64).eps
 
 
+def test_table_error_is_computed_once_per_size(monkeypatch, uncached_table_error):
+    built = []
+    monkeypatch.setattr(qstate, "_root_table", lambda dim: built.append(dim) or _root_table(dim))
+    first = [_root_table_error(64), _root_table_error(128)]
+    assert [_root_table_error(64), _root_table_error(128)] == first
+    assert built == [64, 128]
+
+
 def _expected_message(table: np.ndarray, exponent: np.ndarray) -> str:
     # The message of the exact check on the matrix read off ``table``.
     entries = table[exponent & (table.size - 1)]
@@ -101,7 +92,9 @@ def _expected_message(table: np.ndarray, exponent: np.ndarray) -> str:
 
 @pytest.mark.parametrize("shift", [1e-6, complex(math.nan, 0.0)])
 @pytest.mark.parametrize("kind", ["toeplitz", "dft"])
-def test_a_damaged_root_table_falls_back_to_the_exact_check(monkeypatch, exact_calls, shift, kind):
+def test_a_damaged_root_table_falls_back_to_the_exact_check(
+    monkeypatch, uncached_table_error, exact_calls, shift, kind
+):
     n = 5
     dim = 1 << n
     table = _root_table(dim)
@@ -121,7 +114,7 @@ def test_a_damaged_root_table_falls_back_to_the_exact_check(monkeypatch, exact_c
     assert exact_calls == [dim]
 
 
-def test_a_narrow_long_double_takes_the_exact_check(monkeypatch, exact_calls):
+def test_a_narrow_long_double_takes_the_exact_check(monkeypatch, uncached_table_error, exact_calls):
     monkeypatch.setattr(qstate, "_WIDE", np.float64)
     assert math.isnan(_root_table_error(8))
     for n in (1, 3, 6):

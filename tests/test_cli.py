@@ -25,7 +25,7 @@ from gqt import (
     haar_matrix,
     toeplitz_phi,
 )
-from gqt import gqft as gqft_mod
+from gqt import qstate
 from gqt.cli import build_parser
 from gqt.cli import main as cli_main
 from gqt.cli import circuit_from_json_dict, parse_matrix_report
@@ -210,37 +210,46 @@ def _count_calls(monkeypatch, *names) -> dict[str, int]:
 
 
 def test_compare_toeplitz_builds_its_circuit_once(tmp_path, monkeypatch):
+    # One circuit, run once over its column chunks; no full circuit matrix.
     spec_path = write_phi(tmp_path / "phi.json", [[4, 8, 16], [2, 4, 8], [1, 2, 4]])
     counts = _count_calls(
         monkeypatch, "check_triangular", "gqft_circuit", "circuit_to_dense", "dft_circuit"
+    )
+    chunk_runs = []
+    circuit_chunks = qstate._circuit_chunks
+    monkeypatch.setattr(
+        qstate, "_circuit_chunks", lambda c: chunk_runs.append(c) or circuit_chunks(c)
     )
     code, out, _ = run_cli("compare", "--spec", spec_path)
     assert code == 0 and "dft_swap_max_abs_diff" in json.loads(out)
     assert counts == {
         "check_triangular": 1,
         "gqft_circuit": 1,
-        "circuit_to_dense": 1,
+        "circuit_to_dense": 0,
         "dft_circuit": 0,
     }
+    assert len(chunk_runs) == 1
 
 
 def test_compare_toeplitz_reads_the_dft_distance_off_the_formula_distance(
     tmp_path, monkeypatch
 ):
     # Bit-reversed, the Toeplitz formula matrix's rows are dft_dense(n), so no
-    # third matrix is built and the root table is certified once.
-    counts = _count_calls(monkeypatch, "dft_dense")
+    # third matrix is built; the formula is read off the root table column
+    # chunk by column chunk, whose error is certified once.
+    counts = _count_calls(monkeypatch, "dft_dense", "gqft_dense", "phase_dense_raw")
     table_calls = []
-    table_error = gqft_mod._root_table_error
+    table_error = qstate._root_table_error
     monkeypatch.setattr(
-        gqft_mod, "_root_table_error", lambda dim: table_calls.append(dim) or table_error(dim)
+        qstate, "_root_table_error", lambda dim: table_calls.append(dim) or table_error(dim)
     )
     spec_path = write_phi(tmp_path / "phi.json", toeplitz_phi(6).phi)
     code, out, _ = run_cli("compare", "--spec", spec_path)
     report = json.loads(out)
     assert code == 0
     assert report["dft_swap_max_abs_diff"] == report["max_abs_diff"]
-    assert counts == {"dft_dense": 0} and table_calls == [64]
+    assert counts == {"dft_dense": 0, "gqft_dense": 0, "phase_dense_raw": 0}
+    assert table_calls == [64]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -689,6 +698,21 @@ def test_csv_formats(tmp_path):
     code, out, err = run_cli("haar", "--n", "2", "--basis", "1", "--format", "csv")
     assert code == 1 and out == ""
     assert "--format csv is not supported for haar" in err
+
+
+@pytest.mark.parametrize("command", ["compare", "check-unitary"])
+def test_csv_is_refused_before_the_command_runs(tmp_path, monkeypatch, command):
+    # No builder runs; over the dense cap the CSV refusal still comes first.
+    spec_path = write_phi(tmp_path / "phi.json", toeplitz_phi(4).phi)
+    counts = _count_calls(
+        monkeypatch, "check_triangular", "check_general", "gqft_circuit", "gqft_dense",
+        "phase_dense_raw", "numeric_unitarity_defect",
+    )
+    refusal = f"gqt: error: --format csv is not supported for {command}\n"
+    assert run_cli(command, "--spec", spec_path, "--format", "csv") == (1, "", refusal)
+    monkeypatch.setenv("GQT_DENSE_CAP", "2")
+    assert run_cli(command, "--spec", spec_path, "--format", "csv") == (1, "", refusal)
+    assert set(counts.values()) == {0}
 
 
 def test_reports_echo_settings(tmp_path):

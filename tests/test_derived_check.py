@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gqt import (
+    Circuit,
     DenseUnitary,
     GqftSpec,
     NotUnitaryError,
@@ -22,8 +23,14 @@ from gqt import (
 from gqt import qstate
 from gqt.cli import main as cli_main
 from gqt.config import STATE_TOL
-from gqt.qstate import _defect_bound, _max_abs_diff, _unitarity_defect
-from _oracles import one_block_circuit_dense
+from gqt.qstate import (
+    _certified_defect,
+    _circuit_distance,
+    _defect_bound,
+    _dense_columns,
+    _unitarity_defect,
+)
+from _oracles import one_block_circuit_dense, random_triangular_phi
 
 # Accepted on the bound; bound above the tolerance but the exact check
 # passes; refused by the exact check.
@@ -48,9 +55,22 @@ def _perturbed(m: np.ndarray, eps: float, rng: np.random.Generator) -> np.ndarra
     return m + eps * e / np.max(np.abs(e))
 
 
+def _standing_in_for(monkeypatch, b: np.ndarray, width: int = 3) -> Circuit:
+    """An empty circuit whose column chunks, for the streamed distance and
+    for ``circuit_to_dense``, are those of ``b``, ``width`` columns each."""
+
+    def chunks(c):
+        for j in range(0, b.shape[1], width):
+            yield j, b[:, j : j + width].copy()
+
+    monkeypatch.setattr(qstate, "_circuit_chunks", chunks)
+    return Circuit(b.shape[0].bit_length() - 1, ())
+
+
 @pytest.mark.parametrize("n", range(1, 10))
-def test_bound_covers_the_exact_defect(n):
-    # Dims 2..512, three kinds of verified matrix, perturbations 1e-16..1e-6.
+def test_bound_covers_the_exact_defect(n, monkeypatch, exact_calls):
+    # Dims 2..512, three kinds of verified matrix, perturbations 1e-16..1e-6,
+    # each perturbed matrix held as a circuit's against its reference.
     rng = np.random.default_rng(1700 + n)
     dim = 1 << n
     for kind, u in _references(n, rng).items():
@@ -58,21 +78,21 @@ def test_bound_covers_the_exact_defect(n):
         assert ref.defect == _unitarity_defect(u)
         for eps in EPSILONS:
             b = _perturbed(u, eps, rng)
-            dist = _max_abs_diff(b, u)
-            assert dist == float(np.max(np.abs(b - u)))
+            dist = float(np.max(np.abs(b - u)))
             bound = _defect_bound(ref.defect, dist, dim)
             exact = _unitarity_defect(b)
             assert exact <= bound, (kind, eps)
+            stand_in = _standing_in_for(monkeypatch, b)
+            exact_calls.clear()
             if exact > STATE_TOL:
                 with pytest.raises(NotUnitaryError):
-                    DenseUnitary(n, b, near=ref)
+                    _circuit_distance(stand_in, *_dense_columns(ref))
                 continue
-            derived = DenseUnitary(n, b, near=ref)
-            assert derived.distance == dist
-            assert derived.defect == (bound if bound <= STATE_TOL else exact)
+            assert _circuit_distance(stand_in, *_dense_columns(ref)) == dist
+            assert exact_calls == ([] if bound <= STATE_TOL else [dim]), (kind, eps)
 
 
-def test_derived_check_refuses_exactly_what_the_exact_check_refuses():
+def test_derived_check_refuses_exactly_what_the_exact_check_refuses(monkeypatch):
     rng = np.random.default_rng(1701)
     u = _random_unitary(8, rng)
     ref = DenseUnitary(3, u)
@@ -81,35 +101,39 @@ def test_derived_check_refuses_exactly_what_the_exact_check_refuses():
             for shift in (1e-6, 1e-11, complex(math.nan, 0.0)):
                 m = u.copy()
                 m[r, c] += shift
+                stand_in = _standing_in_for(monkeypatch, m)
                 try:
                     DenseUnitary(3, m)
                 except NotUnitaryError as exc:
                     with pytest.raises(NotUnitaryError) as derived:
-                        DenseUnitary(3, m, near=ref)
+                        _circuit_distance(stand_in, *_dense_columns(ref))
                     assert str(derived.value) == str(exc)
                 else:
-                    DenseUnitary(3, m, near=ref)
+                    _circuit_distance(stand_in, *_dense_columns(ref))
 
 
-def test_a_nan_entry_fails_the_derived_check_by_nan():
+def test_a_nan_entry_fails_the_derived_check_by_nan(monkeypatch):
     u = np.eye(4, dtype=np.complex128)
     ref = DenseUnitary(2, u)
     m = u.copy()
     m[3, 2] = math.nan
-    assert math.isnan(_max_abs_diff(m, u))
     with pytest.raises(NotUnitaryError, match="by nan"):
-        DenseUnitary(2, m, near=ref)
+        _circuit_distance(_standing_in_for(monkeypatch, m), *_dense_columns(ref))
 
 
-@pytest.mark.parametrize("budget_rows", [1, 3, 5, 64])
-def test_row_block_distance_equals_the_one_shot_max(monkeypatch, budget_rows):
-    rng = np.random.default_rng(1702 + budget_rows)
+@pytest.mark.parametrize("budget_cols", [1, 3, 5, 64])
+def test_row_block_distance_equals_the_one_shot_max(monkeypatch, budget_cols):
+    # The distance was once taken over row blocks of the two matrices; it is
+    # now taken over the circuit's column chunks, of the same byte budget.
+    rng = np.random.default_rng(1702 + budget_cols)
     for n in (1, 4, 6):
         dim = 1 << n
-        monkeypatch.setattr(qstate, "_CHUNK_BYTES", 16 * dim * budget_rows)
-        d = _random_unitary(dim, rng)
-        b = _perturbed(d, 1e-9, rng)
-        assert _max_abs_diff(b, d) == float(np.max(np.abs(b - d)))
+        monkeypatch.setattr(qstate, "_CHUNK_BYTES", 16 * dim * budget_cols)
+        c = gqft_circuit(GqftSpec(random_triangular_phi(n, rng)))
+        built = one_block_circuit_dense(c)
+        formula = DenseUnitary(n, _perturbed(built, 1e-12, rng))
+        want = float(np.max(np.abs(built - formula.entries)))
+        assert _circuit_distance(c, *_dense_columns(formula)) == want
 
 
 def _run_compare(spec_path) -> tuple[int, str, str]:
@@ -176,10 +200,9 @@ def test_compare_runs_the_exact_check_once(tmp_path, monkeypatch):
 def test_compare_reports_the_distance_its_bound_used(tmp_path):
     n = 9
     spec = GqftSpec(toeplitz_phi(n))
-    dense = gqft_dense(spec)
-    built = circuit_to_dense(gqft_circuit(spec), near=dense)
+    built = circuit_to_dense(gqft_circuit(spec))
+    diff = float(np.max(np.abs(built.entries - gqft_dense(spec).entries)))
     _, out, _ = _run_compare(_write_phi(tmp_path / "phi.json", toeplitz_phi(n).phi))
     report = json.loads(out)
-    assert report["max_abs_diff"] == built.distance
-    assert built.distance == float(np.max(np.abs(built.entries - dense.entries)))
-    assert built.defect <= STATE_TOL
+    assert report["max_abs_diff"] == diff
+    assert _defect_bound(_certified_defect(1 << n), diff, 1 << n) <= STATE_TOL

@@ -122,6 +122,25 @@ def test_sweep_refuses_an_unwritable_out_path(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_survey_refuses_an_unwritable_out_path(tmp_path, capsys):
+    # The CSV is written before the tables are printed, so nothing reaches stdout.
+    target = str(tmp_path / "missing" / "s.csv")
+    assert load("unitarity_survey").main([*TINY["unitarity_survey"], "--out", target]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"unitarity_survey: error: cannot write {target}: ")
+    assert err.count("\n") == 1
+
+
+def test_survey_writes_its_family_table(tmp_path, capsys):
+    target = tmp_path / "s.csv"
+    assert load("unitarity_survey").main([*TINY["unitarity_survey"], "--out", str(target)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {target}\n")
+    lines = target.read_text().splitlines()
+    assert lines[0] == "family,a,structural_valid,numeric_valid,defect"
+    assert len(lines) == 1 + 3 * 7
+
+
 def test_cli_digest_is_deterministic(capsys):
     digest = load("cli_digest")
     outputs = []

@@ -1,0 +1,231 @@
+"""compare holds formula against circuit one column chunk at a time.
+
+The streamed distance must equal max |C - F| over the whole matrices bit for
+bit, whichever route the formula takes: read off the root table chunk by
+chunk, or sliced from a matrix built with its exact check.  Where the
+circuit's derived check cannot vouch for it, the exact check must refuse it
+with the message the exact check alone gives.
+"""
+
+import io
+import json
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+import pytest
+
+from gqt import (
+    HADAMARD_FIRST,
+    ROTATION_FIRST,
+    GqftSpec,
+    NotUnitaryError,
+    PhaseMatrix,
+    circuit_to_dense,
+    gqft_circuit,
+    gqft_dense,
+    rot1_circuit,
+    rot1_dense,
+    rot2_circuit,
+    rot2_dense,
+    toeplitz_phi,
+)
+from gqt import gqft as gqft_mod
+from gqt import qstate
+from gqt.cli import main as cli_main
+from gqt.gqft import _formula_columns
+from gqt.qstate import _circuit_distance, _dense_columns, _unitarity_defect
+from _oracles import (
+    one_block_circuit_dense,
+    random_rot_spec,
+    random_triangular_phi,
+    zero_lower_phi,
+)
+
+
+def _integral_triangular(n: int, rng: np.random.Generator) -> PhaseMatrix:
+    dim = 1 << n
+    phi = np.triu(dim * rng.integers(-1, 2, size=(n, n)), 1)
+    phi += np.tril(rng.integers(-2 * dim, 2 * dim, size=(n, n)), -1)
+    np.fill_diagonal(phi, dim // 2)
+    return PhaseMatrix(n, phi)
+
+
+def _cases(n: int, rng: np.random.Generator):
+    """(name, circuit, whole formula matrix, formula for ``_circuit_distance``)."""
+    specs = {
+        "toeplitz": GqftSpec(toeplitz_phi(n)),
+        "triangular": GqftSpec(_integral_triangular(n, rng)),
+        "real": GqftSpec(random_triangular_phi(n, rng)),
+    }
+    for name, spec in specs.items():
+        yield name, gqft_circuit(spec), gqft_dense(spec).entries, _formula_columns(spec)
+    for variant, dense_fn, circuit_fn in (
+        (HADAMARD_FIRST, rot1_dense, rot1_circuit),
+        (ROTATION_FIRST, rot2_dense, rot2_circuit),
+    ):
+        spec = random_rot_spec(n, variant, rng)
+        dense = dense_fn(spec)
+        yield variant, circuit_fn(spec), dense.entries, _dense_columns(dense)
+
+
+def _one_shot(c, formula_entries: np.ndarray) -> float:
+    return float(np.max(np.abs(circuit_to_dense(c).entries - formula_entries)))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_streamed_distance_equals_the_one_shot_max(n):
+    # From n = 9 on a 1 MiB chunk holds fewer than 2^n columns.
+    rng = np.random.default_rng(2600 + n)
+    for name, c, entries, formula in _cases(n, rng):
+        assert _circuit_distance(c, *formula) == _one_shot(c, entries), (name, n)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_small_chunks_hold_column_bits_and_keep_the_distance(monkeypatch, width):
+    # A growing circuit takes the budget down to a power of two and holds
+    # every column bit above it; a kernel-run one may end on a ragged chunk.
+    for n in range(3, 7):
+        rng = np.random.default_rng(2700 + 10 * width + n)
+        monkeypatch.setattr(qstate, "_CHUNK_BYTES", 16 * (1 << n) * width)
+        for name, c, entries, formula in _cases(n, rng):
+            assert _circuit_distance(c, *formula) == _one_shot(c, entries), (name, n)
+
+
+def test_integral_phi_is_read_off_the_table_with_no_dense_build(monkeypatch):
+    def refused(spec):
+        raise AssertionError("gqft_dense called")
+
+    rng = np.random.default_rng(2750)
+    specs = [GqftSpec(toeplitz_phi(9)), GqftSpec(_integral_triangular(9, rng))]
+    want = [_one_shot(gqft_circuit(s), gqft_dense(s).entries) for s in specs]
+    monkeypatch.setattr(gqft_mod, "gqft_dense", refused)
+    got = [_circuit_distance(gqft_circuit(s), *_formula_columns(s)) for s in specs]
+    assert got == want
+
+
+@pytest.mark.parametrize("budget", [None, 2])
+def test_negative_zero_columns_are_rebuilt_inside_their_chunk(monkeypatch, budget):
+    rebuilt = []
+    kernel_columns_into = qstate._kernel_columns_into
+
+    def counted(chunk, cols, *rest):
+        rebuilt.append(cols.size)
+        kernel_columns_into(chunk, cols, *rest)
+
+    monkeypatch.setattr(qstate, "_kernel_columns_into", counted)
+    rng = np.random.default_rng(2800 + (budget or 0))
+    for n in range(2, 10):
+        if budget is not None:
+            monkeypatch.setattr(qstate, "_CHUNK_BYTES", 16 * (1 << n) * budget)
+        spec = GqftSpec(zero_lower_phi(n, rng))
+        c = gqft_circuit(spec)
+        want = float(np.max(np.abs(one_block_circuit_dense(c) - gqft_dense(spec).entries)))
+        assert _circuit_distance(c, *_formula_columns(spec)) == want, n
+    assert sum(rebuilt) > 0
+
+
+def test_a_nan_certificate_builds_the_formula_with_its_exact_check(
+    monkeypatch, uncached_table_error, exact_calls
+):
+    n = 6
+    specs = [GqftSpec(toeplitz_phi(n)), GqftSpec(zero_lower_phi(n, np.random.default_rng(2900)))]
+    want = [_circuit_distance(gqft_circuit(s), *_formula_columns(s)) for s in specs]
+    assert exact_calls == []
+    monkeypatch.setattr(qstate, "_WIDE", np.float64)
+    qstate._root_table_error.cache_clear()
+    got = [_circuit_distance(gqft_circuit(s), *_formula_columns(s)) for s in specs]
+    assert got == want
+    assert exact_calls == [1 << n, 1 << n]  # each formula once, no circuit
+
+
+def test_a_certificate_above_tolerance_refuses_as_the_exact_check_does(
+    monkeypatch, uncached_table_error, exact_calls
+):
+    # Roots 1e-9 too long: the certificate is above STATE_TOL, so the formula
+    # takes its exact check, which refuses it with its own message.
+    n = 5
+    table = qstate._root_table(1 << n) * (1 + 1e-9)
+    monkeypatch.setattr(qstate, "_root_table", lambda dim: table.copy())
+    spec = GqftSpec(toeplitz_phi(n))
+    bits = qstate.bit_table(n)
+    exponent = (bits @ spec.pm.phi @ bits.T).astype(np.int64) & ((1 << n) - 1)
+    want = f"matrix deviates from unitarity by {_unitarity_defect(table[exponent]):.3e}"
+    with pytest.raises(NotUnitaryError) as raised:
+        _formula_columns(spec)
+    assert str(raised.value) == want
+    assert exact_calls == [1 << n]
+
+
+@pytest.mark.parametrize("shift", [1e-10, 1e-6, complex(float("nan"), 0.0)])
+def test_a_circuit_the_bound_cannot_vouch_for_takes_the_exact_check(
+    monkeypatch, exact_calls, shift
+):
+    # One entry of one chunk of four is shifted.  Above the bound the exact
+    # check runs on the whole circuit matrix: it passes at 1e-10 and refuses
+    # the rest with the message of the exact check alone.
+    n = 6
+    dim = 1 << n
+    monkeypatch.setattr(qstate, "_CHUNK_BYTES", 16 * dim * 16)
+    spec = GqftSpec(toeplitz_phi(n))
+    c = gqft_circuit(spec)
+    grow = qstate._grow_chunk
+    hit = []
+
+    def shifted(chunk, spare, gates, j):
+        marked = grow(chunk, spare, gates, j)
+        if j == 32:
+            k = int(np.flatnonzero(~marked)[0])  # a column that no rebuild overwrites
+            chunk[5, k] += shift
+            hit.append(j + k)
+        return marked
+
+    monkeypatch.setattr(qstate, "_grow_chunk", shifted)
+    try:
+        got, refusal = _circuit_distance(c, *_formula_columns(spec)), None
+    except NotUnitaryError as exc:
+        refusal = str(exc)
+    want = one_block_circuit_dense(c)
+    want[5, hit[0]] += shift
+    assert (_unitarity_defect(want) <= 1e-9) == (shift == 1e-10)
+    if shift == 1e-10:
+        assert refusal is None
+        assert got == float(np.max(np.abs(want - gqft_dense(spec).entries)))
+    else:
+        assert refusal == f"matrix deviates from unitarity by {_unitarity_defect(want):.3e}"
+    assert exact_calls == [dim]  # the circuit's, once
+
+
+def _compare(spec_path) -> tuple[int, dict]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_main(["compare", "--spec", str(spec_path)])
+    assert err.getvalue() == ""
+    return code, json.loads(out.getvalue())
+
+
+def test_compare_reports_the_one_shot_distance(tmp_path):
+    n = 9
+    spec = GqftSpec(toeplitz_phi(n))
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(spec.pm.to_json_dict()))
+    code, report = _compare(path)
+    assert code == 0
+    assert report["max_abs_diff"] == _one_shot(gqft_circuit(spec), gqft_dense(spec).entries)
+
+
+def test_a_warm_toeplitz_compare_at_n12_allocates_a_few_chunks(tmp_path, monkeypatch):
+    # The whole matrices take 256 MiB each; the chunks, the exponents, the
+    # formula columns and their distances take about 4 MiB, allocated once.
+    monkeypatch.delenv("GQT_DENSE_CAP", raising=False)
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(toeplitz_phi(12).to_json_dict()))
+    first = _compare(path)
+    tracemalloc.start()
+    try:
+        again = _compare(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == again and first[0] == 0
+    assert peak < 8 << 20
