@@ -12,7 +12,11 @@ Commands
 Reports are JSON by default, keys sorted, floats in shortest round-trip form,
 so identical flags and seed give byte-identical output.  CSV (``--format
 csv``) is a lossy 12-digit view of the report, built only on request, for
-matrix, the full-matrix view of haar, simulate, and dhsp.
+matrix, the full-matrix view of haar, simulate, and dhsp.  One writer
+streams each report to stdout or ``--out``: its arrays (entries, amps,
+inverse_amps, histogram) go straight from NumPy in blocks of rows, each
+distinct float of a block formatted once, in the bytes ``json.dumps(report,
+sort_keys=True, indent=2)`` gives for their nested lists.
 Exit codes: 0 success/valid, 1 bad input, 2 validity failure, 3 cap exceeded.
 The environment variable GQT_DENSE_CAP overrides the dense-matrix cap.
 """
@@ -100,19 +104,9 @@ _HAAR_NOTE = (
 # serialization
 
 
-def _pairs(a) -> list:
-    """Nested lists shaped like ``a``, with each complex entry as an [re, im] pair."""
-    a = np.asarray(a, dtype=np.complex128)
-    return np.stack((a.real, a.imag), -1).tolist()
-
-
-def matrix_to_lists(m: np.ndarray) -> list:
-    """Row-major nested lists with each entry as an [re, im] pair."""
-    return _pairs(m)
-
-
 def matrix_from_lists(rows) -> np.ndarray:
-    """Inverse of :func:`matrix_to_lists` (bit-exact for JSON round trips)."""
+    """A report's nested [re, im] lists as a complex array (bit-exact for
+    JSON round trips)."""
     try:
         return np.array(
             [[complex(re, im) for re, im in row] for row in rows],
@@ -122,14 +116,15 @@ def matrix_from_lists(rows) -> np.ndarray:
         raise InputError(f"malformed matrix entries: {exc}") from exc
 
 
-def hist_to_pairs(hist: dict[int, int]) -> list:
-    return [[int(k), int(v)] for k, v in sorted(hist.items())]
+def _hist_rows(hist: dict[int, int]) -> np.ndarray:
+    """A histogram as (outcome, count) rows, by outcome."""
+    return np.array(sorted(hist.items()), dtype=np.int64).reshape(-1, 2)
 
 
 def gate_to_json_dict(g) -> dict:
     if isinstance(g, Swap):
         return {"kind": "swap", "a": g.a, "b": g.b}
-    u = _pairs(g.u.ravel())
+    u = [[z.real, z.imag] for z in g.u.ravel().tolist()]
     if not g.controls:  # a gate with no controls is written as "single"
         return {"kind": "single", "target": g.target, "u": u}
     return {
@@ -195,13 +190,6 @@ def _load_json(path: str) -> dict:
     if not isinstance(data, dict):
         raise InputError(f"spec file {path} must hold a JSON object")
     return data
-
-
-def _write_text(path: str, text: str) -> None:
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def load_phase_spec(path: str) -> PhaseMatrix:
@@ -296,12 +284,10 @@ def _cmd_matrix(args) -> tuple[dict, int]:
         "kind": kind,
         "n": n,
         "convention": note,
-        "entries": matrix_to_lists(entries),
+        "entries": entries,
     }
     if circuit is not None:
-        _write_text(
-            emit, json.dumps(circuit_to_json_dict(circuit), sort_keys=True, indent=2) + "\n"
-        )
+        _emit(circuit_to_json_dict(circuit), "json", emit)
         report["circuit_path"] = emit
         report["gate_count"] = circuit.gate_count
     return report, 0
@@ -338,12 +324,12 @@ def _cmd_simulate(args) -> tuple[dict, int]:
         "n": circ.n,
         "basis": basis,
         "gate_count": circ.gate_count,
-        "amps": _pairs(out.amps),
+        "amps": out.amps,
     }
     if args.trials:
         hist = measure_all(out, args.seed, args.trials)
         report["trials"] = args.trials
-        report["histogram"] = hist_to_pairs(hist)
+        report["histogram"] = _hist_rows(hist)
     return report, 0
 
 
@@ -447,7 +433,7 @@ def _cmd_dhsp(args) -> tuple[dict, int]:
         "lambda": list(rec.analysis.lam),
         "f": rec.analysis.f,
         "phi": rec.analysis.phi.to_json_dict()["phi"],
-        "histogram": hist_to_pairs(rec.histogram),
+        "histogram": _hist_rows(rec.histogram),
     }
     return report, 0
 
@@ -462,7 +448,7 @@ def _cmd_haar(args) -> tuple[dict, int]:
         state = haar_apply_basis(n, x)
         report["basis"] = args.basis
         report["slot_bits"] = list(x)
-        report["amps"] = _pairs(state.amps)
+        report["amps"] = state.amps
         # The forward action is closed-form; only this check needs the dense matrix.
         report["identity_check"] = None
         with suppress(CapExceededError):
@@ -470,7 +456,7 @@ def _cmd_haar(args) -> tuple[dict, int]:
     if args.ket is not None:
         state = haar_inverse_apply(n, args.ket)
         report["ket"] = args.ket
-        report["inverse_amps"] = _pairs(state.amps)
+        report["inverse_amps"] = state.amps
     if args.i is not None:
         circ = haar_inverse_circuit(n, args.i)
         report["i"] = args.i
@@ -478,7 +464,7 @@ def _cmd_haar(args) -> tuple[dict, int]:
         report["inverse_circuit"] = circuit_to_json_dict(circ)
     if args.basis is None and args.ket is None and args.i is None:
         report["convention"] = _HAAR_NOTE
-        report["entries"] = matrix_to_lists(haar_matrix(n).p)
+        report["entries"] = haar_matrix(n).p
     return report, 0
 
 
@@ -609,20 +595,103 @@ _CSV_KEYS = {
 }
 
 
-def _render(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
-    key = _CSV_KEYS.get(report["command"])
-    if key not in report:
-        raise InputError(f"--format csv is not supported for {report['command']}")
-    values = report[key]
-    if key == "entries":
-        rows = [",".join(f"{re:.12g},{im:.12g}" for re, im in row) for row in values]
-    elif key == "amps":
-        rows = [f"{k},{re:.12g},{im:.12g}" for k, (re, im) in enumerate(values)]
+# Numbers formatted per block: each distinct bit pattern in a block is
+# formatted once, and a block of rows is written as one piece of text.
+_BLOCK_ITEMS = 1 << 16
+
+
+def _texts(values: np.ndarray, csv: bool) -> np.ndarray:
+    """The report text of each number of flat ``values``, as an object array.
+
+    A JSON float is its ``repr`` and a CSV one ``%.12g``; an int is its
+    ``repr``.  A block that holds a non-finite float takes ``json.dumps``
+    (``NaN``, ``Infinity``) for JSON.  ``np.unique`` runs on the bits, so
+    -0.0 is formatted apart from 0.0.
+    """
+    out = np.empty(values.size, dtype=object)
+    for i in range(0, values.size, _BLOCK_ITEMS):
+        part = values[i : i + _BLOCK_ITEMS]
+        bits, where = np.unique(part.view(np.uint64), return_inverse=True)
+        distinct = bits.view(part.dtype)
+        if part.dtype.kind == "i":
+            fmt = repr
+        elif csv:
+            fmt = "%.12g".__mod__
+        else:
+            fmt = repr if np.isfinite(distinct).all() else json.dumps
+        out[i : i + part.size] = np.array([fmt(v) for v in distinct.tolist()], dtype=object)[where]
+    return out
+
+
+def _json_template(shape: tuple, depth: int) -> str:
+    """``json.dumps(indent=2)`` of a nested list of ``shape`` that opens at
+    indent level ``depth``, each number a %s."""
+    if not shape:
+        return "%s"
+    pad = "\n" + "  " * (depth + 1)
+    inner = _json_template(shape[1:], depth + 1)
+    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * depth + "]"
+
+
+def _write_array(out, a: np.ndarray, csv: bool) -> None:
+    """Write ``a`` as the JSON value of a top-level report key, or as CSV
+    lines, in blocks of rows.
+
+    A complex or float array is written as [re, im] pairs, an int array as
+    it is; one CSV line per row, a 1-D array's led by its index.  The bytes
+    are those of ``json.dumps`` (``sort_keys=True, indent=2``) of the nested
+    lists, or of ``%.12g`` joined by commas.
+    """
+    ints = a.dtype.kind in "iu"
+    shape = a.shape[1:] if ints else a.shape[1:] + (2,)
+    per_row = math.prod(shape)
+    if csv:
+        index = a.ndim == 1
+        row, head, sep, tail = ",".join(["%s"] * (per_row + index)), "", "\n", "\n"
     else:
-        rows = [f"{k},{v}" for k, v in values]
-    return "\n".join(rows) + "\n"
+        row, head, sep, tail = _json_template(shape, 2), "[\n    ", ",\n    ", "\n  ]"
+    step = max(1, _BLOCK_ITEMS // per_row)
+    out.write(head)
+    for r in range(0, len(a), step):
+        block = np.ascontiguousarray(a[r : r + step], dtype=np.int64 if ints else np.complex128)
+        values = block.reshape(-1) if ints else block.reshape(-1).view(np.float64)
+        texts = _texts(values, csv).reshape(len(block), per_row)
+        if csv and index:
+            texts = np.column_stack((np.arange(r, r + len(block)).astype(object), texts))
+        out.write((sep if r else "") + sep.join([row] * len(block)) % tuple(texts.ravel().tolist()))
+    out.write(tail)
+
+
+def _write_report(out, report: dict, fmt: str) -> None:
+    """Write ``report`` to the text stream ``out``: the bytes of
+    ``json.dumps(report, sort_keys=True, indent=2) + "\n"`` with each array
+    as nested lists, or the CSV view of its ``_CSV_KEYS`` array."""
+    if fmt == "csv":
+        _write_array(out, report[_CSV_KEYS[report["command"]]], csv=True)
+        return
+    sep = "{\n  "
+    for key in sorted(report):
+        out.write(sep + json.dumps(key) + ": ")
+        sep = ",\n  "
+        value = report[key]
+        if isinstance(value, np.ndarray):
+            _write_array(out, value, csv=False)
+        else:
+            out.write(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
+    out.write("\n}\n")
+
+
+def _emit(report: dict, fmt: str, path: str | None) -> None:
+    """Stream ``report`` to the file ``path``, or to stdout if it is None.
+    A path that cannot be opened is refused before any byte is written."""
+    if path is None:
+        _write_report(sys.stdout, report, fmt)
+        return
+    try:
+        with open(path, "w") as out:
+            _write_report(out, report, fmt)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -638,21 +707,19 @@ def main(argv=None) -> int:
         if args.format == "csv" and args.command not in _CSV_KEYS:
             raise InputError(f"--format csv is not supported for {args.command}")
         report, code = _COMMANDS[args.command](args)
+        if args.format == "csv" and _CSV_KEYS[args.command] not in report:
+            raise InputError(f"--format csv is not supported for {args.command}")
         report["seed"] = args.seed
         report["format"] = args.format
         report["tol"] = args.tol
         report["dense_cap"] = dense_cap
-        text = _render(report, args.format)
-        if args.out:
-            _write_text(args.out, text)
+        _emit(report, args.format, args.out)
     except GqtError as exc:
         print(f"gqt: {exc.label}: {exc}", file=sys.stderr)
         rep = getattr(exc, "report", None)
         if rep is not None:  # a failed validity check rides along on stderr
             print(json.dumps(rep.to_json_dict(), sort_keys=True), file=sys.stderr)
         return exc.exit_code
-    if not args.out:
-        sys.stdout.write(text)
     return code
 
 

@@ -48,6 +48,8 @@ def cap(kind: str) -> int:
 
 def spec_int(value, field: str) -> int:
     """An integer spec field: a bool, a string or a fraction is refused, not rounded."""
+    if type(value) is int:  # the common case, ahead of the ABC check
+        return value
     integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not (integral or isinstance(value, float) and value.is_integer()):
         raise InputError(f"spec field {field!r} must be an integer, got {value!r}")

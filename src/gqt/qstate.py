@@ -27,7 +27,7 @@ columns are marked as they grow and rebuilt by the kernel inside their
 chunk, so every chunk stays bit-identical to a whole-block kernel run.
 ``circuit_to_dense`` gathers the chunks into a matrix; ``_circuit_distance``
 holds each against the matching columns of a formula and keeps only the
-largest distance.
+largest distance, which no zero's sign can change, so it skips the rebuild.
 
 Every dense route that writes entries w^e / sqrt(N) (the transform
 builders, the raw phase matrix, the coset state) takes them from
@@ -538,7 +538,9 @@ def _mark_negative_zeros(marked: np.ndarray, a: np.ndarray) -> None:
         marked |= hit.any(axis=0).reshape(marked.size, 2).any(axis=1)
 
 
-def _grow_chunk(chunk: np.ndarray, spare: np.ndarray, gates: tuple, j: int) -> np.ndarray:
+def _grow_chunk(
+    chunk: np.ndarray, spare: np.ndarray, gates: tuple, j: int, signed_zeros: bool
+) -> np.ndarray:
     """Write into ``chunk`` columns j, j+1, ... of ``gates`` run on the identity.
 
     ``chunk`` is a contiguous (2^n, w) block, w a power of two and j a
@@ -558,7 +560,9 @@ def _grow_chunk(chunk: np.ndarray, spare: np.ndarray, gates: tuple, j: int) -> n
     structural zero, which is the product itself unless a part of the
     product is -0 and the zero +0.  Returned: the columns in which some
     product held a -0 part, whose bits the kernel may not share; every
-    other column is bit-identical to the kernel's.
+    other column is bit-identical to the kernel's.  Unless ``signed_zeros``,
+    no column is marked: growth then differs from the kernel only in the
+    sign of some zeros.
     """
     n = chunk.shape[0].bit_length() - 1
     width = chunk.shape[1]
@@ -583,14 +587,16 @@ def _grow_chunk(chunk: np.ndarray, spare: np.ndarray, gates: tuple, j: int) -> n
                 grown = pools[left % 2][: 2 * t.size].reshape((2,) + t.shape)
                 _mix(t, g.u, axis, bit, grown)
                 t = grown
-                _mark_negative_zeros(marked, t)
+                if signed_zeros:
+                    _mark_negative_zeros(marked, t)
                 continue
             # every wire is mixed: lay t's axes over the chunk's (2,)*n view
             order = list(range(n + k + 1))
             for q in range(n):
                 order[axes[q] + n + k + 1] = n - 1 - q
             _mix(t, g.u, axis, bit, chunk.reshape((2,) * (n + k) + (1,)).transpose(order))
-            _mark_negative_zeros(marked, chunk)
+            if signed_zeros:
+                _mark_negative_zeros(marked, chunk)
     return marked
 
 
@@ -616,7 +622,7 @@ def _kernel_columns_into(
         chunk[:, part] = block
 
 
-def _circuit_chunks(c: Circuit):
+def _circuit_chunks(c: Circuit, signed_zeros: bool = True):
     """Yield (j, chunk) over the column chunks of a circuit's dense matrix.
 
     ``chunk`` holds columns j, j+1, ... as a contiguous (2^n, w) view of the
@@ -637,7 +643,9 @@ def _circuit_chunks(c: Circuit):
 
     Each column sees the same float operations as in one whole-block kernel
     run, or operations with the same result, so every chunk is bit-identical
-    to the matching columns of that run.
+    to the matching columns of that run.  Without ``signed_zeros`` grown
+    columns are neither marked nor rebuilt, and may differ from that run in
+    the sign of a zero, where a -0 met +0, and in nothing else.
     """
     dim = 1 << c.n
     width = min(dim, max(1, _CHUNK_BYTES // (16 * dim)))
@@ -652,7 +660,7 @@ def _circuit_chunks(c: Circuit):
         if grow is None:
             _kernel_columns(chunk, j + np.arange(chunk.shape[1]), c)
         else:
-            marked = _grow_chunk(chunk, spare, prefix, j)
+            marked = _grow_chunk(chunk, spare, prefix, j, signed_zeros)
             _run_in_place(chunk, rest)
             _kernel_columns_into(chunk, np.flatnonzero(marked), j, spare, c)
         yield j, chunk
@@ -690,6 +698,8 @@ def _circuit_distance(c: Circuit, columns, ref_defect: float) -> float:
     moduli go to a workspace buffer, so no array of the matrices' size is
     allocated.  A max is exact, so the result equals the one-shot
     ``np.max(np.abs(C - F))`` bit for bit; a NaN in either makes it NaN.
+    |C - F| does not depend on the sign of a zero, so C's chunks skip the
+    -0 marking and rebuild (``signed_zeros=False``).
 
     C's unitarity check is derived from F's: when
     ``_defect_bound(ref_defect, eps, N)`` is at most ``STATE_TOL``, the exact
@@ -701,7 +711,7 @@ def _circuit_distance(c: Circuit, columns, ref_defect: float) -> float:
     check_cap("dense", c.n)
     dim = 1 << c.n
     worst = 0.0
-    for j, chunk in _circuit_chunks(c):
+    for j, chunk in _circuit_chunks(c, signed_zeros=False):
         w = chunk.shape[1]
         np.subtract(chunk, columns(j, w), out=chunk)
         dist = _scratch("distance", (dim, w), np.float64)

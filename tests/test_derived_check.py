@@ -59,7 +59,7 @@ def _standing_in_for(monkeypatch, b: np.ndarray, width: int = 3) -> Circuit:
     """An empty circuit whose column chunks, for the streamed distance and
     for ``circuit_to_dense``, are those of ``b``, ``width`` columns each."""
 
-    def chunks(c):
+    def chunks(c, signed_zeros=True):
         for j in range(0, b.shape[1], width):
             yield j, b[:, j : j + width].copy()
 

@@ -106,6 +106,8 @@ def test_integral_phi_is_read_off_the_table_with_no_dense_build(monkeypatch):
 
 @pytest.mark.parametrize("budget", [None, 2])
 def test_negative_zero_columns_are_rebuilt_inside_their_chunk(monkeypatch, budget):
+    # Only circuit_to_dense rebuilds the columns growth marked for a -0 part:
+    # the compare distance, which no zero's sign can change, skips it.
     rebuilt = []
     kernel_columns_into = qstate._kernel_columns_into
 
@@ -115,6 +117,7 @@ def test_negative_zero_columns_are_rebuilt_inside_their_chunk(monkeypatch, budge
 
     monkeypatch.setattr(qstate, "_kernel_columns_into", counted)
     rng = np.random.default_rng(2800 + (budget or 0))
+    circuits = []
     for n in range(2, 10):
         if budget is not None:
             monkeypatch.setattr(qstate, "_CHUNK_BYTES", 16 * (1 << n) * budget)
@@ -122,6 +125,13 @@ def test_negative_zero_columns_are_rebuilt_inside_their_chunk(monkeypatch, budge
         c = gqft_circuit(spec)
         want = float(np.max(np.abs(one_block_circuit_dense(c) - gqft_dense(spec).entries)))
         assert _circuit_distance(c, *_formula_columns(spec)) == want, n
+        circuits.append(c)
+    assert sum(rebuilt) == 0
+    for c in circuits:
+        if budget is not None:
+            monkeypatch.setattr(qstate, "_CHUNK_BYTES", 16 * (1 << c.n) * budget)
+        got = circuit_to_dense(c).entries
+        assert np.array_equal(got.view(np.uint64), one_block_circuit_dense(c).view(np.uint64))
     assert sum(rebuilt) > 0
 
 
@@ -172,8 +182,8 @@ def test_a_circuit_the_bound_cannot_vouch_for_takes_the_exact_check(
     grow = qstate._grow_chunk
     hit = []
 
-    def shifted(chunk, spare, gates, j):
-        marked = grow(chunk, spare, gates, j)
+    def shifted(chunk, spare, gates, j, signed_zeros):
+        marked = grow(chunk, spare, gates, j, signed_zeros)
         if j == 32:
             k = int(np.flatnonzero(~marked)[0])  # a column that no rebuild overwrites
             chunk[5, k] += shift
