@@ -45,11 +45,11 @@ from .errors import (
 from .gqft import (
     GqftSpec,
     _formula_columns,
+    _toeplitz_entries,
     dft_circuit,
     dft_dense,
     gqft_circuit,
     gqft_dense,
-    toeplitz_phi,
 )
 from .haar import (
     haar_apply_basis,
@@ -358,7 +358,7 @@ def _cmd_compare(args) -> tuple[dict, int]:
         n = pm.n
         ceiling = n + n * (n - 1) // 2
         report["spec_kind"] = "phase"
-        toeplitz = np.array_equal(pm.phi, toeplitz_phi(n).phi)
+        toeplitz = np.array_equal(pm.phi, _toeplitz_entries(n))
         formula = _formula_columns(spec)
     # Only the formula matrix may take the exact unitarity check; the
     # circuit's matrix, held against it one column chunk at a time, derives

@@ -218,6 +218,11 @@ def gqft_circuit(spec: GqftSpec) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
+def _toeplitz_entries(n: int) -> np.ndarray:
+    """The float entries 2^(n-1-i+j) of ``toeplitz_phi(n)``, unvalidated."""
+    return 2.0 ** (n - 1 - np.arange(n)[:, None] + np.arange(n))
+
+
 def toeplitz_phi(n: int) -> PhaseMatrix:
     """The constant-diagonal matrix phi[i][j] = 2^(n-1-i+j).
 
@@ -225,8 +230,7 @@ def toeplitz_phi(n: int) -> PhaseMatrix:
     with bit-reversed rows.
     """
     check_wires(n)
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return PhaseMatrix(n, 2.0 ** (n - 1 - i + j))
+    return PhaseMatrix(n, _toeplitz_entries(n))
 
 
 def dft_dense(n: int) -> DenseUnitary:

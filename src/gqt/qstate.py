@@ -18,13 +18,14 @@ first use and reused, so that a run of them faults in no fresh pages.  The
 workspace serves one call at a time: the chunk routes are not thread-safe.
 
 A circuit's dense matrix is built one column chunk at a time
-(``_circuit_chunks``).  A transform circuit mixes each wire once, with an
-uncontrolled gate, so each column is a product state whose support doubles
-per wire; such columns are grown from that support with the kernel's own
-products, skipping the structural zeros the kernel would add.  That can
-only flip the sign of an exact zero, where a product part is -0; such
-columns are marked as they grow and rebuilt by the kernel inside their
-chunk, so every chunk stays bit-identical to a whole-block kernel run.
+(``_circuit_chunks``).  A transform circuit or rotation cascade mixes each
+wire first with an uncontrolled gate, so each column's support doubles per
+wire; such columns are grown from that support with the kernel's own
+products, by a plan compiled once per circuit, skipping the structural
+zeros the kernel would add.  That can only flip the sign of an exact zero,
+where a product part is -0; such columns are marked as they grow and
+rebuilt by the kernel inside their chunk, so every chunk stays
+bit-identical to a whole-block kernel run.
 ``circuit_to_dense`` gathers the chunks into a matrix; ``_circuit_distance``
 holds each against the matching columns of a formula and keeps only the
 largest distance, which no zero's sign can change, so it skips the rebuild.
@@ -307,26 +308,9 @@ def _is_phase(u: np.ndarray) -> bool:
     return u[0, 0] == 1 and u[0, 1] == 0 and u[1, 0] == 0
 
 
-def _apply_gate_inplace(view: np.ndarray, g: Gate, axes, held=None) -> None:
-    """Apply a Circuit-checked gate in place to an array of amplitudes.
-
-    Qubit q's bit is axis ``axes[q]`` of ``view``, except for a qubit in
-    ``held`` (a mapping qubit -> bit), which holds that one bit over the
-    whole view: a control on its other bit leaves the view as it is, and a
-    diag(1, u11) gate on it scales all of the view or none.  A swap, and a
-    gate that is not diag(1, u11), need their qubits on axes.
-
-    A 2x2 gate computes u00*a0 + u01*a1 and u10*a0 + u11*a1, the float
-    operations of the fancy-index reference kernel in the tests.  A gate
-    that is exactly diag(1, u11) only computes u11*a1 in place in the
-    target-1 slice: every nonzero amplitude part keeps its bits, but an
-    exact zero keeps the sign of the product instead of that of the sum with
-    0*a0.  Every product is taken scalar first, ``np.multiply(u, a)``, which
-    gives the same bits at any stride and into any ``out``; ``a *= u`` does
-    not, nor does ``out=a`` on a one-element ``a``, which NumPy 2.4 runs
-    through an unfused scalar loop (seen with FMA on AVX-512).
-    """
-    held = held or {}
+def _apply_gate_inplace(view: np.ndarray, g: Gate, axes) -> None:
+    """Apply a Circuit-checked gate in place to an array of amplitudes, in
+    which qubit q's bit is axis ``axes[q]`` of ``view``."""
     sel = [slice(None)] * view.ndim
     if isinstance(g, Swap):
         sel[axes[g.a]], sel[axes[g.b]] = slice(0, 1), slice(1, 2)
@@ -338,26 +322,33 @@ def _apply_gate_inplace(view: np.ndarray, g: Gate, axes, held=None) -> None:
         b[...] = saved
         return
     for q, bit in g.controls:
-        if q not in held:
-            sel[axes[q]] = slice(bit, bit + 1)
-        elif held[q] != bit:
-            return
-    u = g.u
+        sel[axes[q]] = slice(bit, bit + 1)
+    pair = []
+    for bit in (0, 1):
+        sel[axes[g.target]] = slice(bit, bit + 1)
+        pair.append(view[tuple(sel)])
+    _apply_2x2(g.u, *pair)
+
+
+def _apply_2x2(u: np.ndarray, a0: np.ndarray, a1: np.ndarray) -> None:
+    """Overwrite the target-0 and target-1 amplitudes a0, a1 with u applied.
+
+    A 2x2 gate computes u00*a0 + u01*a1 and u10*a0 + u11*a1, the float
+    operations of the fancy-index reference kernel in the tests.  A gate
+    that is exactly diag(1, u11) only computes u11*a1 in place, and leaves
+    a0 unread: every nonzero amplitude part keeps its bits, but an exact
+    zero keeps the sign of the product instead of that of the sum with
+    0*a0.  Every product is taken scalar first, ``np.multiply(u, a)``, which
+    gives the same bits at any stride and into any ``out``; ``a *= u`` does
+    not, nor does ``out=a`` on a one-element ``a``, which NumPy 2.4 runs
+    through an unfused scalar loop (seen with FMA on AVX-512).
+    """
     if _is_phase(u):  # a0 stays
-        if g.target not in held:
-            sel[axes[g.target]] = slice(1, 2)
-        elif not held[g.target]:
-            return
-        a1 = view[tuple(sel)]
         if a1.size > 1:
             np.multiply(u[1, 1], a1, out=a1)
         else:  # in place on one element NumPy takes an unfused loop
             a1[...] = u[1, 1] * a1
         return
-    sel[axes[g.target]] = slice(0, 1)
-    a0 = view[tuple(sel)]
-    sel[axes[g.target]] = slice(1, 2)
-    a1 = view[tuple(sel)]
     new0 = u[0, 0] * a0 + u[0, 1] * a1
     a1[...] = u[1, 0] * a0 + u[1, 1] * a1
     a0[...] = new0
@@ -487,18 +478,19 @@ def _growth_length(c: Circuit) -> int | None:
     """How many leading gates of ``c`` a column chunk grows through, or None.
 
     A wire is mixed once a gate other than diag(1, u11) has acted on it; a
-    swap carries that state with the wires.  A circuit grows when each such
-    gate is uncontrolled and lands on a wire not yet mixed, up to the gate
-    that mixes the last wire, whose index + 1 is returned.  Decided on the
-    gate list alone, before any amplitude is computed.
+    swap carries that state with the wires.  A circuit grows when each gate
+    that mixes a wire not yet mixed is uncontrolled, up to the gate that
+    mixes the last wire, whose index + 1 is returned; gates on mixed wires,
+    controlled or not, ride along.  Decided on the gate list alone, before
+    any amplitude is computed.
     """
     mixed = [False] * c.n
     left = c.n
     for i, g in enumerate(c.gates):
         if isinstance(g, Swap):
             mixed[g.a], mixed[g.b] = mixed[g.b], mixed[g.a]
-        elif not _is_phase(g.u):
-            if g.controls or mixed[g.target]:
+        elif not (_is_phase(g.u) or mixed[g.target]):
+            if g.controls:
                 return None
             mixed[g.target] = True
             left -= 1
@@ -507,24 +499,74 @@ def _growth_length(c: Circuit) -> int | None:
     return None
 
 
-def _mix(t: np.ndarray, u: np.ndarray, axis, bit, out: np.ndarray) -> None:
-    """Grow ``t`` by a gate u on a wire that still holds its column's bit x.
+def _slices(bits: int, fixed: dict, target) -> tuple[tuple, tuple, tuple]:
+    """A shape for 2^bits entries, high bit first, that gives each index bit
+    in ``fixed`` an axis of length 2 and merges the runs of bits between, and
+    two indices into it: a1 holds each such bit at its value in ``fixed``, a0
+    likewise but bit ``target`` at 0."""
+    shape, a0, a1, top = [], [], [], bits
+    for b in sorted(fixed, reverse=True):
+        v = slice(fixed[b], fixed[b] + 1)
+        shape += [1 << (top - b - 1), 2]
+        a1 += [slice(None), v]
+        a0 += [slice(None), slice(0, 1) if b == target else v]
+        top = b
+    return (*shape, 1 << top), (*a0, slice(None)), (*a1, slice(None))
 
-    Writes out[y] = u[y, x] * t for the wire's row bit y, where x runs over
-    column axis ``axis`` of t or, if that is None, is ``bit`` over all of t.
-    These are the kernel's products with the structural zero half of the
-    column dropped.
+
+def _growth_plan(gates: tuple, n: int, k: int) -> tuple[list, list | None]:
+    """Compile a circuit's growth prefix (``_growth_length``) once for all its
+    chunks of 2^k columns, for ``_grow_chunk`` to run on each.
+
+    A chunk grows as t, a C-contiguous (2^m, 2^k) block once m wires are
+    mixed: t's column c is the chunk's column c, and each newly mixed wire
+    becomes the least significant bit of t's row index.  An unmixed wire's
+    row bit is a bit b of its column's index: for b < k a bit of c, from k
+    on a bit of the chunk's first column j, held fixed over the chunk.
+    Each gate becomes one step:
+
+    * a gate that mixes a wire on column bit b: ("mix", u, b, f), which
+      writes u[y, x_b] * t[r] to row 2r + y.  f holds u[y, x_b] as one row
+      of factors per y, or is None for a held bit, whose two scalars are
+      picked per chunk.
+    * any other gate but a swap: ("gate", u, held, shape, a0, a1), u run on
+      the slices t.reshape(shape)[a0] and [a1] where its target holds 0 and
+      1 and each control its bit (a held target only holds 1: a0 is a1), in
+      the chunks whose j has bit b at v for each (b, v) in ``held``.
+    * a swap: nothing; it relabels its wires.
+
+    Returned with the steps: the transposition of the (2,)*n + (2^k,) view
+    of a grown chunk that brings its rows into natural order, or None where
+    the wires were mixed from n-1 down to 0, as in every transform circuit.
     """
-    if axis is None:
-        for y in (0, 1):
-            np.multiply(u[y, bit], t, out=out[y])
-        return
-    sel = [slice(None)] * t.ndim
-    for x in (0, 1):
-        sel[axis] = slice(x, x + 1)
-        half = tuple(sel)
-        for y in (0, 1):
-            np.multiply(u[y, x], t[half], out=out[y][half])
+    cols = np.arange(1 << k)
+    where = list(range(n))  # a wire's column bit while unmixed, ~i once i-th mixed
+    steps: list = []
+    m = 0
+
+    def t_bit(e):  # the bit of t's flat index that a wire at ``where`` e < k is
+        return k + m - 1 - ~e if e < 0 else e
+
+    for g in gates:
+        if isinstance(g, Swap):
+            where[g.a], where[g.b] = where[g.b], where[g.a]
+            continue
+        e = where[g.target]
+        if e >= 0 and not _is_phase(g.u):
+            steps.append(("mix", g.u, e, g.u[:, (cols >> e) & 1] if e < k else None))
+            where[g.target] = ~m
+            m += 1
+            continue
+        fixed, held = {}, []
+        for q, v in g.controls + ((g.target, 1),):
+            if where[q] >= k:
+                held.append((where[q], v))
+            else:
+                fixed[t_bit(where[q])] = v
+        target = t_bit(e) if e < k else None
+        steps.append(("gate", g.u, tuple(held), *_slices(k + m, fixed, target)))
+    perm = [~where[n - 1 - a] for a in range(n)]
+    return steps, None if perm == list(range(n)) else perm + [n]
 
 
 _NEG_ZERO = np.uint64(1 << 63)
@@ -539,64 +581,52 @@ def _mark_negative_zeros(marked: np.ndarray, a: np.ndarray) -> None:
 
 
 def _grow_chunk(
-    chunk: np.ndarray, spare: np.ndarray, gates: tuple, j: int, signed_zeros: bool
+    plan: tuple, chunk: np.ndarray, spare: np.ndarray, j: int, signed_zeros: bool
 ) -> np.ndarray:
-    """Write into ``chunk`` columns j, j+1, ... of ``gates`` run on the identity.
+    """Grow columns j, j+1, ... of a planned growth prefix into ``chunk``.
 
-    ``chunk`` is a contiguous (2^n, w) block, w a power of two and j a
-    multiple of w, ``spare`` a flat complex array of half its size, and
-    ``gates`` a circuit's growth prefix (``_growth_length``).  Column x
-    starts as one amplitude 1 and, while a wire is unmixed, that wire's row
-    bit is a bit of x: so the chunk is a tensor t with one axis per column
-    bit that varies over it (bit c at axis -2-c) and a last axis of length
-    1, plus one leading axis per mixed wire.  ``axes[q]`` is the axis wire
-    q's bit lives on, and ``held[q]`` the bit of an unmixed wire tied to a
-    column bit that is fixed over the chunk.  A swap exchanges two wires'
-    entries, a diag(1, u11) gate runs through the kernel on t, and a mixing
-    gate grows t by ``_mix``, into ``spare`` and the front of ``chunk`` by
-    turns; the last one writes the dense chunk over all of ``chunk``.
+    ``plan`` is the prefix's ``_growth_plan`` for ``chunk``'s width w, a
+    power of two, ``chunk`` a contiguous (2^n, w) block, j a multiple of w,
+    and ``spare`` a flat complex array of half its size.  Column x starts as
+    one amplitude 1, t = ones((1, w)), and each mix grows t into ``spare``
+    and the front of ``chunk`` by turns, the last one over all of ``chunk``.
+    Every product is taken scalar (or factor row) first, as in the kernel:
+    a factor row in first position gives the bits of its scalar.
 
     The kernel computes each grown entry as such a product plus one with a
     structural zero, which is the product itself unless a part of the
-    product is -0 and the zero +0.  Returned: the columns in which some
-    product held a -0 part, whose bits the kernel may not share; every
-    other column is bit-identical to the kernel's.  Unless ``signed_zeros``,
-    no column is marked: growth then differs from the kernel only in the
-    sign of some zeros.
+    product is -0 and the zero +0; a gate on mixed wires sees the kernel's
+    operands.  Returned: the columns in which some product held a -0 part,
+    whose bits the kernel may not share; every other column is
+    bit-identical to the kernel's.  Unless ``signed_zeros``, no column is
+    marked: growth then differs from the kernel only in the sign of some
+    zeros.
     """
+    steps, perm = plan
     n = chunk.shape[0].bit_length() - 1
-    width = chunk.shape[1]
-    k = width.bit_length() - 1
-    t = np.ones((2,) * k + (1,), dtype=np.complex128)
-    axes = [-2 - q if q < k else None for q in range(n)]
-    held = {q: (j >> q) & 1 for q in range(k, n)}
-    marked = np.zeros(width, dtype=bool)
+    w = chunk.shape[1]
+    t = np.ones((1, w), dtype=np.complex128)
+    marked = np.zeros(w, dtype=bool)
     pools = (chunk.reshape(-1), spare)  # t with an even / odd count of wires left
     left = n
-    for g in gates:
-        if isinstance(g, Swap):
-            axes[g.a], axes[g.b] = axes[g.b], axes[g.a]
-            held.update({b: held.pop(a) for a, b in ((g.a, g.b), (g.b, g.a)) if a in held})
-        elif _is_phase(g.u):
-            _apply_gate_inplace(t, g, axes, held)
-        else:
-            axis, bit = axes[g.target], held.pop(g.target, None)
-            axes[g.target] = -1 - t.ndim
+    for kind, u, *args in steps:
+        if kind == "mix":
+            b, f = args
+            f = u[:, (j >> b) & 1] if f is None else f
             left -= 1
-            if left:
-                grown = pools[left % 2][: 2 * t.size].reshape((2,) + t.shape)
-                _mix(t, g.u, axis, bit, grown)
-                t = grown
-                if signed_zeros:
-                    _mark_negative_zeros(marked, t)
-                continue
-            # every wire is mixed: lay t's axes over the chunk's (2,)*n view
-            order = list(range(n + k + 1))
-            for q in range(n):
-                order[axes[q] + n + k + 1] = n - 1 - q
-            _mix(t, g.u, axis, bit, chunk.reshape((2,) * (n + k) + (1,)).transpose(order))
+            grown = pools[left % 2][: 2 * t.size].reshape(-1, 2, w)
+            for y in (0, 1):
+                np.multiply(f[y], t, out=grown[:, y])
+            t = grown.reshape(-1, w)
             if signed_zeros:
-                _mark_negative_zeros(marked, chunk)
+                _mark_negative_zeros(marked, t)
+            continue
+        held, shape, a0, a1 = args
+        if all((j >> b) & 1 == v for b, v in held):
+            view = t.reshape(shape)
+            _apply_2x2(u, view[a0], view[a1])
+    if perm is not None:
+        chunk[...] = chunk.reshape((2,) * n + (w,)).transpose(perm).reshape(chunk.shape)
     return marked
 
 
@@ -630,16 +660,19 @@ def _circuit_chunks(c: Circuit, signed_zeros: bool = True):
     last chunk may be narrower.  It is valid, and may be overwritten, until
     the next chunk is asked for.
 
-    A circuit whose mixing gates are uncontrolled and land each on a fresh
-    wire, as a transform circuit's Hadamards do (``_growth_length``), has
-    product-state columns.  Each chunk is then grown from the support of
-    its identity columns (``_grow_chunk``): a wire's gates touch only its
-    column's nonzero amplitudes, and the kernel runs only the gates left
+    A circuit in which each gate that first mixes a wire is uncontrolled,
+    as in transform circuits and rotation cascades (``_growth_length``),
+    has columns whose support doubles per mixed wire.  Its growth prefix is
+    then compiled once into a plan (``_growth_plan``), and each chunk is
+    grown from the support of its identity columns by running the plan on
+    a contiguous row block (``_grow_chunk``): a gate touches only its
+    columns' nonzero amplitudes, and the kernel runs only the gates left
     once every wire is mixed (a DFT circuit's swaps).  Chunks are then
     aligned power-of-two column ranges.  Columns in which growth met a -0
     product part are rebuilt by the kernel from their identity columns,
-    inside their chunk.  Any other circuit runs the kernel on each chunk of
-    the identity.
+    inside their chunk; once a chunk rebuilt most of its columns, as a
+    cascade's do, whose real rotations leave -0 imaginary parts, the rest
+    run the kernel, as every chunk of any other circuit does.
 
     Each column sees the same float operations as in one whole-block kernel
     run, or operations with the same result, so every chunk is bit-identical
@@ -651,8 +684,9 @@ def _circuit_chunks(c: Circuit, signed_zeros: bool = True):
     width = min(dim, max(1, _CHUNK_BYTES // (16 * dim)))
     grow = _growth_length(c)
     if grow is not None:
-        width = 1 << (width.bit_length() - 1)
-        prefix, rest = c.gates[:grow], Circuit(c.n, c.gates[grow:])
+        k = width.bit_length() - 1
+        width = 1 << k
+        plan, rest = _growth_plan(c.gates[:grow], c.n, k), Circuit(c.n, c.gates[grow:])
         # half a chunk for growth, and at least one column for a rebuild
         spare = _scratch("spare", (max(dim * width // 2, dim),))
     for j in range(0, dim, width):
@@ -660,9 +694,11 @@ def _circuit_chunks(c: Circuit, signed_zeros: bool = True):
         if grow is None:
             _kernel_columns(chunk, j + np.arange(chunk.shape[1]), c)
         else:
-            marked = _grow_chunk(chunk, spare, prefix, j, signed_zeros)
+            marked = _grow_chunk(plan, chunk, spare, j, signed_zeros)
             _run_in_place(chunk, rest)
             _kernel_columns_into(chunk, np.flatnonzero(marked), j, spare, c)
+            if 2 * marked.sum() > marked.size:  # growth mostly wasted: use the kernel
+                grow = None
         yield j, chunk
 
 

@@ -265,6 +265,23 @@ def test_compare_toeplitz_row_gather_equals_swap_circuit(tmp_path, n):
     assert json.loads(out)["dft_swap_max_abs_diff"] == want
 
 
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_compare_notes_the_toeplitz_spec_and_no_spec_one_cell_off(tmp_path, n):
+    phi = toeplitz_phi(n).phi
+    code, out, _ = run_cli("compare", "--spec", write_phi(tmp_path / "phi.json", phi))
+    report = json.loads(out)
+    assert code == 0
+    assert "note" in report and "dft_swap_max_abs_diff" in report
+    # one lower cell off by 1, one upper cell off by N: both still valid
+    for cell, step in (((n - 1, 0), 1.0), ((0, n - 1), float(1 << n))):
+        changed = phi.copy()
+        changed[cell] += step
+        code, out, _ = run_cli("compare", "--spec", write_phi(tmp_path / "phi.json", changed))
+        report = json.loads(out)
+        assert code == 0 and report["pass"] is True, cell
+        assert "note" not in report and "dft_swap_max_abs_diff" not in report, cell
+
+
 def test_compare_rotation_spec(tmp_path):
     spec = {"n": 3, "variant": "hadamard_first", "theta": []}
     path = tmp_path / "rot.json"

@@ -10,8 +10,6 @@ import pytest
 
 from gqt import (
     HADAMARD,
-    HADAMARD_FIRST,
-    ROTATION_FIRST,
     Circuit,
     Controlled,
     GqftSpec,
@@ -20,14 +18,11 @@ from gqt import (
     dft_circuit,
     gqft_circuit,
     haar_inverse_circuit,
-    rot1_circuit,
-    rot2_circuit,
     toeplitz_phi,
 )
 from gqt import qstate
 from _oracles import (
     one_block_circuit_dense,
-    random_rot_spec,
     random_triangular_phi,
     random_unitary2,
     zero_lower_phi,
@@ -182,12 +177,9 @@ def _count_calls(monkeypatch, name: str) -> list:
 
 
 def test_non_growing_circuits_take_the_kernel_with_no_growth_attempt(monkeypatch):
-    rng = np.random.default_rng(2500)
     grown = _count_calls(monkeypatch, "_grow_chunk")
     n = 6
     circuits = {
-        "rot1": rot1_circuit(random_rot_spec(n, HADAMARD_FIRST, rng)),
-        "rot2": rot2_circuit(random_rot_spec(n, ROTATION_FIRST, rng)),
         "haar_inverse": haar_inverse_circuit(n, 2),
         "controlled_mixing": Circuit(2, (Controlled(((0, 1),), 1, HADAMARD), Controlled((), 0, HADAMARD))),
         "mixed_twice": Circuit(2, (Controlled((), 0, HADAMARD), Controlled((), 0, HADAMARD))),

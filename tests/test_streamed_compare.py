@@ -182,8 +182,8 @@ def test_a_circuit_the_bound_cannot_vouch_for_takes_the_exact_check(
     grow = qstate._grow_chunk
     hit = []
 
-    def shifted(chunk, spare, gates, j, signed_zeros):
-        marked = grow(chunk, spare, gates, j, signed_zeros)
+    def shifted(plan, chunk, spare, j, signed_zeros):
+        marked = grow(plan, chunk, spare, j, signed_zeros)
         if j == 32:
             k = int(np.flatnonzero(~marked)[0])  # a column that no rebuild overwrites
             chunk[5, k] += shift
