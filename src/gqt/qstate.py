@@ -26,9 +26,10 @@ zeros the kernel would add.  That can only flip the sign of an exact zero,
 where a product part is -0; such columns are marked as they grow and
 rebuilt by the kernel inside their chunk, so every chunk stays
 bit-identical to a whole-block kernel run.
-``circuit_to_dense`` gathers the chunks into a matrix; ``_circuit_distance``
-holds each against the matching columns of a formula and keeps only the
-largest distance, which no zero's sign can change, so it skips the rebuild.
+``circuit_to_dense`` gathers the chunks into a matrix, a cascade's built by
+the kernel.  ``_circuit_distance`` holds each against the matching columns
+of a formula and keeps only the largest distance, which no zero's sign can
+change, so it skips the rebuild and grows cascades too.
 
 Every dense route that writes entries w^e / sqrt(N) (the transform
 builders, the raw phase matrix, the coset state) takes them from
@@ -474,23 +475,25 @@ class DenseUnitary:
         object.__setattr__(self, "entries", _locked(entries))
 
 
-def _growth_length(c: Circuit) -> int | None:
+def _growth_length(c: Circuit, signed_zeros: bool = True) -> int | None:
     """How many leading gates of ``c`` a column chunk grows through, or None.
 
     A wire is mixed once a gate other than diag(1, u11) has acted on it; a
     swap carries that state with the wires.  A circuit grows when each gate
     that mixes a wire not yet mixed is uncontrolled, up to the gate that
-    mixes the last wire, whose index + 1 is returned; gates on mixed wires,
-    controlled or not, ride along.  Decided on the gate list alone, before
-    any amplitude is computed.
+    mixes the last wire, whose index + 1 is returned.  Any other gate that
+    is not diag(1, u11) lands on a mixed wire: with ``signed_zeros`` it
+    refuses growth, as a cascade's rotations leave -0 parts to rebuild in
+    nearly every column; without, it rides along, controlled or not.
+    Decided on the gate list alone, before any amplitude is computed.
     """
     mixed = [False] * c.n
     left = c.n
     for i, g in enumerate(c.gates):
         if isinstance(g, Swap):
             mixed[g.a], mixed[g.b] = mixed[g.b], mixed[g.a]
-        elif not (_is_phase(g.u) or mixed[g.target]):
-            if g.controls:
+        elif not _is_phase(g.u) and (signed_zeros or not mixed[g.target]):
+            if g.controls or mixed[g.target]:
                 return None
             mixed[g.target] = True
             left -= 1
@@ -661,18 +664,17 @@ def _circuit_chunks(c: Circuit, signed_zeros: bool = True):
     the next chunk is asked for.
 
     A circuit in which each gate that first mixes a wire is uncontrolled,
-    as in transform circuits and rotation cascades (``_growth_length``),
-    has columns whose support doubles per mixed wire.  Its growth prefix is
-    then compiled once into a plan (``_growth_plan``), and each chunk is
-    grown from the support of its identity columns by running the plan on
-    a contiguous row block (``_grow_chunk``): a gate touches only its
-    columns' nonzero amplitudes, and the kernel runs only the gates left
-    once every wire is mixed (a DFT circuit's swaps).  Chunks are then
-    aligned power-of-two column ranges.  Columns in which growth met a -0
-    product part are rebuilt by the kernel from their identity columns,
-    inside their chunk; once a chunk rebuilt most of its columns, as a
-    cascade's do, whose real rotations leave -0 imaginary parts, the rest
-    run the kernel, as every chunk of any other circuit does.
+    as in transform circuits and, without ``signed_zeros``, rotation
+    cascades (``_growth_length``), has columns whose support doubles per
+    mixed wire.  Its growth prefix is then compiled once into a plan
+    (``_growth_plan``), and each chunk is grown from the support of its
+    identity columns by running the plan on a contiguous row block
+    (``_grow_chunk``): a gate touches only its columns' nonzero amplitudes,
+    and the kernel runs only the gates left once every wire is mixed (a DFT
+    circuit's swaps).  Chunks are then aligned power-of-two column ranges.
+    Columns in which growth met a -0 product part are rebuilt by the kernel
+    from their identity columns, inside their chunk.  Every chunk of any
+    other circuit is built by the kernel.
 
     Each column sees the same float operations as in one whole-block kernel
     run, or operations with the same result, so every chunk is bit-identical
@@ -682,7 +684,7 @@ def _circuit_chunks(c: Circuit, signed_zeros: bool = True):
     """
     dim = 1 << c.n
     width = min(dim, max(1, _CHUNK_BYTES // (16 * dim)))
-    grow = _growth_length(c)
+    grow = _growth_length(c, signed_zeros)
     if grow is not None:
         k = width.bit_length() - 1
         width = 1 << k
@@ -697,8 +699,6 @@ def _circuit_chunks(c: Circuit, signed_zeros: bool = True):
             marked = _grow_chunk(plan, chunk, spare, j, signed_zeros)
             _run_in_place(chunk, rest)
             _kernel_columns_into(chunk, np.flatnonzero(marked), j, spare, c)
-            if 2 * marked.sum() > marked.size:  # growth mostly wasted: use the kernel
-                grow = None
         yield j, chunk
 
 

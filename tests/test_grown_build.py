@@ -182,7 +182,9 @@ def test_non_growing_circuits_take_the_kernel_with_no_growth_attempt(monkeypatch
     circuits = {
         "haar_inverse": haar_inverse_circuit(n, 2),
         "controlled_mixing": Circuit(2, (Controlled(((0, 1),), 1, HADAMARD), Controlled((), 0, HADAMARD))),
-        "mixed_twice": Circuit(2, (Controlled((), 0, HADAMARD), Controlled((), 0, HADAMARD))),
+        "mixed_twice": Circuit(
+            2, (Controlled((), 0, HADAMARD), Controlled((), 0, HADAMARD), Controlled((), 1, HADAMARD))
+        ),
         "wire_never_mixed": Circuit(3, (Controlled((), 0, HADAMARD), Controlled((), 2, HADAMARD))),
         "no_gates": Circuit(2, ()),
     }

@@ -1,10 +1,11 @@
 """Rotation cascades grown from a growth plan compiled once per circuit.
 
 A cascade mixes each wire with one uncontrolled gate and then runs rotations
-on it under controls on lower, unmixed wires.  Its chunks grow from the plan
-of ``_growth_plan``, and each must equal the one-block kernel run bit for
-bit, including the columns rebuilt after a -0 product part; the streamed
-compare distance must equal the one-shot max.
+on it under controls on lower, unmixed wires.  In compare, which skips the
+-0 marking, its chunks grow from the plan of ``_growth_plan`` and must equal
+the one-block kernel run up to the sign of a zero; the streamed distance
+must equal the one-shot max.  ``circuit_to_dense`` builds a cascade on the
+kernel, bit-identical to that run.
 """
 
 import numpy as np
@@ -59,6 +60,21 @@ def _cascades(n: int, rng: np.random.Generator) -> dict:
     }
 
 
+def _compare_chunks(c: Circuit) -> np.ndarray:
+    """The circuit's matrix as compare's streamed distance sees it."""
+    chunks = [chunk.copy() for _, chunk in qstate._circuit_chunks(c, signed_zeros=False)]
+    return np.concatenate(chunks, axis=1)
+
+
+def _assert_grown_for_compare(c: Circuit, label) -> None:
+    """Compare grows c, equal to the one-block run but for signs of zeros;
+    the build is bit-identical to it."""
+    want = one_block_circuit_dense(c)
+    assert qstate._growth_length(c, signed_zeros=False) == c.gate_count, label
+    assert np.array_equal(_compare_chunks(c), want), label
+    _assert_bit_identical(circuit_to_dense(c).entries, want, label)
+
+
 def _relaxed_circuit(n: int, rng: np.random.Generator) -> Circuit:
     """A growing circuit with swaps, and controlled random 2x2 gates on mixed
     wires between the mixes, under controls on mixed and unmixed wires."""
@@ -79,24 +95,22 @@ def _relaxed_circuit(n: int, rng: np.random.Generator) -> Circuit:
         target = int(rng.choice([q for q in range(n) if not mixed[q]]))
         gates.append(Controlled((), target, random_unitary2(rng)))
         mixed[target] = True
-    c = Circuit(n, tuple(gates))
-    assert qstate._growth_length(c) == c.gate_count
-    return c
+    return Circuit(n, tuple(gates))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
-def test_cascades_grow_bit_identical_to_one_block(n):
+def test_cascades_grow_for_compare_and_build_bit_identical_to_one_block(n):
     # From n = 9 on the chunks are narrower than 2^n: high column bits are
     # held fixed over a chunk, and a held wire is mixed by two scalars.
     rng = np.random.default_rng(3000 + n)
     for name, spec in _cascades(n, rng).items():
         c = _BUILDERS[spec.variant][0](spec)
-        assert qstate._growth_length(c) == c.gate_count, name
-        _assert_bit_identical(circuit_to_dense(c).entries, one_block_circuit_dense(c), (name, n))
+        assert (qstate._growth_length(c) is None) == (n > 1), name
+        _assert_grown_for_compare(c, (name, n))
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 6])
-def test_narrow_chunks_grow_cascades_bit_identical(monkeypatch, width):
+def test_narrow_chunks_grow_cascades_equal_to_one_block(monkeypatch, width):
     # A chunk one column wide slices one-element blocks; every wire but the
     # lowest few is held, so mixes on held wires run too.
     rng = np.random.default_rng(3100 + width)
@@ -105,15 +119,14 @@ def test_narrow_chunks_grow_cascades_bit_identical(monkeypatch, width):
         circuits = [_BUILDERS[s.variant][0](s) for s in _cascades(n, rng).values()]
         circuits += [_relaxed_circuit(n, rng) for _ in range(3)]
         for c in circuits:
-            _assert_bit_identical(circuit_to_dense(c).entries, one_block_circuit_dense(c), (n, width))
+            _assert_grown_for_compare(c, (n, width))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
-def test_relaxed_circuits_grow_bit_identical_to_one_block(n):
+def test_relaxed_circuits_grow_for_compare_equal_to_one_block(n):
     rng = np.random.default_rng(3200 + n)
     for _ in range(3 if n <= 8 else 1):
-        c = _relaxed_circuit(n, rng)
-        _assert_bit_identical(circuit_to_dense(c).entries, one_block_circuit_dense(c), n)
+        _assert_grown_for_compare(_relaxed_circuit(n, rng), n)
 
 
 @pytest.mark.parametrize("budget", [None, 1, 4])
@@ -151,16 +164,15 @@ def test_the_plan_is_compiled_once_per_circuit_not_per_chunk(monkeypatch):
     assert [args[4] for args in grown] == [False] * 16  # no -0 marking
 
 
-def test_a_build_that_rebuilds_most_of_a_chunk_takes_the_kernel_for_the_rest(monkeypatch):
-    # A cascade's real rotations leave -0 imaginary parts in nearly every
-    # column, so circuit_to_dense grows only its first chunk.
+def test_a_cascade_build_takes_the_kernel_with_no_growth_attempt(monkeypatch):
+    # A cascade's real rotations would leave -0 imaginary parts in nearly
+    # every column, each then rebuilt on the kernel.
     n = 10
     c = rot2_circuit(random_rot_spec(n, ROTATION_FIRST, np.random.default_rng(3500)))
     compiled = _count_calls(monkeypatch, "_growth_plan")
     grown = _count_calls(monkeypatch, "_grow_chunk")
     kernel = _count_calls(monkeypatch, "_kernel_columns")
     got = circuit_to_dense(c).entries
-    assert (len(compiled), len(grown)) == (1, 1)
-    # the first chunk's rebuilt columns in blocks of half a chunk, then 15 chunks
-    assert [args[0].shape[1] for args in kernel][-15:] == [64] * 15
+    assert (len(compiled), len(grown)) == (0, 0)
+    assert [args[0].shape[1] for args in kernel] == [64] * 16
     _assert_bit_identical(got, one_block_circuit_dense(c), n)
