@@ -72,7 +72,6 @@ from .qstate import (
     QState,
     Swap,
     _circuit_distance,
-    _dense_columns,
     apply_circuit,
     measure_all,
 )
@@ -80,6 +79,7 @@ from .rotft import (
     HADAMARD_FIRST,
     ROTATION_FIRST,
     RotSpec,
+    _cascade_columns,
     rot1_circuit,
     rot1_dense,
     rot2_circuit,
@@ -339,12 +339,12 @@ def _cmd_compare(args) -> tuple[dict, int]:
     report: dict = {"command": "compare"}
     if "variant" in data or "theta" in data:
         spec = rot_spec_from_json_dict(data, args.spec)
-        dense_fn, circuit_fn = _ROT_BUILDERS[spec.variant]
+        circuit_fn = _ROT_BUILDERS[spec.variant][1]
         n = spec.n
         ceiling = n + n * (n - 1)
         report["spec_kind"] = f"rot:{spec.variant}"
         toeplitz = False
-        formula = _dense_columns(dense_fn(spec))
+        formula = _cascade_columns(spec)
     else:
         pm = PhaseMatrix.from_json_dict(data)
         try:

@@ -33,7 +33,8 @@ from .config import STATE_TOL, check_cap, check_wires
 from .errors import CapExceededError, InputError, UnsupportedRegimeError, ValidityError
 from .phasemat import (
     PhaseMatrix,
-    _residue_exponents,
+    _column_terms,
+    _doubled_sums,
     check_general,
     check_triangular,
     phase_dense_raw,
@@ -145,13 +146,13 @@ def gqft_dense(spec: GqftSpec) -> DenseUnitary:
     An integral phi without row tables has integer exponents, which
     ``phase_dense_raw`` reads off the root table mod N, built in integers.
     The spec's criterion is then exact in integers, so the exact matrix is
-    unitary and ``DenseUnitary`` certifies its check from the table's error
-    (``certified``) instead of forming U^dagger U.
+    unitary, and ``DenseUnitary`` takes the bound that the table's error
+    gives (``_certified_defect``) instead of forming U^dagger U.
     """
     n = spec.pm.n
     check_cap("dense", n)
     if _on_root_table(spec):
-        return DenseUnitary(n, phase_dense_raw(spec.pm), certified=True)
+        return DenseUnitary(n, phase_dense_raw(spec.pm), _certified_defect(1 << n))
     bits = bit_table(n)
     return DenseUnitary(n, unit_roots(bits @ _wire_exponents(spec, bits), 1 << n))
 
@@ -164,15 +165,19 @@ def _on_root_table(spec: GqftSpec) -> bool:
 
 def _formula_columns(spec: GqftSpec):
     """The transform as a formula for ``qstate._circuit_distance``: a reader
-    of its columns, and its checked defect or a bound on it.
+    of its columns' row halves, and its checked defect or a bound on it.
 
     Where ``gqft_dense`` would certify the matrix from the root table's
-    error, the columns j..j+w-1 are read off the table one call at a time,
-    at the exponents ``_residue_exponents`` gives for them, into workspace
-    buffers: bit-identical to ``gqft_dense``'s columns, with no array of the
-    matrix's size.  Otherwise (a real phi, row tables, or a certificate that
-    is NaN or above ``STATE_TOL``) ``gqft_dense`` builds the matrix with its
-    exact check, and the columns are its slices.
+    error, the row halves of columns j..j+w-1 are read off the table at
+    their exponents, bit-identical to ``gqft_dense``'s entries, with no array
+    of the matrix's size.  The exponents of the first half, rows 0..N/2-1,
+    are ``_doubled_sums`` over wires 0..n-2 (``_column_terms``), in the
+    quarter-chunk workspace buffer ``quarter``; the second half adds wire
+    n-1's terms to them and masks in place, which is the doubling's last
+    step, so the integers do not change.  Each half is read into the
+    workspace buffer ``spare``.  Otherwise (a real phi, row tables, or a
+    certificate that is NaN or above ``STATE_TOL``) ``gqft_dense`` builds
+    the matrix with its exact check, and the halves are views of it.
     """
     n = spec.pm.n
     check_cap("dense", n)
@@ -181,12 +186,17 @@ def _formula_columns(spec: GqftSpec):
     if not defect <= STATE_TOL:
         return _dense_columns(gqft_dense(spec))
     table = _root_table(dim)
+    mask = dim - 1
 
-    def columns(j: int, w: int) -> np.ndarray:
-        e = _residue_exponents(spec.pm, j, j + w, _scratch("exponents", (dim, w), np.int64))
-        return np.take(table, e, out=_scratch("formula", (dim, w)), mode="wrap")
+    def halves(j: int, w: int):
+        terms = _column_terms(spec.pm, j, j + w)
+        e = _doubled_sums(terms[:-1], mask, _scratch("quarter", (dim // 2, w), np.int64))
+        yield np.take(table, e, out=_scratch("spare", (dim // 2, w)), mode="wrap")
+        np.add(e, terms[-1], out=e)
+        np.bitwise_and(e, mask, out=e)
+        yield np.take(table, e, out=_scratch("spare", (dim // 2, w)), mode="wrap")
 
-    return columns, defect
+    return halves, defect
 
 
 def gqft_circuit(spec: GqftSpec) -> Circuit:

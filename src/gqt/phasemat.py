@@ -283,7 +283,8 @@ def phase_dense_raw(pm: PhaseMatrix) -> np.ndarray:
     check_cap("dense", pm.n)
     dim = 1 << pm.n
     if pm.residues is not None:
-        return unit_roots(_residue_exponents(pm), dim, reduced=True)
+        exponents = _doubled_sums(_column_terms(pm, 0, dim), dim - 1)
+        return unit_roots(exponents, dim, reduced=True)
     bits = bit_table(pm.n)
     return unit_roots(bits @ pm.phi @ bits.T, dim)
 
@@ -305,23 +306,17 @@ def _doubled_sums(terms: np.ndarray, mask: int, out: np.ndarray | None = None) -
     return out
 
 
-def _residue_exponents(
-    pm: PhaseMatrix, start: int = 0, stop: int | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
-    """E[y, x - start] = (y . phi . x) mod N for the columns x in [start, stop)
-    (all of them by default), as int64, for an integral phi.
+def _column_terms(pm: PhaseMatrix, start: int, stop: int) -> np.ndarray:
+    """W[i, x - start] = sum_j phi[i][j] x_j mod N for the columns x in
+    [start, stop), as int64, for an integral phi.
 
-    The formula's columns as exponents, from ``pm.residues`` in integers,
-    with no float product or BLAS call: first W[x, i] = sum_j phi[i][j] x_j
-    mod N, then E[y] = sum_i y_i W[:, i] by ``_doubled_sums``.  Every sum
-    stays below n N, so E equals the exact exponent mod N.  Written into
-    ``out`` ((N, stop - start) int64) when given.
+    ``_doubled_sums`` of them gives those columns' exponents
+    E[y] = sum_i y_i W[i] = (y . phi . x) mod N, from ``pm.residues`` in
+    integers, with no float product or BLAS call.
     """
-    mask = pm.modulus - 1
-    x = np.arange(start, pm.modulus if stop is None else stop)
+    x = np.arange(start, stop)
     bits = (x[:, None] >> np.arange(pm.n)) & 1
-    w = (bits @ pm.residues.T.astype(np.int64)) & mask  # [x, i]
-    return _doubled_sums(w.T, mask, out)
+    return ((bits @ pm.residues.T.astype(np.int64)) & (pm.modulus - 1)).T
 
 
 def numeric_unitarity_defect(pm: PhaseMatrix) -> float:

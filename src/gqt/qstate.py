@@ -13,9 +13,10 @@ only its target-1 slice.
 
 State kept across calls is private, and no result aliases it: the root
 table's error per size (``_root_table_error``, cached), and a workspace of
-chunk-sized buffers (``_scratch``) for the column-chunk routes, allocated on
-first use and reused, so that a run of them faults in no fresh pages.  The
-workspace serves one call at a time: the chunk routes are not thread-safe.
+byte buffers (``_scratch``) for the column-chunk routes, allocated on first
+use and reused, so that a run of them faults in no fresh pages: the chunk,
+``spare`` (half a chunk) and ``quarter`` (a quarter chunk).  The workspace
+serves one call at a time: the chunk routes are not thread-safe.
 
 A circuit's dense matrix is built one column chunk at a time
 (``_circuit_chunks``).  A transform circuit or rotation cascade mixes each
@@ -28,8 +29,9 @@ rebuilt by the kernel inside their chunk, so every chunk stays
 bit-identical to a whole-block kernel run.
 ``circuit_to_dense`` gathers the chunks into a matrix, a cascade's built by
 the kernel.  ``_circuit_distance`` holds each against the matching columns
-of a formula and keeps only the largest distance, which no zero's sign can
-change, so it skips the rebuild and grows cascades too.
+of a formula, read one row half at a time into ``spare``, and keeps only the
+largest distance, which no zero's sign can change, so it skips the rebuild
+and grows cascades too.
 
 Every dense route that writes entries w^e / sqrt(N) (the transform
 builders, the raw phase matrix, the coset state) takes them from
@@ -376,23 +378,26 @@ def apply_circuit(state: QState, c: Circuit) -> QState:
 # or within noise of it at every n from 9 to 12.
 _CHUNK_BYTES = 1 << 20
 
-# The workspace: one flat buffer per name, replaced only by a larger one.
+# The workspace: one flat byte buffer per name, replaced only by a larger one.
 _WORKSPACE: dict[str, np.ndarray] = {}
 
 
 def _scratch(name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
-    """A contiguous ``shape`` view of the workspace buffer ``name``.
+    """A contiguous ``shape`` view, of type ``dtype``, of the workspace buffer
+    ``name``.
 
     The buffer is allocated on first use and kept, so a run of chunk routes
     reuses the same pages: with a fresh buffer per call, glibc maps each
     1 MiB request anew once no larger block has been freed, and every page
-    faults on first touch.  A view is valid until ``name`` is asked for again.
+    faults on first touch.  A buffer holds bytes, so one name may be read as
+    different types by turns.  A view is valid until ``name`` is asked for
+    again.
     """
-    size = math.prod(shape)
+    size = math.prod(shape) * np.dtype(dtype).itemsize
     flat = _WORKSPACE.get(name)
-    if flat is None or flat.size < size or flat.dtype != dtype:
-        flat = _WORKSPACE[name] = np.empty(size, dtype=dtype)
-    return flat[:size].reshape(shape)
+    if flat is None or flat.size < size:
+        flat = _WORKSPACE[name] = np.empty(size, dtype=np.uint8)
+    return flat[:size].view(dtype).reshape(shape)
 
 
 def _defect_bound(ref_defect: float, eps: float, dim: int) -> float:
@@ -442,31 +447,32 @@ class DenseUnitary:
     """A 2^n x 2^n unitary; unitarity is validated at construction (1e-9).
 
     The exact check computes max |M^dagger M - I| (``_unitarity_defect``) and
-    keeps it as ``defect``.  A builder passes ``certified`` for a matrix read
-    off the root table at the exact integer exponents of a transform that is
-    unitary in exact arithmetic: an integral phi that passed the exact
-    integer criterion (``gqft_dense``, its one caller).  The check is then
-    first derived from the table's error (``_certified_defect``).  When that
-    bound is at most ``STATE_TOL``, the exact check would have passed, and
-    the matrix is accepted with the bound as its ``defect``.  Otherwise the
-    exact check runs, so ``NotUnitaryError`` is raised in exactly the cases,
-    and with the message, of the exact check alone; a NaN makes the bound
-    NaN and takes that path.
+    keeps it as ``defect``.  A builder whose entries lie within a measured
+    distance of a matrix that is unitary in exact arithmetic passes
+    ``bound``, the ``_defect_bound`` of that distance: ``gqft_dense`` the
+    root table's (``_certified_defect``) for an integral phi that passed the
+    exact integer criterion, ``rot1_dense`` and ``rot2_dense`` their factor
+    table's for a rotation cascade.  When the bound is at most
+    ``STATE_TOL``, the exact check would have passed, and the matrix is
+    accepted with the bound as its ``defect``.  Otherwise the exact check
+    runs, so ``NotUnitaryError`` is raised in exactly the cases, and with the
+    message, of the exact check alone; the default NaN, and a NaN in a
+    measured error, take that path.
     """
 
     n: int
     entries: np.ndarray
-    certified: InitVar[bool] = False
+    bound: InitVar[float] = math.nan
     defect: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, certified):
+    def __post_init__(self, bound):
         dim = 1 << self.n
         entries = np.asarray(self.entries, dtype=np.complex128)
         if entries.shape != (dim, dim):
             raise InputError(
                 f"matrix shape {entries.shape} does not match n={self.n}"
             )
-        dev = _certified_defect(dim) if certified else math.nan
+        dev = bound
         if not dev <= STATE_TOL:
             dev = _unitarity_defect(entries)
             if not dev <= STATE_TOL:
@@ -719,23 +725,30 @@ def circuit_to_dense(c: Circuit) -> DenseUnitary:
 
 
 def _dense_columns(m: DenseUnitary):
-    """A built matrix as a formula for ``_circuit_distance``: its column
-    slices, and its checked defect."""
-    return (lambda j, w: m.entries[:, j : j + w]), m.defect
+    """A built matrix as a formula for ``_circuit_distance``: views of the two
+    row halves of its columns, with no copy, and its checked defect."""
+    half = 1 << (m.n - 1)
+    return (lambda j, w: (m.entries[:half, j : j + w], m.entries[half:, j : j + w])), m.defect
 
 
-def _circuit_distance(c: Circuit, columns, ref_defect: float) -> float:
+def _circuit_distance(c: Circuit, halves, ref_defect: float) -> float:
     """max |C - F| over a circuit's matrix C and a formula matrix F, held
-    against each other one column chunk at a time.
+    against each other one column chunk at a time, in row halves.
 
-    ``columns(j, w)`` returns F's columns j..j+w-1 as a (2^n, w) array, and
-    ``ref_defect`` is F's checked defect or a bound on it.  Each chunk of C
-    (``_circuit_chunks``) has F's columns subtracted in place, and the
-    moduli go to a workspace buffer, so no array of the matrices' size is
-    allocated.  A max is exact, so the result equals the one-shot
-    ``np.max(np.abs(C - F))`` bit for bit; a NaN in either makes it NaN.
-    |C - F| does not depend on the sign of a zero, so C's chunks skip the
-    -0 marking and rebuild (``signed_zeros=False``).
+    ``halves(j, w)`` gives F's columns j..j+w-1 as two (2^n / 2, w) arrays,
+    rows 0..N/2-1 and then N/2..N-1, each valid until the next is asked for;
+    ``ref_defect`` is F's checked defect or a bound on it.  A formula that
+    reads its entries (``gqft._formula_columns``, ``rotft._cascade_columns``)
+    writes each half into the workspace buffer ``spare``, which growth has
+    finished with once a chunk of C (``_circuit_chunks``) is out.  Each half
+    is subtracted in place from the chunk's matching rows, and the moduli go
+    into the same bytes of ``spare``, read as float64, before the max is
+    taken.  So a compare holds the chunk, ``spare`` and a formula's
+    quarter-chunk buffer, and no array of the matrices' size.  A max is
+    exact, so the result equals the one-shot ``np.max(np.abs(C - F))`` bit
+    for bit; a NaN in either makes it NaN.  |C - F| does not depend on the
+    sign of a zero, so C's chunks skip the -0 marking and rebuild
+    (``signed_zeros=False``).
 
     C's unitarity check is derived from F's: when
     ``_defect_bound(ref_defect, eps, N)`` is at most ``STATE_TOL``, the exact
@@ -748,11 +761,12 @@ def _circuit_distance(c: Circuit, columns, ref_defect: float) -> float:
     dim = 1 << c.n
     worst = 0.0
     for j, chunk in _circuit_chunks(c, signed_zeros=False):
-        w = chunk.shape[1]
-        np.subtract(chunk, columns(j, w), out=chunk)
-        dist = _scratch("distance", (dim, w), np.float64)
-        np.abs(chunk, out=dist)
-        worst = np.maximum(worst, dist.max())
+        rows = (chunk[: dim // 2], chunk[dim // 2 :])
+        for block, formula in zip(rows, halves(j, chunk.shape[1])):
+            np.subtract(block, formula, out=block)
+            dist = _scratch("spare", block.shape, np.float64)
+            np.abs(block, out=dist)
+            worst = np.maximum(worst, dist.max())
     eps = float(worst)
     if not _defect_bound(ref_defect, eps, dim) <= STATE_TOL:
         circuit_to_dense(c)

@@ -21,18 +21,36 @@ With Theta_j(x) = sum_{k<j} theta[j][k](x_k):
 Circuits realize each angle pair (t0, t1) as an unconditional R(t0) followed
 by a controlled R(t1 - t0); identity factors are skipped, so the gate count
 is at most n + n(n-1).
+
+Each formula is read off one table of per-wire factors (``_factor_table``),
+whole by the dense builders and in row halves of column chunks by
+``compare`` (``_cascade_columns``), bit-identically.  The table's error
+against the exact cascade at the same computed angles, measured once per
+spec, certifies the matrix's unitarity (``_cascade_error``) in place of the
+O(8^n) exact check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .config import check_cap, check_wires, spec_int
+from . import qstate
+from .config import STATE_TOL, check_cap, check_wires, spec_int
 from .errors import InputError
-from .qstate import HADAMARD, Circuit, Controlled, DenseUnitary, bit_table
+from .qstate import (
+    HADAMARD,
+    Circuit,
+    Controlled,
+    DenseUnitary,
+    _defect_bound,
+    _dense_columns,
+    _scratch,
+    bit_table,
+)
 
 HADAMARD_FIRST = "hadamard_first"
 ROTATION_FIRST = "rotation_first"
@@ -89,51 +107,197 @@ class RotSpec:
         return self.thetas.get((i, j), (0.0, 0.0))
 
 
-def _theta_sums(spec: RotSpec, bits: np.ndarray) -> np.ndarray:
-    """Theta[j, x] = sum_{k<j} theta[j][k](x_k), reduced mod 2*pi; bits is [x, k]."""
-    m0 = np.zeros((spec.n, spec.n))
-    m1 = np.zeros((spec.n, spec.n))
+def _angles(spec: RotSpec) -> np.ndarray:
+    """The computed angle of each wire j at each column x, [j, x]:
+    Theta_j(x) = sum_{k<j} theta[j][k](x_k) mod 2*pi for hadamard_first,
+    Psi_j(x) = alpha_j(x_j) + Theta_j(x) mod 2*pi for rotation_first."""
+    n = spec.n
+    m0 = np.zeros((n, n))
+    m1 = np.zeros((n, n))
     for (i, j), (t0, t1) in spec.thetas.items():
         m0[i, j], m1[i, j] = t0, t1
-    theta = m0 @ (1.0 - bits.T) + m1 @ bits.T  # [j, x]
+    bits = bit_table(n)
     # Wire 0 has no lower wires; masking is implicit since cells require j<i.
-    return np.mod(theta, _TWO_PI)
+    theta = np.mod(m0 @ (1.0 - bits.T) + m1 @ bits.T, _TWO_PI)
+    if spec.variant == HADAMARD_FIRST:
+        return theta
+    alpha = np.asarray(spec.alpha0)[:, None] - (np.pi / 2.0) * bits.T
+    return np.mod(alpha + theta, _TWO_PI)
+
+
+def _factor_table(spec: RotSpec, angles: np.ndarray) -> np.ndarray:
+    """g[j, b, x]: wire j's factor of the entries [y, x] with y_j = b.
+
+    hadamard_first: cos Theta + s sin Theta, s = +1 where b = x_j and -1
+    otherwise, times (-1)^(x_j b), so that the product over the wires holds
+    the parity sign (-1)^(x.y) as well; a sign flip is exact, so that
+    product equals the sign times the product of the unsigned factors bit
+    for bit.  rotation_first: cos(Psi + (pi/2) b), two values per wire and
+    column.  The entry [y, x] is prod_j g[j, y_j, x], over sqrt(N) for
+    hadamard_first.
+    """
+    n = spec.n
+    g = np.empty((n, 2, 1 << n))
+    if spec.variant == HADAMARD_FIRST:
+        sign = 1.0 - 2.0 * bit_table(n).T  # (-1)^(x_j)
+        cos, ssin = np.cos(angles), sign * np.sin(angles)
+        np.add(cos, ssin, out=g[:, 0])
+        np.multiply(cos - ssin, sign, out=g[:, 1])
+    else:
+        for b in (0, 1):
+            g[:, b] = np.cos(angles + (np.pi / 2.0) * float(b))
+    return g
+
+
+def _cascade_error(spec: RotSpec, angles: np.ndarray, table: np.ndarray) -> float:
+    """A bound on max |B - M*| for the matrix B read off ``table``
+    (``_factor_table``) and a matrix M* that is unitary in exact arithmetic,
+    so that ``_defect_bound(0, eps, N)`` bounds B's exact check (M* has no
+    defect).  NaN when ``qstate._WIDE`` is no wider than float64 or the
+    table holds a NaN, so that the caller takes the exact check.
+
+    M* is the cascade at the computed angles, in exact arithmetic.  For
+    hadamard_first its factors are g*[j, b, x] = cos T + s sin T times
+    (-1)^(x_j b), at T = the computed Theta_j(x), which depends on x_{<j}
+    alone: per wire, R(T) H conditioned on the lower wires, so M* is
+    unitary for any T.  For rotation_first they are cos(A + (pi/2)(b - x_j)),
+    A = the computed Psi_j at x_j = 0, again a function of x_{<j}: per wire
+    R(A), since cos(A - pi/2) = sin A.  The computed Psi_j at x_j = 1 is
+    only near A - pi/2, by the rounding of pi/2, of alpha's sum and of the
+    mod; measuring against g* carries all of that.
+
+    The factor error e_f = max |g - g*| is measured over the 2 n N entries
+    against references in ``_WIDE`` (unit roundoff u_W), which lie within
+    32 u_W of g*: an argument of modulus below 8, with pi/2 taken as
+    2 arctan(1), is within 4 u_W of the exact one, and cos, sin and the
+    sums of two add a few u_W.  64 u_W is added.
+
+    Then, with u = 2^-53 and |g*| <= G (G = sqrt 2 for cos T +- sin T,
+    1 for a cosine), each computed partial product is the last one times g
+    times (1 + d), |d| <= u, and g (1 + d) = g* + e with
+    |e| <= e' = e_f + u (G + e_f).  Expanding prod_j (g*_j + e_j) - prod_j g*_j
+    bounds it by (G + e')^n - G^n = G^n ((1 + e'/G)^n - 1).  For
+    rotation_first that is the entry error; the cast to complex is exact.
+    For hadamard_first G^n = sqrt N, and the complex division by sqrt N
+    multiplies by fl(1 / fl(sqrt N)) = (1 + h) / sqrt N, |h| <= 3u, then
+    rounds once more; the entries of M* have modulus at most 1, so the
+    entry error is at most (1 + 5u)((1 + e'/G)^n - 1) + 5u.  The relative
+    rounding of this arithmetic is a few u, far below the slack of
+    ``_defect_bound``.  O(n N) time and O(N) memory, once per spec.
+    """
+    wide = qstate._WIDE
+    unit = np.finfo(wide).eps
+    if not unit < np.finfo(np.float64).eps:
+        return math.nan
+    x = np.arange(1 << spec.n)
+    half_pi = 2 * np.arctan(wide(1))
+    worst = 0.0
+    for j, (angle, factors) in enumerate(zip(angles, table)):
+        x_j = ((x >> j) & 1).astype(wide)
+        if spec.variant == HADAMARD_FIRST:
+            t, sign = angle.astype(wide), 1 - 2 * x_j
+            cos, ssin = np.cos(t), sign * np.sin(t)
+            ref = (cos + ssin, (cos - ssin) * sign)
+        else:
+            base = angle[x & ~(1 << j)].astype(wide)  # Psi_j at x_j = 0
+            ref = [np.cos(base + half_pi * (b - x_j)) for b in (0, 1)]
+        for g, r in zip(factors, ref):
+            worst = np.maximum(worst, np.max(np.abs(g - r)))
+    e_f = float(worst + 64 * unit)
+    u = np.finfo(np.float64).eps / 2
+    size = math.sqrt(2.0) if spec.variant == HADAMARD_FIRST else 1.0
+    growth = math.expm1(spec.n * math.log1p((e_f + u * (size + e_f)) / size))
+    return (1 + 5 * u) * growth + 5 * u if spec.variant == HADAMARD_FIRST else growth
+
+
+def _wire_products(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[r] = prod_i g[i, r_i] for every r < 2^m, g (m, 2, w), into ``out``
+    ((2^m, w) float64).
+
+    Built by doubling: rows 2^i .. 2^(i+1)-1 are rows 0 .. 2^i-1 times
+    g[i, 1], and rows 0 .. 2^i-1 are then multiplied by g[i, 0] in place, so
+    every product is taken from 1 in wire order.
+    """
+    out[0] = 1.0
+    for i, (f0, f1) in enumerate(g):
+        lo = out[: 1 << i]
+        np.multiply(lo, f1, out=out[1 << i : 2 << i])
+        np.multiply(lo, f0, out=lo)
+    return out
+
+
+def _last_wire(partial: np.ndarray, factors: np.ndarray, scale, out: np.ndarray) -> np.ndarray:
+    """One row half into ``out`` (complex): the products over wires 0..n-2,
+    ``partial``, times wire n-1's ``factors``, cast to complex, and divided
+    by ``scale`` as complex numbers where it is not None.  The complex
+    division multiplies by fl(1 / scale); dividing the float products
+    instead would round differently."""
+    np.multiply(partial, factors, out=out)
+    if scale is not None:
+        np.divide(out, scale, out=out)
+    return out
+
+
+def _formula(spec: RotSpec, variant: str):
+    """The factor table of a rot spec of ``variant``, the divisor of its
+    products (sqrt N or None), and its certified defect."""
+    if spec.variant != variant:
+        raise InputError(f"spec variant is {spec.variant}, expected {variant}")
+    check_cap("dense", spec.n)
+    dim = 1 << spec.n
+    angles = _angles(spec)
+    table = _factor_table(spec, angles)
+    scale = np.sqrt(dim) if variant == HADAMARD_FIRST else None
+    return table, scale, _defect_bound(0.0, _cascade_error(spec, angles, table), dim)
+
+
+def _dense(spec: RotSpec, variant: str) -> DenseUnitary:
+    """The matrix read off the factor table over all columns in one block,
+    in two row halves, with the certified defect as its bound."""
+    table, scale, defect = _formula(spec, variant)
+    dim = 1 << spec.n
+    partial = _wire_products(table[:-1], np.empty((dim // 2, dim)))
+    m = np.empty((dim, dim), dtype=np.complex128)
+    for b in (0, 1):
+        _last_wire(partial, table[-1, b], scale, m[b * dim // 2 : (b + 1) * dim // 2])
+    return DenseUnitary(spec.n, m, defect)
 
 
 def rot1_dense(spec: RotSpec) -> DenseUnitary:
     """Dense matrix of the hadamard_first transform."""
-    if spec.variant != HADAMARD_FIRST:
-        raise InputError(f"spec variant is {spec.variant}, expected hadamard_first")
-    n = spec.n
-    check_cap("dense", n)
-    dim = 1 << n
-    bits = bit_table(n)
-    theta = _theta_sums(spec, bits)  # [j, x]
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    sign = 1.0 - 2.0 * bits.T  # (-1)^(x_j) over [j, x], and (-1)^(y_j) over [j, y]
-    m = np.ones((dim, dim))
-    for j in range(n):
-        # Wire 0 contributes cos(0) + sign*sin(0) = 1, matching its absence.
-        m *= cos_t[j][None, :] + np.outer(sign[j], sign[j] * sin_t[j])
-    parity = (bits @ bits.T) % 2.0  # [y, x] = x.y mod 2
-    m *= 1.0 - 2.0 * parity
-    return DenseUnitary(n, m.astype(np.complex128) / np.sqrt(dim))
+    return _dense(spec, HADAMARD_FIRST)
 
 
 def rot2_dense(spec: RotSpec) -> DenseUnitary:
     """Dense matrix of the rotation_first transform."""
-    if spec.variant != ROTATION_FIRST:
-        raise InputError(f"spec variant is {spec.variant}, expected rotation_first")
-    n = spec.n
-    check_cap("dense", n)
-    dim = 1 << n
-    bits = bit_table(n)
-    alpha = np.asarray(spec.alpha0)[:, None] - (np.pi / 2.0) * bits.T  # [j, x]
-    psi = np.mod(alpha + _theta_sums(spec, bits), _TWO_PI)
-    m = np.ones((dim, dim))
-    for j in range(n):
-        m *= np.cos(psi[j][None, :] + (np.pi / 2.0) * bits[:, j][:, None])
-    return DenseUnitary(n, m.astype(np.complex128))
+    return _dense(spec, ROTATION_FIRST)
+
+
+def _cascade_columns(spec: RotSpec):
+    """The transform as a formula for ``qstate._circuit_distance``: a reader
+    of its columns' row halves, and its certified defect.
+
+    The row halves of columns j..j+w-1 are read off the factor table as
+    ``rot1_dense`` and ``rot2_dense`` read them, so they are bit-identical
+    to those matrices' entries: the products over wires 0..n-2 once into the
+    quarter-chunk workspace buffer ``quarter``, then each half into the
+    workspace buffer ``spare``.  Where the certificate is NaN or above
+    ``STATE_TOL``, the dense builder makes the matrix with its exact check,
+    and the halves are views of it.
+    """
+    table, scale, defect = _formula(spec, spec.variant)
+    if not defect <= STATE_TOL:
+        dense = rot1_dense if spec.variant == HADAMARD_FIRST else rot2_dense
+        return _dense_columns(dense(spec))
+    dim = 1 << spec.n
+
+    def halves(j: int, w: int):
+        g = table[:, :, j : j + w]
+        partial = _wire_products(g[:-1], _scratch("quarter", (dim // 2, w), np.float64))
+        for b in (0, 1):
+            yield _last_wire(partial, g[-1, b], scale, _scratch("spare", (dim // 2, w)))
+
+    return halves, defect
 
 
 def _cascade_circuit(spec: RotSpec, first) -> Circuit:

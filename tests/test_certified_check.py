@@ -7,16 +7,13 @@ import pytest
 
 from gqt import (
     GENERAL,
-    HADAMARD_FIRST,
     TRIANGULAR,
     GqftSpec,
     NotUnitaryError,
     PhaseMatrix,
-    RotSpec,
     dft_dense,
     gqft_dense,
     numeric_unitarity_defect,
-    rot1_dense,
     toeplitz_phi,
 )
 from gqt import qstate
@@ -125,7 +122,9 @@ def test_a_narrow_long_double_takes_the_exact_check(monkeypatch, uncached_table_
     assert exact_calls == [2, 2, 8, 8, 64, 64]
 
 
-def test_real_phi_row_tables_rotations_and_the_numeric_defect_keep_the_exact_check(exact_calls):
+def test_real_phi_row_tables_and_the_numeric_defect_keep_the_exact_check(exact_calls):
+    # Rotation cascades are certified from their factor table instead; see
+    # tests/test_rot_formula.py.
     n = 3
     real = PhaseMatrix(n, [[4, 0, 0], [0.5, 4, 0], [1, 2, 4]])
     assert real.residues is None
@@ -135,10 +134,8 @@ def test_real_phi_row_tables_rotations_and_the_numeric_defect_keep_the_exact_che
     integral = PhaseMatrix(n, _random_triangular(n, np.random.default_rng(1811)))
     gqft_dense(GqftSpec(integral, row_fns={2: table}))
     assert exact_calls == [8, 8]
-    rot1_dense(RotSpec(n, HADAMARD_FIRST, {(1, 0): (0.5, 1.0)}))
-    assert exact_calls == [8, 8, 8]
     assert numeric_unitarity_defect(integral) <= STATE_TOL
-    assert exact_calls == [8, 8, 8, 8]
+    assert exact_calls == [8, 8, 8]
 
 
 def test_toeplitz_rows_gathered_bit_reversed_are_dft_dense_bit_for_bit():
