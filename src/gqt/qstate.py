@@ -18,20 +18,18 @@ use and reused, so that a run of them faults in no fresh pages: the chunk,
 ``spare`` (half a chunk) and ``quarter`` (a quarter chunk).  The workspace
 serves one call at a time: the chunk routes are not thread-safe.
 
-A circuit's dense matrix is built one column chunk at a time
-(``_circuit_chunks``).  A transform circuit or rotation cascade mixes each
+A circuit's dense matrix is built one column chunk at a time.
+``circuit_to_dense`` runs the kernel on each chunk's identity columns
+(``_kernel_chunks``) and gathers the chunks into a matrix bit-identical to
+one whole-block kernel run.  ``compare`` takes its chunks from
+``_circuit_chunks``: a transform circuit or rotation cascade mixes each
 wire first with an uncontrolled gate, so each column's support doubles per
-wire; such columns are grown from that support with the kernel's own
+wire, and such columns are grown from that support with the kernel's own
 products, by a plan compiled once per circuit, skipping the structural
-zeros the kernel would add.  That can only flip the sign of an exact zero,
-where a product part is -0; such columns are marked as they grow and
-rebuilt by the kernel inside their chunk, so every chunk stays
-bit-identical to a whole-block kernel run.
-``circuit_to_dense`` gathers the chunks into a matrix, a cascade's built by
-the kernel.  ``_circuit_distance`` holds each against the matching columns
-of a formula, read one row half at a time into ``spare``, and keeps only the
-largest distance, which no zero's sign can change, so it skips the rebuild
-and grows cascades too.
+zeros the kernel would add; that can only flip the sign of an exact zero.
+``_circuit_distance`` holds each chunk against the matching columns of a
+formula, read one row half at a time into ``spare``, and keeps only the
+largest distance, which no zero's sign can change.
 
 Every dense route that writes entries w^e / sqrt(N) (the transform
 builders, the raw phase matrix, the coset state) takes them from
@@ -481,16 +479,14 @@ class DenseUnitary:
         object.__setattr__(self, "entries", _locked(entries))
 
 
-def _growth_length(c: Circuit, signed_zeros: bool = True) -> int | None:
+def _growth_length(c: Circuit) -> int | None:
     """How many leading gates of ``c`` a column chunk grows through, or None.
 
     A wire is mixed once a gate other than diag(1, u11) has acted on it; a
     swap carries that state with the wires.  A circuit grows when each gate
     that mixes a wire not yet mixed is uncontrolled, up to the gate that
-    mixes the last wire, whose index + 1 is returned.  Any other gate that
-    is not diag(1, u11) lands on a mixed wire: with ``signed_zeros`` it
-    refuses growth, as a cascade's rotations leave -0 parts to rebuild in
-    nearly every column; without, it rides along, controlled or not.
+    mixes the last wire, whose index + 1 is returned.  Any other gate, such
+    as a cascade's rotations on mixed wires, rides along, controlled or not.
     Decided on the gate list alone, before any amplitude is computed.
     """
     mixed = [False] * c.n
@@ -498,8 +494,8 @@ def _growth_length(c: Circuit, signed_zeros: bool = True) -> int | None:
     for i, g in enumerate(c.gates):
         if isinstance(g, Swap):
             mixed[g.a], mixed[g.b] = mixed[g.b], mixed[g.a]
-        elif not _is_phase(g.u) and (signed_zeros or not mixed[g.target]):
-            if g.controls or mixed[g.target]:
+        elif not _is_phase(g.u) and not mixed[g.target]:
+            if g.controls:
                 return None
             mixed[g.target] = True
             left -= 1
@@ -578,20 +574,7 @@ def _growth_plan(gates: tuple, n: int, k: int) -> tuple[list, list | None]:
     return steps, None if perm == list(range(n)) else perm + [n]
 
 
-_NEG_ZERO = np.uint64(1 << 63)
-
-
-def _mark_negative_zeros(marked: np.ndarray, a: np.ndarray) -> None:
-    """Set ``marked`` (one flag per trailing column of contiguous ``a``) where
-    that column holds a -0 part."""
-    hit = a.reshape(-1, marked.size).view(np.uint64) == _NEG_ZERO
-    if hit.any():
-        marked |= hit.any(axis=0).reshape(marked.size, 2).any(axis=1)
-
-
-def _grow_chunk(
-    plan: tuple, chunk: np.ndarray, spare: np.ndarray, j: int, signed_zeros: bool
-) -> np.ndarray:
+def _grow_chunk(plan: tuple, chunk: np.ndarray, spare: np.ndarray, j: int) -> None:
     """Grow columns j, j+1, ... of a planned growth prefix into ``chunk``.
 
     ``plan`` is the prefix's ``_growth_plan`` for ``chunk``'s width w, a
@@ -604,18 +587,14 @@ def _grow_chunk(
 
     The kernel computes each grown entry as such a product plus one with a
     structural zero, which is the product itself unless a part of the
-    product is -0 and the zero +0; a gate on mixed wires sees the kernel's
-    operands.  Returned: the columns in which some product held a -0 part,
-    whose bits the kernel may not share; every other column is
-    bit-identical to the kernel's.  Unless ``signed_zeros``, no column is
-    marked: growth then differs from the kernel only in the sign of some
-    zeros.
+    product is -0 and the zero +0.  So every column holds the kernel's
+    values, also through the gates run on mixed wires, and may differ from
+    its bits only in the sign of a zero.
     """
     steps, perm = plan
     n = chunk.shape[0].bit_length() - 1
     w = chunk.shape[1]
     t = np.ones((1, w), dtype=np.complex128)
-    marked = np.zeros(w, dtype=bool)
     pools = (chunk.reshape(-1), spare)  # t with an even / odd count of wires left
     left = n
     for kind, u, *args in steps:
@@ -627,8 +606,6 @@ def _grow_chunk(
             for y in (0, 1):
                 np.multiply(f[y], t, out=grown[:, y])
             t = grown.reshape(-1, w)
-            if signed_zeros:
-                _mark_negative_zeros(marked, t)
             continue
         held, shape, a0, a1 = args
         if all((j >> b) & 1 == v for b, v in held):
@@ -636,92 +613,91 @@ def _grow_chunk(
             _apply_2x2(u, view[a0], view[a1])
     if perm is not None:
         chunk[...] = chunk.reshape((2,) * n + (w,)).transpose(perm).reshape(chunk.shape)
-    return marked
 
 
-def _kernel_columns(block: np.ndarray, cols, c: Circuit) -> None:
-    """Overwrite ``block`` ((2^n, m)) with ``c`` run on identity columns ``cols``."""
-    block[...] = 0.0
-    block[cols, np.arange(block.shape[1])] = 1.0
-    _run_in_place(block, c)
+def _chunk_columns(dim: int) -> int:
+    """Columns per chunk: ``_CHUNK_BYTES`` // (16 * dim), at least 1, at most dim."""
+    return min(dim, max(1, _CHUNK_BYTES // (16 * dim)))
 
 
-def _kernel_columns_into(
-    chunk: np.ndarray, cols: np.ndarray, j: int, spare: np.ndarray, c: Circuit
-) -> None:
-    """Overwrite columns ``cols`` of ``chunk``, which holds columns j.. of c's
-    matrix, with ``c`` run on their identity columns, in blocks that ``spare``
-    holds."""
-    dim = chunk.shape[0]
-    step = spare.size // dim
-    for i in range(0, cols.size, step):
-        part = cols[i : i + step]
-        block = spare[: dim * part.size].reshape(dim, part.size)
-        _kernel_columns(block, j + part, c)
-        chunk[:, part] = block
-
-
-def _circuit_chunks(c: Circuit, signed_zeros: bool = True):
-    """Yield (j, chunk) over the column chunks of a circuit's dense matrix.
+def _kernel_chunks(c: Circuit):
+    """Yield (j, chunk) over the column chunks of a circuit's dense matrix,
+    each the kernel run on its identity columns.
 
     ``chunk`` holds columns j, j+1, ... as a contiguous (2^n, w) view of the
-    workspace, w at most ``_CHUNK_BYTES`` // (16 * 2^n) but at least 1; the
-    last chunk may be narrower.  It is valid, and may be overwritten, until
-    the next chunk is asked for.
-
-    A circuit in which each gate that first mixes a wire is uncontrolled,
-    as in transform circuits and, without ``signed_zeros``, rotation
-    cascades (``_growth_length``), has columns whose support doubles per
-    mixed wire.  Its growth prefix is then compiled once into a plan
-    (``_growth_plan``), and each chunk is grown from the support of its
-    identity columns by running the plan on a contiguous row block
-    (``_grow_chunk``): a gate touches only its columns' nonzero amplitudes,
-    and the kernel runs only the gates left once every wire is mixed (a DFT
-    circuit's swaps).  Chunks are then aligned power-of-two column ranges.
-    Columns in which growth met a -0 product part are rebuilt by the kernel
-    from their identity columns, inside their chunk.  Every chunk of any
-    other circuit is built by the kernel.
-
-    Each column sees the same float operations as in one whole-block kernel
-    run, or operations with the same result, so every chunk is bit-identical
-    to the matching columns of that run.  Without ``signed_zeros`` grown
-    columns are neither marked nor rebuilt, and may differ from that run in
-    the sign of a zero, where a -0 met +0, and in nothing else.
+    workspace, w = ``_chunk_columns(2^n)``; the last chunk may be narrower.
+    It is valid, and may be overwritten, until the next chunk is asked for.
+    Each column sees the float operations of one whole-block kernel run, so
+    every chunk is bit-identical to the matching columns of that run.
     """
     dim = 1 << c.n
-    width = min(dim, max(1, _CHUNK_BYTES // (16 * dim)))
-    grow = _growth_length(c, signed_zeros)
-    if grow is not None:
-        k = width.bit_length() - 1
-        width = 1 << k
-        plan, rest = _growth_plan(c.gates[:grow], c.n, k), Circuit(c.n, c.gates[grow:])
-        # half a chunk for growth, and at least one column for a rebuild
-        spare = _scratch("spare", (max(dim * width // 2, dim),))
+    width = _chunk_columns(dim)
     for j in range(0, dim, width):
         chunk = _scratch("chunk", (dim, min(width, dim - j)))
-        if grow is None:
-            _kernel_columns(chunk, j + np.arange(chunk.shape[1]), c)
-        else:
-            marked = _grow_chunk(plan, chunk, spare, j, signed_zeros)
-            _run_in_place(chunk, rest)
-            _kernel_columns_into(chunk, np.flatnonzero(marked), j, spare, c)
+        chunk[...] = 0.0
+        cols = np.arange(chunk.shape[1])
+        chunk[j + cols, cols] = 1.0
+        _run_in_place(chunk, c)
         yield j, chunk
+
+
+def _circuit_chunks(c: Circuit):
+    """Yield (j, chunk) over the column chunks of a circuit's dense matrix,
+    for ``_circuit_distance``, as ``_kernel_chunks`` does.
+
+    A circuit in which each gate that first mixes a wire is uncontrolled,
+    as in transform circuits and rotation cascades (``_growth_length``), has
+    columns whose support doubles per mixed wire.  Its growth prefix is then
+    compiled once into a plan (``_growth_plan``), and each chunk is grown
+    from the support of its identity columns by running the plan on a
+    contiguous row block (``_grow_chunk``): a gate touches only its columns'
+    nonzero amplitudes, and the kernel runs only the gates left once every
+    wire is mixed (a DFT circuit's swaps).  Such chunks are aligned column
+    ranges, w taken down to a power of two.  Every chunk of any other
+    circuit comes from ``_kernel_chunks``.
+
+    A grown chunk holds the values of the matching columns of one
+    whole-block kernel run, and may differ from them in the sign of a zero,
+    where a -0 met +0, and in nothing else.
+    """
+    grow = _growth_length(c)
+    if grow is None:
+        yield from _kernel_chunks(c)
+        return
+    dim = 1 << c.n
+    k = _chunk_columns(dim).bit_length() - 1
+    width = 1 << k
+    plan, rest = _growth_plan(c.gates[:grow], c.n, k), Circuit(c.n, c.gates[grow:])
+    spare = _scratch("spare", (dim * width // 2,))  # half a chunk for growth
+    for j in range(0, dim, width):
+        chunk = _scratch("chunk", (dim, width))
+        _grow_chunk(plan, chunk, spare, j)
+        _run_in_place(chunk, rest)
+        yield j, chunk
+
+
+def _gathered(n: int, chunks) -> np.ndarray:
+    """The 2^n x 2^n matrix whose columns j.. are ``chunk`` for each (j, chunk).
+
+    Each chunk, built in the workspace, is copied into its column slice:
+    built in a column slice of the result itself, each row's few entries
+    would lie 2^n * 16 bytes apart, where they share cache sets.
+    """
+    out = np.empty((1 << n, 1 << n), dtype=np.complex128)
+    for j, chunk in chunks:
+        out[:, j : j + chunk.shape[1]] = chunk
+    return out
 
 
 def circuit_to_dense(c: Circuit) -> DenseUnitary:
     """Materialize a circuit: column x of the result is the circuit run on |x>.
 
-    Each chunk of ``_circuit_chunks`` is built in the workspace and copied
-    into its column slice of the result: built in a column slice of the
-    result itself, each row's few entries would lie 2^n * 16 bytes apart,
-    where they share cache sets.  The entries are bit-identical to one
-    whole-block kernel run, and the exact check runs on them.
+    The kernel runs over column chunks (``_kernel_chunks``), gathered into
+    the result, so its entries are bit-identical to one whole-block kernel
+    run; the exact check runs on them.
     """
     check_cap("dense", c.n)
-    out = np.empty((1 << c.n, 1 << c.n), dtype=np.complex128)
-    for j, chunk in _circuit_chunks(c):
-        out[:, j : j + chunk.shape[1]] = chunk
-    return DenseUnitary(c.n, out)
+    return DenseUnitary(c.n, _gathered(c.n, _kernel_chunks(c)))
 
 
 def _dense_columns(m: DenseUnitary):
@@ -745,22 +721,22 @@ def _circuit_distance(c: Circuit, halves, ref_defect: float) -> float:
     into the same bytes of ``spare``, read as float64, before the max is
     taken.  So a compare holds the chunk, ``spare`` and a formula's
     quarter-chunk buffer, and no array of the matrices' size.  A max is
-    exact, so the result equals the one-shot ``np.max(np.abs(C - F))`` bit
-    for bit; a NaN in either makes it NaN.  |C - F| does not depend on the
-    sign of a zero, so C's chunks skip the -0 marking and rebuild
-    (``signed_zeros=False``).
+    exact, and |C - F| does not depend on the sign of a zero, so the result
+    equals the one-shot ``np.max(np.abs(C - F))`` over the kernel's C bit
+    for bit; a NaN in either makes it NaN.
 
     C's unitarity check is derived from F's: when
     ``_defect_bound(ref_defect, eps, N)`` is at most ``STATE_TOL``, the exact
-    check on C would have passed.  Otherwise, a NaN included,
-    ``circuit_to_dense`` builds C and runs that check, so ``NotUnitaryError``
-    is raised in exactly the cases, and with the message, of the exact check
-    alone.
+    check on C would have passed.  Otherwise, a NaN included, C's chunks are
+    gathered into a matrix and that check runs on it.  Its entries differ
+    from the kernel's at most in signs of zeros, which leave
+    max |C^dagger C - I| unchanged, so ``NotUnitaryError`` is raised in
+    exactly the cases, and with the message, of the exact check alone.
     """
     check_cap("dense", c.n)
     dim = 1 << c.n
     worst = 0.0
-    for j, chunk in _circuit_chunks(c, signed_zeros=False):
+    for j, chunk in _circuit_chunks(c):
         rows = (chunk[: dim // 2], chunk[dim // 2 :])
         for block, formula in zip(rows, halves(j, chunk.shape[1])):
             np.subtract(block, formula, out=block)
@@ -769,7 +745,7 @@ def _circuit_distance(c: Circuit, halves, ref_defect: float) -> float:
             worst = np.maximum(worst, dist.max())
     eps = float(worst)
     if not _defect_bound(ref_defect, eps, dim) <= STATE_TOL:
-        circuit_to_dense(c)
+        DenseUnitary(c.n, _gathered(c.n, _circuit_chunks(c)))
     return eps
 
 

@@ -220,7 +220,7 @@ def test_compare_toeplitz_builds_its_circuit_once(tmp_path, monkeypatch):
     monkeypatch.setattr(
         qstate,
         "_circuit_chunks",
-        lambda c, signed_zeros=True: chunk_runs.append(c) or circuit_chunks(c, signed_zeros),
+        lambda c: chunk_runs.append(c) or circuit_chunks(c),
     )
     code, out, _ = run_cli("compare", "--spec", spec_path)
     assert code == 0 and "dft_swap_max_abs_diff" in json.loads(out)

@@ -57,9 +57,9 @@ def _perturbed(m: np.ndarray, eps: float, rng: np.random.Generator) -> np.ndarra
 
 def _standing_in_for(monkeypatch, b: np.ndarray, width: int = 3) -> Circuit:
     """An empty circuit whose column chunks, for the streamed distance and
-    for ``circuit_to_dense``, are those of ``b``, ``width`` columns each."""
+    for its exact-check fallback, are those of ``b``, ``width`` columns each."""
 
-    def chunks(c, signed_zeros=True):
+    def chunks(c):
         for j in range(0, b.shape[1], width):
             yield j, b[:, j : j + width].copy()
 

@@ -1,8 +1,12 @@
 """Transform-circuit matrices grown from the support of each identity column.
 
 A circuit whose mixing gates are uncontrolled and each land on a fresh wire
-is built by ``_grow_chunk``; its matrix must equal the one-block kernel run
-bit for bit, including the columns rebuilt after a -0 product part.
+grows in ``compare``'s column chunks (``_circuit_chunks``, by
+``_grow_chunk``).  Those must hold the values of the one-block kernel run,
+and for Toeplitz, DFT and random triangular circuits its bits: growth leaves
+out the kernel's ``+ u*0`` terms, which can change only the sign of a zero.
+``circuit_to_dense`` runs the kernel over column chunks, bit-identical to
+that run, and grows nothing.
 """
 
 import numpy as np
@@ -10,6 +14,8 @@ import pytest
 
 from gqt import (
     HADAMARD,
+    HADAMARD_FIRST,
+    ROTATION_FIRST,
     Circuit,
     Controlled,
     GqftSpec,
@@ -18,11 +24,14 @@ from gqt import (
     dft_circuit,
     gqft_circuit,
     haar_inverse_circuit,
+    rot1_circuit,
+    rot2_circuit,
     toeplitz_phi,
 )
 from gqt import qstate
 from _oracles import (
     one_block_circuit_dense,
+    random_rot_spec,
     random_triangular_phi,
     random_unitary2,
     zero_lower_phi,
@@ -34,6 +43,11 @@ X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 def _assert_bit_identical(got: np.ndarray, want: np.ndarray, label) -> None:
     assert got.shape == want.shape, label
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), label
+
+
+def _compare_chunks(c: Circuit) -> np.ndarray:
+    """The circuit's matrix as compare's streamed distance sees it."""
+    return np.concatenate([chunk.copy() for _, chunk in qstate._circuit_chunks(c)], axis=1)
 
 
 def _row_table_spec(n: int, rng: np.random.Generator) -> GqftSpec:
@@ -95,7 +109,7 @@ def _synthetic_circuit(n: int, rng: np.random.Generator) -> Circuit:
 @pytest.mark.parametrize("n", range(1, 11))
 def test_grown_transform_circuits_are_bit_identical_to_one_block(n):
     # From n = 9 on the chunks are narrower than 2^n: high column bits are
-    # held fixed over a chunk.
+    # held fixed over a chunk.  A row table's zero cells may leave a -0.
     rng = np.random.default_rng(2000 + n)
     circuits = {
         "toeplitz": gqft_circuit(GqftSpec(toeplitz_phi(n))),
@@ -106,38 +120,34 @@ def test_grown_transform_circuits_are_bit_identical_to_one_block(n):
         circuits["row_table"] = gqft_circuit(_row_table_spec(n, rng))
     for name, c in circuits.items():
         assert qstate._growth_length(c) is not None, name
-        _assert_bit_identical(circuit_to_dense(c).entries, one_block_circuit_dense(c), (name, n))
+        want = one_block_circuit_dense(c)
+        _assert_bit_identical(circuit_to_dense(c).entries, want, (name, n))
+        if name == "row_table":
+            assert np.array_equal(_compare_chunks(c), want), (name, n)
+        else:
+            _assert_bit_identical(_compare_chunks(c), want, (name, n))
 
 
 @pytest.mark.parametrize("n", range(2, 11))
-def test_zero_phase_cells_force_column_rebuilds_and_stay_bit_identical(n, monkeypatch):
+def test_zero_phase_cells_force_column_rebuilds_and_stay_bit_identical(n):
     rng = np.random.default_rng(2100 + n)
-    rebuilt = []
-    kernel_columns_into = qstate._kernel_columns_into
-
-    def counted(chunk, cols, *rest):
-        rebuilt.append(cols.size)
-        kernel_columns_into(chunk, cols, *rest)
-
-    monkeypatch.setattr(qstate, "_kernel_columns_into", counted)
     for _ in range(3):
         spec = GqftSpec(zero_lower_phi(n, rng))
         c = gqft_circuit(spec)
-        got = circuit_to_dense(c).entries
-        _assert_bit_identical(got, one_block_circuit_dense(c), n)
-    assert sum(rebuilt) > 0
+        want = one_block_circuit_dense(c)
+        _assert_bit_identical(circuit_to_dense(c).entries, want, n)
+        assert np.array_equal(_compare_chunks(c), want), n
 
 
-def test_the_rebuild_mends_a_sign_of_zero_that_growth_alone_gets_wrong(monkeypatch):
-    # Without the rebuild some marked column differs from the kernel's run:
-    # so the -0 certificate is needed, not merely conservative.
+def test_growth_alone_differs_from_the_kernel_only_in_signs_of_zeros():
+    # Some grown column differs from the kernel's run in a zero's bits, so
+    # circuit_to_dense, whose bits must be the kernel's, grows nothing.
     rng = np.random.default_rng(2200)
-    monkeypatch.setattr(qstate, "_kernel_columns_into", lambda *args: None)
     differs = 0
     for n in range(2, 8):
         for _ in range(3):
             c = gqft_circuit(GqftSpec(zero_lower_phi(n, rng)))
-            got, want = circuit_to_dense(c).entries, one_block_circuit_dense(c)
+            got, want = _compare_chunks(c), one_block_circuit_dense(c)
             differs += not np.array_equal(got.view(np.uint64), want.view(np.uint64))
             assert np.array_equal(got, want)  # only signs of zeros may differ
     assert differs > 0
@@ -148,7 +158,9 @@ def test_synthetic_growing_circuits_are_bit_identical_to_one_block(n):
     rng = np.random.default_rng(2300 + n)
     for _ in range(4 if n <= 8 else 1):
         c = _synthetic_circuit(n, rng)
-        _assert_bit_identical(circuit_to_dense(c).entries, one_block_circuit_dense(c), n)
+        want = one_block_circuit_dense(c)
+        _assert_bit_identical(circuit_to_dense(c).entries, want, n)
+        assert np.array_equal(_compare_chunks(c), want), n
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 6])
@@ -158,10 +170,16 @@ def test_narrow_chunks_hold_column_bits_and_stay_bit_identical(monkeypatch, widt
     rng = np.random.default_rng(2400 + width)
     for n in (3, 4, 6):
         monkeypatch.setattr(qstate, "_CHUNK_BYTES", 16 * (1 << n) * width)
+        dft = dft_circuit(n)
         circuits = [_synthetic_circuit(n, rng) for _ in range(3)]
-        circuits += [dft_circuit(n), gqft_circuit(GqftSpec(zero_lower_phi(n, rng)))]
+        circuits += [dft, gqft_circuit(GqftSpec(zero_lower_phi(n, rng)))]
         for c in circuits:
-            _assert_bit_identical(circuit_to_dense(c).entries, one_block_circuit_dense(c), (n, width))
+            want = one_block_circuit_dense(c)
+            _assert_bit_identical(circuit_to_dense(c).entries, want, (n, width))
+            if c is dft:
+                _assert_bit_identical(_compare_chunks(c), want, (n, width))
+            else:  # only signs of zeros may differ
+                assert np.array_equal(_compare_chunks(c), want), (n, width)
 
 
 def _count_calls(monkeypatch, name: str) -> list:
@@ -182,26 +200,52 @@ def test_non_growing_circuits_take_the_kernel_with_no_growth_attempt(monkeypatch
     circuits = {
         "haar_inverse": haar_inverse_circuit(n, 2),
         "controlled_mixing": Circuit(2, (Controlled(((0, 1),), 1, HADAMARD), Controlled((), 0, HADAMARD))),
-        "mixed_twice": Circuit(
-            2, (Controlled((), 0, HADAMARD), Controlled((), 0, HADAMARD), Controlled((), 1, HADAMARD))
-        ),
         "wire_never_mixed": Circuit(3, (Controlled((), 0, HADAMARD), Controlled((), 2, HADAMARD))),
         "no_gates": Circuit(2, ()),
     }
     for name, c in circuits.items():
         assert qstate._growth_length(c) is None, name
         kernel = _count_calls(monkeypatch, "_run_in_place")
-        _assert_bit_identical(circuit_to_dense(c).entries, one_block_circuit_dense(c), name)
+        _assert_bit_identical(_compare_chunks(c), one_block_circuit_dense(c), name)
         assert [args[1] is c for args in kernel] == [True], name
+        _assert_bit_identical(circuit_to_dense(c).entries, one_block_circuit_dense(c), name)
     assert grown == []
 
 
-def test_toeplitz_build_runs_no_transform_gate_through_the_kernel(monkeypatch):
-    n = 8
-    c = gqft_circuit(GqftSpec(toeplitz_phi(n)))
+def test_a_wire_mixed_twice_grows_for_compare(monkeypatch):
+    # The second Hadamard on wire 0 rides along on the mixed wire.
+    c = Circuit(
+        2, (Controlled((), 0, HADAMARD), Controlled((), 0, HADAMARD), Controlled((), 1, HADAMARD))
+    )
     assert qstate._growth_length(c) == c.gate_count
     grown = _count_calls(monkeypatch, "_grow_chunk")
-    kernel = _count_calls(monkeypatch, "_run_in_place")
-    circuit_to_dense(c)
-    assert len(grown) == 1  # one chunk holds all 2^8 columns
-    assert [args[1].gate_count for args in kernel] == [0]
+    assert np.array_equal(_compare_chunks(c), one_block_circuit_dense(c))
+    assert len(grown) == 1
+
+
+def test_circuit_to_dense_compiles_no_plan_and_grows_no_chunk(monkeypatch):
+    # Every circuit below grows in compare's chunks, which run through the
+    # kernel only the gates left once every wire is mixed (a DFT's swaps).
+    n = 10  # 16 chunks of 64 columns at the 1 MiB budget
+    rng = np.random.default_rng(2500)
+    circuits = {
+        "toeplitz": gqft_circuit(GqftSpec(toeplitz_phi(n))),
+        "dft": dft_circuit(n),
+        "rot1": rot1_circuit(random_rot_spec(n, HADAMARD_FIRST, rng)),
+        "rot2": rot2_circuit(random_rot_spec(n, ROTATION_FIRST, rng)),
+    }
+    calls = [_count_calls(monkeypatch, f) for f in ("_growth_plan", "_grow_chunk", "_run_in_place")]
+    compiled, grown, kernel = calls
+    for name, c in circuits.items():
+        for counted in calls:
+            counted.clear()
+        got = circuit_to_dense(c).entries
+        assert (len(compiled), len(grown)) == (0, 0), name
+        assert [(a[0].shape[1], a[1] is c) for a in kernel] == [(64, True)] * 16, name
+        _assert_bit_identical(got, one_block_circuit_dense(c), name)
+        kernel.clear()
+        for _ in qstate._circuit_chunks(c):
+            pass
+        assert (len(compiled), len(grown)) == (1, 16), name
+        rest = n // 2 if name == "dft" else 0
+        assert [a[1].gate_count for a in kernel] == [rest] * 16, name

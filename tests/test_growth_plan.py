@@ -1,11 +1,11 @@
 """Rotation cascades grown from a growth plan compiled once per circuit.
 
 A cascade mixes each wire with one uncontrolled gate and then runs rotations
-on it under controls on lower, unmixed wires.  In compare, which skips the
--0 marking, its chunks grow from the plan of ``_growth_plan`` and must equal
+on it under controls on lower, unmixed wires.  In compare its chunks
+(``_circuit_chunks``) grow from the plan of ``_growth_plan`` and must equal
 the one-block kernel run up to the sign of a zero; the streamed distance
-must equal the one-shot max.  ``circuit_to_dense`` builds a cascade on the
-kernel, bit-identical to that run.
+must equal the one-shot max.  ``circuit_to_dense`` runs the kernel,
+bit-identical to that run.
 """
 
 import numpy as np
@@ -62,15 +62,14 @@ def _cascades(n: int, rng: np.random.Generator) -> dict:
 
 def _compare_chunks(c: Circuit) -> np.ndarray:
     """The circuit's matrix as compare's streamed distance sees it."""
-    chunks = [chunk.copy() for _, chunk in qstate._circuit_chunks(c, signed_zeros=False)]
-    return np.concatenate(chunks, axis=1)
+    return np.concatenate([chunk.copy() for _, chunk in qstate._circuit_chunks(c)], axis=1)
 
 
 def _assert_grown_for_compare(c: Circuit, label) -> None:
     """Compare grows c, equal to the one-block run but for signs of zeros;
     the build is bit-identical to it."""
     want = one_block_circuit_dense(c)
-    assert qstate._growth_length(c, signed_zeros=False) == c.gate_count, label
+    assert qstate._growth_length(c) == c.gate_count, label
     assert np.array_equal(_compare_chunks(c), want), label
     _assert_bit_identical(circuit_to_dense(c).entries, want, label)
 
@@ -104,9 +103,7 @@ def test_cascades_grow_for_compare_and_build_bit_identical_to_one_block(n):
     # held fixed over a chunk, and a held wire is mixed by two scalars.
     rng = np.random.default_rng(3000 + n)
     for name, spec in _cascades(n, rng).items():
-        c = _BUILDERS[spec.variant][0](spec)
-        assert (qstate._growth_length(c) is None) == (n > 1), name
-        _assert_grown_for_compare(c, (name, n))
+        _assert_grown_for_compare(_BUILDERS[spec.variant][0](spec), (name, n))
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 6])
@@ -161,18 +158,4 @@ def test_the_plan_is_compiled_once_per_circuit_not_per_chunk(monkeypatch):
     grown = _count_calls(monkeypatch, "_grow_chunk")
     _circuit_distance(c, *_dense_columns(m))
     assert (len(compiled), len(grown)) == (1, 16)
-    assert [args[4] for args in grown] == [False] * 16  # no -0 marking
 
-
-def test_a_cascade_build_takes_the_kernel_with_no_growth_attempt(monkeypatch):
-    # A cascade's real rotations would leave -0 imaginary parts in nearly
-    # every column, each then rebuilt on the kernel.
-    n = 10
-    c = rot2_circuit(random_rot_spec(n, ROTATION_FIRST, np.random.default_rng(3500)))
-    compiled = _count_calls(monkeypatch, "_growth_plan")
-    grown = _count_calls(monkeypatch, "_grow_chunk")
-    kernel = _count_calls(monkeypatch, "_kernel_columns")
-    got = circuit_to_dense(c).entries
-    assert (len(compiled), len(grown)) == (0, 0)
-    assert [args[0].shape[1] for args in kernel] == [64] * 16
-    _assert_bit_identical(got, one_block_circuit_dense(c), n)

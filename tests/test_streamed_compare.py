@@ -106,16 +106,8 @@ def test_integral_phi_is_read_off_the_table_with_no_dense_build(monkeypatch):
 
 @pytest.mark.parametrize("budget", [None, 2])
 def test_negative_zero_columns_are_rebuilt_inside_their_chunk(monkeypatch, budget):
-    # Only circuit_to_dense rebuilds the columns growth marked for a -0 part:
-    # the compare distance, which no zero's sign can change, skips it.
-    rebuilt = []
-    kernel_columns_into = qstate._kernel_columns_into
-
-    def counted(chunk, cols, *rest):
-        rebuilt.append(cols.size)
-        kernel_columns_into(chunk, cols, *rest)
-
-    monkeypatch.setattr(qstate, "_kernel_columns_into", counted)
+    # Growth may leave a -0 where the kernel has +0, which no distance sees;
+    # circuit_to_dense runs the kernel and keeps its bits.
     rng = np.random.default_rng(2800 + (budget or 0))
     circuits = []
     for n in range(2, 10):
@@ -126,13 +118,11 @@ def test_negative_zero_columns_are_rebuilt_inside_their_chunk(monkeypatch, budge
         want = float(np.max(np.abs(one_block_circuit_dense(c) - gqft_dense(spec).entries)))
         assert _circuit_distance(c, *_formula_columns(spec)) == want, n
         circuits.append(c)
-    assert sum(rebuilt) == 0
     for c in circuits:
         if budget is not None:
             monkeypatch.setattr(qstate, "_CHUNK_BYTES", 16 * (1 << c.n) * budget)
         got = circuit_to_dense(c).entries
         assert np.array_equal(got.view(np.uint64), one_block_circuit_dense(c).view(np.uint64))
-    assert sum(rebuilt) > 0
 
 
 def test_a_nan_certificate_builds_the_formula_with_its_exact_check(
@@ -182,13 +172,11 @@ def test_a_circuit_the_bound_cannot_vouch_for_takes_the_exact_check(
     grow = qstate._grow_chunk
     hit = []
 
-    def shifted(plan, chunk, spare, j, signed_zeros):
-        marked = grow(plan, chunk, spare, j, signed_zeros)
+    def shifted(plan, chunk, spare, j):
+        grow(plan, chunk, spare, j)
         if j == 32:
-            k = int(np.flatnonzero(~marked)[0])  # a column that no rebuild overwrites
-            chunk[5, k] += shift
-            hit.append(j + k)
-        return marked
+            chunk[5, 0] += shift
+            hit.append(j)
 
     monkeypatch.setattr(qstate, "_grow_chunk", shifted)
     try:
@@ -225,8 +213,9 @@ def test_compare_reports_the_one_shot_distance(tmp_path):
 
 
 def test_a_warm_toeplitz_compare_at_n12_allocates_a_few_chunks(tmp_path, monkeypatch):
-    # The whole matrices take 256 MiB each; the chunks, the exponents, the
-    # formula columns and their distances take about 4 MiB, allocated once.
+    # The whole matrices take 256 MiB each.  The workspace, the chunk
+    # (1 MiB), ``spare`` (0.5 MiB) and ``quarter`` (0.25 MiB), is allocated
+    # by the first compare; the warm one must allocate no chunk or half chunk.
     monkeypatch.delenv("GQT_DENSE_CAP", raising=False)
     path = tmp_path / "phi.json"
     path.write_text(json.dumps(toeplitz_phi(12).to_json_dict()))
@@ -238,4 +227,4 @@ def test_a_warm_toeplitz_compare_at_n12_allocates_a_few_chunks(tmp_path, monkeyp
     finally:
         tracemalloc.stop()
     assert first == again and first[0] == 0
-    assert peak < 8 << 20
+    assert peak < 3 << 18
