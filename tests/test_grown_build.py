@@ -14,8 +14,6 @@ import pytest
 
 from gqt import (
     HADAMARD,
-    HADAMARD_FIRST,
-    ROTATION_FIRST,
     Circuit,
     Controlled,
     GqftSpec,
@@ -24,14 +22,11 @@ from gqt import (
     dft_circuit,
     gqft_circuit,
     haar_inverse_circuit,
-    rot1_circuit,
-    rot2_circuit,
     toeplitz_phi,
 )
 from gqt import qstate
 from _oracles import (
     one_block_circuit_dense,
-    random_rot_spec,
     random_triangular_phi,
     random_unitary2,
     zero_lower_phi,
@@ -223,17 +218,12 @@ def test_a_wire_mixed_twice_grows_for_compare(monkeypatch):
     assert len(grown) == 1
 
 
-def test_circuit_to_dense_compiles_no_plan_and_grows_no_chunk(monkeypatch):
-    # Every circuit below grows in compare's chunks, which run through the
-    # kernel only the gates left once every wire is mixed (a DFT's swaps).
+def test_toeplitz_build_runs_no_transform_gate_through_the_kernel(monkeypatch):
+    # circuit_to_dense compiles no plan and grows no chunk; compare's chunks
+    # grow and run through the kernel only the gates left once every wire is
+    # mixed: none for Toeplitz, a DFT's swaps.
     n = 10  # 16 chunks of 64 columns at the 1 MiB budget
-    rng = np.random.default_rng(2500)
-    circuits = {
-        "toeplitz": gqft_circuit(GqftSpec(toeplitz_phi(n))),
-        "dft": dft_circuit(n),
-        "rot1": rot1_circuit(random_rot_spec(n, HADAMARD_FIRST, rng)),
-        "rot2": rot2_circuit(random_rot_spec(n, ROTATION_FIRST, rng)),
-    }
+    circuits = {"toeplitz": gqft_circuit(GqftSpec(toeplitz_phi(n))), "dft": dft_circuit(n)}
     calls = [_count_calls(monkeypatch, f) for f in ("_growth_plan", "_grow_chunk", "_run_in_place")]
     compiled, grown, kernel = calls
     for name, c in circuits.items():

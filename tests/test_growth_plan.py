@@ -159,3 +159,27 @@ def test_the_plan_is_compiled_once_per_circuit_not_per_chunk(monkeypatch):
     _circuit_distance(c, *_dense_columns(m))
     assert (len(compiled), len(grown)) == (1, 16)
 
+
+def test_a_cascade_build_takes_the_kernel_with_no_growth_attempt(monkeypatch):
+    # circuit_to_dense compiles no plan and grows no chunk; compare's chunks
+    # grow every cascade gate and run none through the kernel.
+    n = 10  # 16 chunks of 64 columns at the 1 MiB budget
+    rng = np.random.default_rng(3500)
+    circuits = {
+        "rot1": rot1_circuit(random_rot_spec(n, HADAMARD_FIRST, rng)),
+        "rot2": rot2_circuit(random_rot_spec(n, ROTATION_FIRST, rng)),
+    }
+    calls = [_count_calls(monkeypatch, f) for f in ("_growth_plan", "_grow_chunk", "_run_in_place")]
+    compiled, grown, kernel = calls
+    for name, c in circuits.items():
+        for counted in calls:
+            counted.clear()
+        got = circuit_to_dense(c).entries
+        assert (len(compiled), len(grown)) == (0, 0), name
+        assert [(a[0].shape[1], a[1] is c) for a in kernel] == [(64, True)] * 16, name
+        _assert_bit_identical(got, one_block_circuit_dense(c), name)
+        kernel.clear()
+        for _ in qstate._circuit_chunks(c):
+            pass
+        assert (len(compiled), len(grown)) == (1, 16), name
+        assert [a[1].gate_count for a in kernel] == [0] * 16, name
