@@ -360,12 +360,8 @@ def _cmd_compare(args) -> tuple[dict, int]:
         report["spec_kind"] = "phase"
         toeplitz = np.array_equal(pm.phi, _toeplitz_entries(n))
         formula = _formula_columns(spec)
-    # Only the formula matrix may take the exact unitarity check; the
-    # circuit's matrix, held against it one column chunk at a time, derives
-    # its check from its distance to it, and that distance is the one
-    # reported.
     circ = circuit_fn(spec)
-    diff = _circuit_distance(circ, *formula)
+    diff = _circuit_distance(circ, formula)
     if toeplitz:
         report["note"] = (
             "rows are the bit-reversal of the standard transform's; "

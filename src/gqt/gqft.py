@@ -18,7 +18,9 @@ then diagonal phase gates controlled on the still-unconsumed lower wires.
 The standard DFT is the transform of phi[i][j] = 2^(i+j), as y * x =
 sum_ij y_i x_j 2^(i+j): ``dft_dense`` is ``gqft_dense`` of that validated
 spec, read off the root table and certified from its error like every
-integral phi without row tables.
+integral phi without row tables.  Each transform is one column reader
+(``_formula_columns``), which ``compare`` streams against the circuit,
+certified from the circuit's gates, and ``gqft_dense`` gathers.
 """
 
 from __future__ import annotations
@@ -29,25 +31,18 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import STATE_TOL, check_cap, check_wires
+from . import qstate
+from .config import check_cap, check_wires
 from .errors import CapExceededError, InputError, UnsupportedRegimeError, ValidityError
-from .phasemat import (
-    PhaseMatrix,
-    _column_terms,
-    _doubled_sums,
-    check_general,
-    check_triangular,
-    phase_dense_raw,
-)
+from .phasemat import PhaseMatrix, _column_terms, _doubled_sums, check_general, check_triangular
 from .qstate import (
     HADAMARD,
     Circuit,
     Controlled,
     DenseUnitary,
     Swap,
-    _certified_defect,
-    _dense_columns,
-    _root_table,
+    _defect_bound,
+    _formula_matrix,
     _scratch,
     bit_table,
     unit_roots,
@@ -143,18 +138,15 @@ def _wire_exponents(spec: GqftSpec, bits: np.ndarray) -> np.ndarray:
 def gqft_dense(spec: GqftSpec) -> DenseUnitary:
     """Materialize the transform; every entry has modulus 1/sqrt(N).
 
-    An integral phi without row tables has integer exponents, which
-    ``phase_dense_raw`` reads off the root table mod N, built in integers.
-    The spec's criterion is then exact in integers, so the exact matrix is
-    unitary, and ``DenseUnitary`` takes the bound that the table's error
-    gives (``_certified_defect``) instead of forming U^dagger U.
+    The spec's column reader (``_formula_columns``) gathered.  An integral
+    phi without row tables is read off the root table, and its criterion is
+    exact in integers, so the exact matrix is unitary, and ``DenseUnitary``
+    takes the bound the table's error gives instead of forming U^dagger U.
     """
     n = spec.pm.n
-    check_cap("dense", n)
-    if _on_root_table(spec):
-        return DenseUnitary(n, phase_dense_raw(spec.pm), _certified_defect(1 << n))
-    bits = bit_table(n)
-    return DenseUnitary(n, unit_roots(bits @ _wire_exponents(spec, bits), 1 << n))
+    halves = _formula_columns(spec)
+    error = qstate._root_table_error(1 << n) if _on_root_table(spec) else math.nan
+    return DenseUnitary(n, _formula_matrix(n, halves), _defect_bound(0.0, error, 1 << n))
 
 
 def _on_root_table(spec: GqftSpec) -> bool:
@@ -164,28 +156,31 @@ def _on_root_table(spec: GqftSpec) -> bool:
 
 
 def _formula_columns(spec: GqftSpec):
-    """The transform as a formula for ``qstate._circuit_distance``: a reader
-    of its columns' row halves, and its checked defect or a bound on it.
+    """The transform's column reader (see ``qstate._circuit_distance``).
 
-    Where ``gqft_dense`` would certify the matrix from the root table's
-    error, the row halves of columns j..j+w-1 are read off the table at
-    their exponents, bit-identical to ``gqft_dense``'s entries, with no array
-    of the matrix's size.  The exponents of the first half, rows 0..N/2-1,
-    are ``_doubled_sums`` over wires 0..n-2 (``_column_terms``), in the
-    quarter-chunk workspace buffer ``quarter``; the second half adds wire
-    n-1's terms to them and masks in place, which is the doubling's last
-    step, so the integers do not change.  Each half is read into the
-    workspace buffer ``spare``.  Otherwise (a real phi, row tables, or a
-    certificate that is NaN or above ``STATE_TOL``) ``gqft_dense`` builds
-    the matrix with its exact check, and the halves are views of it.
+    An integral phi without row tables is read off the root table that
+    ``_root_table_error`` measures (``qstate._root_table``), into the
+    workspace buffer ``spare``.  The exponents of rows 0..N/2-1 are
+    ``_doubled_sums`` over wires 0..n-2 (``_column_terms``), in the buffer
+    ``quarter``; rows N/2..N-1 add wire n-1's terms to them and mask, the
+    doubling's last step.  Any other spec's exponents are the bit table
+    times the chunk's columns of ``_wire_exponents``, one BLAS product per
+    chunk, exponentiated by ``unit_roots``.
     """
     n = spec.pm.n
     check_cap("dense", n)
     dim = 1 << n
-    defect = _certified_defect(dim) if _on_root_table(spec) else math.nan
-    if not defect <= STATE_TOL:
-        return _dense_columns(gqft_dense(spec))
-    table = _root_table(dim)
+    if not _on_root_table(spec):
+        bits = bit_table(n)
+        wires = _wire_exponents(spec, bits)
+
+        def halves(j: int, w: int):
+            e = bits @ wires[:, j : j + w]
+            yield unit_roots(e[: dim // 2], dim)
+            yield unit_roots(e[dim // 2 :], dim)
+
+        return halves
+    table = qstate._root_table(dim)
     mask = dim - 1
 
     def halves(j: int, w: int):
@@ -196,7 +191,7 @@ def _formula_columns(spec: GqftSpec):
         np.bitwise_and(e, mask, out=e)
         yield np.take(table, e, out=_scratch("spare", (dim // 2, w)), mode="wrap")
 
-    return halves, defect
+    return halves
 
 
 def gqft_circuit(spec: GqftSpec) -> Circuit:

@@ -137,10 +137,10 @@ def check_triangular(
 
     Diagonal entries must equal 2^(n-1) exactly; strictly-upper entries must
     be multiples of 2^n within wraparound distance ``tol``.  Lower entries
-    are unconstrained.
+    are unconstrained.  A NaN ``tol`` passes no strictly-upper cell.
     """
     n, phi = pm.n, pm.phi
-    bad = _strict_upper(n) & (wraparound_distance(phi, 0.0, float(1 << n)) >= tol)
+    bad = _strict_upper(n) & ~(wraparound_distance(phi, 0.0, float(1 << n)) < tol)
     np.fill_diagonal(bad, np.diag(phi) != float(1 << (n - 1)))
     if not bad.any():
         return ValidityReport("triangular", True)

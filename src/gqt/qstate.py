@@ -21,21 +21,18 @@ serves one call at a time: the chunk routes are not thread-safe.
 A circuit's dense matrix is built one column chunk at a time.
 ``circuit_to_dense`` runs the kernel on each chunk's identity columns
 (``_kernel_chunks``) and gathers the chunks into a matrix bit-identical to
-one whole-block kernel run.  ``compare`` takes its chunks from
-``_circuit_chunks``: a transform circuit or rotation cascade mixes each
-wire first with an uncontrolled gate, so each column's support doubles per
-wire, and such columns are grown from that support with the kernel's own
-products, by a plan compiled once per circuit, skipping the structural
-zeros the kernel would add; that can only flip the sign of an exact zero.
+one whole-block kernel run.  ``compare`` grows the chunks of a transform
+circuit or rotation cascade from each column's support (``_circuit_chunks``)
+with the kernel's own products, which can only flip an exact zero's sign.
 ``_circuit_distance`` holds each chunk against the matching columns of a
-formula, read one row half at a time into ``spare``, and keeps only the
-largest distance, which no zero's sign can change.
+formula, read by a column reader, which dense builders gather
+(``_formula_matrix``), and keeps only the largest distance.  The circuit is
+certified from its gates (``_gate_bound``), the formula from that and the
+distance, so neither takes the exact U^dagger U check unless a bound fails.
 
-Every dense route that writes entries w^e / sqrt(N) (the transform
-builders, the raw phase matrix, the coset state) takes them from
-``unit_roots``, which reads integer exponents off one table of N roots.
-That table's distance to the exact roots (``_root_table_error``) certifies
-the unitarity of a matrix read off it whose exact entries form a unitary.
+Integer exponents are read off one table of N roots (``_root_table``),
+whose error (``_root_table_error``) certifies the unitarity of a dense
+matrix read off it whose exact entries form a unitary.
 """
 
 from __future__ import annotations
@@ -202,26 +199,18 @@ def _gate_defect(u: np.ndarray) -> float:
     return math.nan if math.isnan(sum(terms)) else max(terms)
 
 
-def _check_unitary_2x2(u) -> np.ndarray:
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (2, 2):
-        raise InputError(f"gate matrix has shape {u.shape}, expected (2, 2)")
-    dev = _gate_defect(u)
-    if not dev <= GATE_TOL:
-        raise NotUnitaryError(f"2x2 gate deviates from unitarity by {dev:.3e}")
-    return _locked(u)
-
-
 @dataclass(frozen=True)
 class Controlled:
     """A 2x2 unitary on ``target``, gated on every (qubit, bit) control holding.
 
-    With no controls the gate acts on its target unconditionally.
+    With no controls the gate acts on its target unconditionally.  The
+    matrix's ``_gate_defect``, at most ``GATE_TOL``, is kept as ``defect``.
     """
 
     controls: tuple[tuple[int, int], ...]
     target: int
     u: np.ndarray
+    defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         controls = tuple(
@@ -236,9 +225,16 @@ class Controlled:
             raise InputError(f"control bits must be 0/1 in {controls}")
         if target in qubits:
             raise InputError(f"target {target} overlaps controls {controls}")
+        u = np.asarray(self.u, dtype=np.complex128)
+        if u.shape != (2, 2):
+            raise InputError(f"gate matrix has shape {u.shape}, expected (2, 2)")
+        dev = _gate_defect(u)
+        if not dev <= GATE_TOL:
+            raise NotUnitaryError(f"2x2 gate deviates from unitarity by {dev:.3e}")
         object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "u", _check_unitary_2x2(self.u))
+        object.__setattr__(self, "u", _locked(u))
+        object.__setattr__(self, "defect", dev)
 
 
 @dataclass(frozen=True)
@@ -412,8 +408,8 @@ def _defect_bound(ref_defect: float, eps: float, dim: int) -> float:
     u = eps_mach / 2 (Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, sections 3.1 and 3.6), and the diagonal's subtraction
     of 1 is exact.  So Delta <= delta + gamma, where delta = ``ref_defect``
-    is D's computed check (or a bound on it), and the check on B would
-    compute at most
+    is D's computed check or a bound on it, or a bound on Delta itself
+    (``_gate_bound``), and the check on B would compute at most
 
         delta + 2 gamma + 2 sqrt((1 + delta + gamma) N) eps + N eps^2,
 
@@ -431,13 +427,44 @@ def _defect_bound(ref_defect: float, eps: float, dim: int) -> float:
     )
 
 
-def _certified_defect(dim: int) -> float:
-    """``_defect_bound`` for a matrix read off the root table at exact integer
-    exponents e whose exact entries w^e / sqrt(N) form a unitary: they are the
-    reference, with no defect, and the table's error bounds the distance to
-    them.  NaN where the table has no certificate.
+def _gate_bound(c: Circuit) -> float:
+    """A bound on max |C^dagger C - I| for the matrix C that the kernel or
+    growth computes for ``c``, from the ``defect`` its gates keep alone.
+
+    Let u = 2^-53.  A gate's true defect delta is at most d + 8u, d its
+    ``_gate_defect``: |a| (``hypot``, within an ulp) squared and added to
+    |c|^2 is within 6.1u of |a|^2 + |c|^2 <= 1 + GATE_TOL, and taking 1 off
+    is exact; the off-diagonal sum of two complex products is within 4u.
+    Its matrix U lies within ||U^dagger U - I|| <= 2 delta (a row sum) of
+    its unitary polar factor Q in the 2-norm, as |s - 1| <= |s^2 - 1| for
+    each singular value s; so does the gate on the register, U on each
+    amplitude pair its controls select, of the unitary Q makes.
+
+    The kernel computes u_y0 a0 + u_y1 a1, or u11 a1 alone for
+    diag(1, u11), and growth u_yb t, the same value less a zero term.  A
+    complex sum is within u, a product within mu |x| |y|, mu = sqrt(2)
+    gamma_2 (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    section 3.6), or 2u with a fused multiply-add (Jeannerod et al., Math.
+    Comp. 86, 2017).  So a pair's error is at most nu ||U||_F ||a|| <=
+    4u sqrt(2 + 2 delta) ||a||, nu = mu + u (1 + mu), over disjoint pairs;
+    a swap copies.
+    Each gate maps a computed column c to Q c plus at most eta ||c||,
+    eta = 2 delta + 4u sqrt(2 + 2 delta).  By induction over the gates, as
+    for a product of plane rotations (section 19.6), column x is q_x + r_x,
+    the q_x orthonormal and ||r_x|| <= tau = prod (1 + eta) - 1, so each
+    entry of C^dagger C - I is at most 2 tau + tau^2, which is returned.
+    The relative rounding of this arithmetic, (G + 4) u over G gates, is
+    far below the 3.8u per gate by which 8u exceeds 6.1u, against
+    eta < 3e-12.  A NaN defect gives NaN.
     """
-    return _defect_bound(0.0, _root_table_error(dim), dim)
+    u = np.finfo(np.float64).eps / 2
+    growth = 0.0
+    for g in c.gates:
+        if isinstance(g, Controlled):
+            delta = g.defect + 8 * u
+            growth += math.log1p(2 * delta + 4 * u * math.sqrt(2 + 2 * delta))
+    tau = math.expm1(growth)
+    return 2 * tau + tau * tau
 
 
 @dataclass(frozen=True)
@@ -447,15 +474,11 @@ class DenseUnitary:
     The exact check computes max |M^dagger M - I| (``_unitarity_defect``) and
     keeps it as ``defect``.  A builder whose entries lie within a measured
     distance of a matrix that is unitary in exact arithmetic passes
-    ``bound``, the ``_defect_bound`` of that distance: ``gqft_dense`` the
-    root table's (``_certified_defect``) for an integral phi that passed the
-    exact integer criterion, ``rot1_dense`` and ``rot2_dense`` their factor
-    table's for a rotation cascade.  When the bound is at most
-    ``STATE_TOL``, the exact check would have passed, and the matrix is
-    accepted with the bound as its ``defect``.  Otherwise the exact check
-    runs, so ``NotUnitaryError`` is raised in exactly the cases, and with the
-    message, of the exact check alone; the default NaN, and a NaN in a
-    measured error, take that path.
+    ``bound``, the ``_defect_bound`` of that distance: the root table's
+    (``gqft_dense``) or the factor table's (``rot1_dense``, ``rot2_dense``).
+    A bound at most ``STATE_TOL`` is kept as ``defect``, since the exact
+    check would have passed; otherwise, the default NaN included, the exact
+    check runs, with its verdict and message.
     """
 
     n: int
@@ -700,38 +723,41 @@ def circuit_to_dense(c: Circuit) -> DenseUnitary:
     return DenseUnitary(c.n, _gathered(c.n, _kernel_chunks(c)))
 
 
-def _dense_columns(m: DenseUnitary):
-    """A built matrix as a formula for ``_circuit_distance``: views of the two
-    row halves of its columns, with no copy, and its checked defect."""
-    half = 1 << (m.n - 1)
-    return (lambda j, w: (m.entries[:half, j : j + w], m.entries[half:, j : j + w])), m.defect
+def _formula_matrix(n: int, halves) -> np.ndarray:
+    """The matrix that a column reader ``halves`` (see ``_circuit_distance``)
+    gives, read at compare's chunk width (``_chunk_columns``)."""
+    dim = 1 << n
+    width = _chunk_columns(dim)
+    out = np.empty((dim, dim), dtype=np.complex128)
+    for j in range(0, dim, width):
+        w = min(width, dim - j)
+        for r, half in enumerate(halves(j, w)):
+            out[r * dim // 2 : (r + 1) * dim // 2, j : j + w] = half
+    return out
 
 
-def _circuit_distance(c: Circuit, halves, ref_defect: float) -> float:
+def _circuit_distance(c: Circuit, halves) -> float:
     """max |C - F| over a circuit's matrix C and a formula matrix F, held
     against each other one column chunk at a time, in row halves.
 
-    ``halves(j, w)`` gives F's columns j..j+w-1 as two (2^n / 2, w) arrays,
-    rows 0..N/2-1 and then N/2..N-1, each valid until the next is asked for;
-    ``ref_defect`` is F's checked defect or a bound on it.  A formula that
-    reads its entries (``gqft._formula_columns``, ``rotft._cascade_columns``)
-    writes each half into the workspace buffer ``spare``, which growth has
-    finished with once a chunk of C (``_circuit_chunks``) is out.  Each half
-    is subtracted in place from the chunk's matching rows, and the moduli go
-    into the same bytes of ``spare``, read as float64, before the max is
-    taken.  So a compare holds the chunk, ``spare`` and a formula's
-    quarter-chunk buffer, and no array of the matrices' size.  A max is
-    exact, and |C - F| does not depend on the sign of a zero, so the result
-    equals the one-shot ``np.max(np.abs(C - F))`` over the kernel's C bit
-    for bit; a NaN in either makes it NaN.
+    ``halves(j, w)`` is F's column reader: it yields F's columns j..j+w-1
+    as two (2^n / 2, w) arrays, rows 0..N/2-1 and then N/2..N-1, each valid
+    until the next is asked for, and may write them into the workspace
+    buffer ``spare``, which growth has finished with once a chunk of C
+    (``_circuit_chunks``) is out.  Each half is subtracted in place from the
+    chunk's matching rows, and the moduli go into the same bytes of
+    ``spare``, read as float64.  So a compare holds the chunk, ``spare`` and
+    a formula's quarter-chunk buffer, and no array of the matrices' size.  A
+    max is exact, and |C - F| does not depend on the sign of a zero, so the
+    result equals the one-shot ``np.max(np.abs(C - F))`` over the kernel's
+    C bit for bit; a NaN in either makes it NaN.
 
-    C's unitarity check is derived from F's: when
-    ``_defect_bound(ref_defect, eps, N)`` is at most ``STATE_TOL``, the exact
-    check on C would have passed.  Otherwise, a NaN included, C's chunks are
-    gathered into a matrix and that check runs on it.  Its entries differ
-    from the kernel's at most in signs of zeros, which leave
-    max |C^dagger C - I| unchanged, so ``NotUnitaryError`` is raised in
-    exactly the cases, and with the message, of the exact check alone.
+    C's defect is bounded from its gates (``_gate_bound``), F's check from
+    that and the distance (``_defect_bound``), and C's check is at most its
+    bound plus gamma = 4 N eps_mach.  Where a bound is NaN or above
+    ``STATE_TOL``, the exact check runs instead on the gathered columns, F's
+    first.  C's differ from the kernel's at most in signs of zeros, so
+    ``NotUnitaryError`` is raised exactly as by the two exact checks.
     """
     check_cap("dense", c.n)
     dim = 1 << c.n
@@ -744,7 +770,10 @@ def _circuit_distance(c: Circuit, halves, ref_defect: float) -> float:
             np.abs(block, out=dist)
             worst = np.maximum(worst, dist.max())
     eps = float(worst)
-    if not _defect_bound(ref_defect, eps, dim) <= STATE_TOL:
+    bound = _gate_bound(c)
+    if not _defect_bound(bound, eps, dim) <= STATE_TOL:
+        DenseUnitary(c.n, _formula_matrix(c.n, halves))
+    if not bound + 4 * dim * np.finfo(np.float64).eps <= STATE_TOL:
         DenseUnitary(c.n, _gathered(c.n, _circuit_chunks(c)))
     return eps
 

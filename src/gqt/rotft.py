@@ -22,12 +22,11 @@ Circuits realize each angle pair (t0, t1) as an unconditional R(t0) followed
 by a controlled R(t1 - t0); identity factors are skipped, so the gate count
 is at most n + n(n-1).
 
-Each formula is read off one table of per-wire factors (``_factor_table``),
-whole by the dense builders and in row halves of column chunks by
-``compare`` (``_cascade_columns``), bit-identically.  The table's error
-against the exact cascade at the same computed angles, measured once per
-spec, certifies the matrix's unitarity (``_cascade_error``) in place of the
-O(8^n) exact check.
+Each formula is one column reader (``_cascade_columns``) of a table of
+per-wire factors (``_factor_table``): ``compare`` streams it against the
+circuit, certified from the circuit's gates, and the dense builders gather
+it, certified from the table's error against the exact cascade at the same
+computed angles (``_cascade_error``) in place of the O(8^n) exact check.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import Mapping
 import numpy as np
 
 from . import qstate
-from .config import STATE_TOL, check_cap, check_wires, spec_int
+from .config import check_cap, check_wires, spec_int
 from .errors import InputError
 from .qstate import (
     HADAMARD,
@@ -47,7 +46,7 @@ from .qstate import (
     Controlled,
     DenseUnitary,
     _defect_bound,
-    _dense_columns,
+    _formula_matrix,
     _scratch,
     bit_table,
 )
@@ -238,29 +237,16 @@ def _last_wire(partial: np.ndarray, factors: np.ndarray, scale, out: np.ndarray)
     return out
 
 
-def _formula(spec: RotSpec, variant: str):
-    """The factor table of a rot spec of ``variant``, the divisor of its
-    products (sqrt N or None), and its certified defect."""
+def _dense(spec: RotSpec, variant: str) -> DenseUnitary:
+    """The matrix ``_cascade_columns`` reads, gathered (``_formula_matrix``),
+    with the certified defect of its factor table as its bound."""
     if spec.variant != variant:
         raise InputError(f"spec variant is {spec.variant}, expected {variant}")
     check_cap("dense", spec.n)
-    dim = 1 << spec.n
     angles = _angles(spec)
     table = _factor_table(spec, angles)
-    scale = np.sqrt(dim) if variant == HADAMARD_FIRST else None
-    return table, scale, _defect_bound(0.0, _cascade_error(spec, angles, table), dim)
-
-
-def _dense(spec: RotSpec, variant: str) -> DenseUnitary:
-    """The matrix read off the factor table over all columns in one block,
-    in two row halves, with the certified defect as its bound."""
-    table, scale, defect = _formula(spec, variant)
-    dim = 1 << spec.n
-    partial = _wire_products(table[:-1], np.empty((dim // 2, dim)))
-    m = np.empty((dim, dim), dtype=np.complex128)
-    for b in (0, 1):
-        _last_wire(partial, table[-1, b], scale, m[b * dim // 2 : (b + 1) * dim // 2])
-    return DenseUnitary(spec.n, m, defect)
+    bound = _defect_bound(0.0, _cascade_error(spec, angles, table), 1 << spec.n)
+    return DenseUnitary(spec.n, _formula_matrix(spec.n, _cascade_columns(spec, table)), bound)
 
 
 def rot1_dense(spec: RotSpec) -> DenseUnitary:
@@ -273,23 +259,17 @@ def rot2_dense(spec: RotSpec) -> DenseUnitary:
     return _dense(spec, ROTATION_FIRST)
 
 
-def _cascade_columns(spec: RotSpec):
-    """The transform as a formula for ``qstate._circuit_distance``: a reader
-    of its columns' row halves, and its certified defect.
-
-    The row halves of columns j..j+w-1 are read off the factor table as
-    ``rot1_dense`` and ``rot2_dense`` read them, so they are bit-identical
-    to those matrices' entries: the products over wires 0..n-2 once into the
-    quarter-chunk workspace buffer ``quarter``, then each half into the
-    workspace buffer ``spare``.  Where the certificate is NaN or above
-    ``STATE_TOL``, the dense builder makes the matrix with its exact check,
-    and the halves are views of it.
+def _cascade_columns(spec: RotSpec, table: np.ndarray | None = None):
+    """The transform's column reader (see ``qstate._circuit_distance``) over
+    ``table``, by default the spec's ``_factor_table``: the products over
+    wires 0..n-2 once into the workspace buffer ``quarter``
+    (``_wire_products``), then each row half into ``spare`` (``_last_wire``).
     """
-    table, scale, defect = _formula(spec, spec.variant)
-    if not defect <= STATE_TOL:
-        dense = rot1_dense if spec.variant == HADAMARD_FIRST else rot2_dense
-        return _dense_columns(dense(spec))
+    check_cap("dense", spec.n)
     dim = 1 << spec.n
+    if table is None:
+        table = _factor_table(spec, _angles(spec))
+    scale = np.sqrt(dim) if spec.variant == HADAMARD_FIRST else None
 
     def halves(j: int, w: int):
         g = table[:, :, j : j + w]
@@ -297,7 +277,7 @@ def _cascade_columns(spec: RotSpec):
         for b in (0, 1):
             yield _last_wire(partial, g[-1, b], scale, _scratch("spare", (dim // 2, w)))
 
-    return halves, defect
+    return halves
 
 
 def _cascade_circuit(spec: RotSpec, first) -> Circuit:

@@ -24,10 +24,11 @@ from gqt import (
     phi0_matrix,
     wraparound_distance,
 )
+from gqt import rotft
 from gqt.config import check_cap
 from gqt.gqft import _wire_exponents
 from gqt.phasemat import CRITERION_TOL
-from gqt.qstate import _run_in_place, bit_table
+from gqt.qstate import _run_in_place, bit_table, unit_roots
 
 _I2 = np.eye(2, dtype=np.complex128)
 
@@ -385,6 +386,37 @@ def one_block_circuit_dense(c: Circuit) -> np.ndarray:
     return block
 
 
+def dense_columns(m: np.ndarray):
+    """A built matrix as a column reader for ``_circuit_distance``: views of
+    the two row halves of its columns j..j+w-1, with no copy."""
+    half = m.shape[0] // 2
+    return lambda j, w: (m[:half, j : j + w], m[half:, j : j + w])
+
+
+def whole_block_gqft(spec: GqftSpec) -> np.ndarray:
+    """The transform's entries from one BLAS product over all columns,
+    ``unit_roots(bits @ _wire_exponents(spec, bits), N)``: the dense
+    builder's route for a real phi or row tables before it read columns."""
+    n = spec.pm.n
+    bits = bit_table(n)
+    return unit_roots(bits @ _wire_exponents(spec, bits), 1 << n)
+
+
+def whole_block_cascade(spec: RotSpec) -> np.ndarray:
+    """A rotation cascade's entries read off its factor table over all
+    columns in one block: the products over wires 0..n-2 once, then each
+    row half times wire n-1's factors, as the dense builders read them
+    before they read columns."""
+    dim = 1 << spec.n
+    table = rotft._factor_table(spec, rotft._angles(spec))
+    scale = np.sqrt(dim) if spec.variant == rotft.HADAMARD_FIRST else None
+    partial = rotft._wire_products(table[:-1], np.empty((dim // 2, dim)))
+    m = np.empty((dim, dim), dtype=np.complex128)
+    for b in (0, 1):
+        rotft._last_wire(partial, table[-1, b], scale, m[b * dim // 2 : (b + 1) * dim // 2])
+    return m
+
+
 def loop_check_triangular(pm: PhaseMatrix, tol: float = CRITERION_TOL) -> ValidityReport:
     """The triangular condition cell by cell in row-major order, stopping at
     the first failing cell: diagonal exactly 2^(n-1), strictly-upper entries
@@ -396,7 +428,7 @@ def loop_check_triangular(pm: PhaseMatrix, tol: float = CRITERION_TOL) -> Validi
         if phi[i, i] != target:
             return ValidityReport("triangular", False, witness_cell=(i, i))
         for j in range(i + 1, n):
-            if wraparound_distance(phi[i, j], 0.0, period) >= tol:
+            if not wraparound_distance(phi[i, j], 0.0, period) < tol:
                 return ValidityReport("triangular", False, witness_cell=(i, j))
     return ValidityReport("triangular", True)
 

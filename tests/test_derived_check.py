@@ -1,4 +1,10 @@
-"""Unitarity derived from a verified matrix: the bound, its fallback, and compare."""
+"""Unitarity derived from a verified matrix: the bound, its fallback, and compare.
+
+compare bounds the circuit's matrix C from its gates and derives the
+formula F's check from that bound and the distance between them.  The tests
+stand a verified matrix in for C, with its checked defect as C's bound, and
+hold perturbed formulas against it.
+"""
 
 import io
 import json
@@ -23,14 +29,8 @@ from gqt import (
 from gqt import qstate
 from gqt.cli import main as cli_main
 from gqt.config import STATE_TOL
-from gqt.qstate import (
-    _certified_defect,
-    _circuit_distance,
-    _defect_bound,
-    _dense_columns,
-    _unitarity_defect,
-)
-from _oracles import one_block_circuit_dense, random_triangular_phi
+from gqt.qstate import _circuit_distance, _defect_bound, _gate_bound, _unitarity_defect
+from _oracles import dense_columns, one_block_circuit_dense, random_triangular_phi
 
 # Accepted on the bound; bound above the tolerance but the exact check
 # passes; refused by the exact check.
@@ -55,44 +55,48 @@ def _perturbed(m: np.ndarray, eps: float, rng: np.random.Generator) -> np.ndarra
     return m + eps * e / np.max(np.abs(e))
 
 
-def _standing_in_for(monkeypatch, b: np.ndarray, width: int = 3) -> Circuit:
+def _standing_in_for(monkeypatch, b: np.ndarray, bound: float, width: int = 3) -> Circuit:
     """An empty circuit whose column chunks, for the streamed distance and
-    for its exact-check fallback, are those of ``b``, ``width`` columns each."""
+    for its exact-check fallback, are those of ``b``, ``width`` columns each,
+    and whose gate bound is ``bound``."""
 
     def chunks(c):
         for j in range(0, b.shape[1], width):
             yield j, b[:, j : j + width].copy()
 
     monkeypatch.setattr(qstate, "_circuit_chunks", chunks)
+    monkeypatch.setattr(qstate, "_gate_bound", lambda c: bound)
     return Circuit(b.shape[0].bit_length() - 1, ())
 
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_bound_covers_the_exact_defect(n, monkeypatch, exact_calls):
     # Dims 2..512, three kinds of verified matrix, perturbations 1e-16..1e-6,
-    # each perturbed matrix held as a circuit's against its reference.
+    # each perturbed matrix held as a formula against its reference.
     rng = np.random.default_rng(1700 + n)
     dim = 1 << n
     for kind, u in _references(n, rng).items():
         ref = DenseUnitary(n, u)
         assert ref.defect == _unitarity_defect(u)
+        stand_in = _standing_in_for(monkeypatch, u, ref.defect)
         for eps in EPSILONS:
             b = _perturbed(u, eps, rng)
             dist = float(np.max(np.abs(b - u)))
             bound = _defect_bound(ref.defect, dist, dim)
             exact = _unitarity_defect(b)
             assert exact <= bound, (kind, eps)
-            stand_in = _standing_in_for(monkeypatch, b)
             exact_calls.clear()
             if exact > STATE_TOL:
                 with pytest.raises(NotUnitaryError):
-                    _circuit_distance(stand_in, *_dense_columns(ref))
+                    _circuit_distance(stand_in, dense_columns(b))
                 continue
-            assert _circuit_distance(stand_in, *_dense_columns(ref)) == dist
+            assert _circuit_distance(stand_in, dense_columns(b)) == dist
             assert exact_calls == ([] if bound <= STATE_TOL else [dim]), (kind, eps)
 
 
 def test_derived_check_refuses_exactly_what_the_exact_check_refuses(monkeypatch):
+    # A perturbed formula against a verified circuit matrix, and a perturbed
+    # circuit matrix that its NaN gate bound cannot vouch for.
     rng = np.random.default_rng(1701)
     u = _random_unitary(8, rng)
     ref = DenseUnitary(3, u)
@@ -101,24 +105,24 @@ def test_derived_check_refuses_exactly_what_the_exact_check_refuses(monkeypatch)
             for shift in (1e-6, 1e-11, complex(math.nan, 0.0)):
                 m = u.copy()
                 m[r, c] += shift
-                stand_in = _standing_in_for(monkeypatch, m)
-                try:
-                    DenseUnitary(3, m)
-                except NotUnitaryError as exc:
-                    with pytest.raises(NotUnitaryError) as derived:
-                        _circuit_distance(stand_in, *_dense_columns(ref))
-                    assert str(derived.value) == str(exc)
-                else:
-                    _circuit_distance(stand_in, *_dense_columns(ref))
+                for chunks, formula, bound in ((u, m, ref.defect), (m, u, math.nan)):
+                    stand_in = _standing_in_for(monkeypatch, chunks, bound)
+                    try:
+                        DenseUnitary(3, m)
+                    except NotUnitaryError as exc:
+                        with pytest.raises(NotUnitaryError) as derived:
+                            _circuit_distance(stand_in, dense_columns(formula))
+                        assert str(derived.value) == str(exc)
+                    else:
+                        _circuit_distance(stand_in, dense_columns(formula))
 
 
 def test_a_nan_entry_fails_the_derived_check_by_nan(monkeypatch):
     u = np.eye(4, dtype=np.complex128)
-    ref = DenseUnitary(2, u)
     m = u.copy()
     m[3, 2] = math.nan
     with pytest.raises(NotUnitaryError, match="by nan"):
-        _circuit_distance(_standing_in_for(monkeypatch, m), *_dense_columns(ref))
+        _circuit_distance(_standing_in_for(monkeypatch, u, 0.0), dense_columns(m))
 
 
 @pytest.mark.parametrize("budget_cols", [1, 3, 5, 64])
@@ -133,7 +137,7 @@ def test_row_block_distance_equals_the_one_shot_max(monkeypatch, budget_cols):
         built = one_block_circuit_dense(c)
         formula = DenseUnitary(n, _perturbed(built, 1e-12, rng))
         want = float(np.max(np.abs(built - formula.entries)))
-        assert _circuit_distance(c, *_dense_columns(formula)) == want
+        assert _circuit_distance(c, dense_columns(formula.entries)) == want
 
 
 def _run_compare(spec_path) -> tuple[int, str, str]:
@@ -162,6 +166,10 @@ TOEPLITZ3 = [[4, 8, 16], [2, 4, 8], [1, 2, 4]]
 )
 def test_compare_refuses_a_perturbed_circuit_matrix(tmp_path, monkeypatch, phi, shift, stderr):
     # stderr is what the exact-check-only compare printed for the same kernel.
+    # A kernel patched to compute what its gates do not is outside the gate
+    # bound's premise, so the bound is made NaN: the circuit's matrix then
+    # takes the exact check, after the formula's has passed.
+    monkeypatch.setattr(qstate, "_gate_bound", lambda c: math.nan)
     kernel = qstate._run_in_place
 
     def shifted(block, c):
@@ -177,9 +185,10 @@ def test_compare_refuses_a_perturbed_circuit_matrix(tmp_path, monkeypatch, phi, 
 
 
 def test_compare_runs_the_exact_check_once(tmp_path, monkeypatch):
-    # At most once: an integral phi's formula matrix is certified from the
-    # root table's error and takes no exact check at all; a real phi's takes
-    # exactly one, and every later matrix derives its check from it.
+    # At most once: both matrices are certified from the circuit's gates,
+    # so a compare takes no exact check at all, integral phi or real.  A
+    # circuit matrix shifted past the formula's derived bound sends the
+    # formula to its exact check, once, which passes, and the report fails.
     calls = []
     exact = qstate._unitarity_defect
 
@@ -189,12 +198,23 @@ def test_compare_runs_the_exact_check_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(qstate, "_unitarity_defect", counted)
     real_tri3 = [[4, 0, 0], [0.5, 4, 0], [1, 2, 4]]
-    for phi, want in ((TRI3, 0), (TOEPLITZ3, 0), (toeplitz_phi(9).phi, 0), (real_tri3, 1)):
+    for phi in (TRI3, TOEPLITZ3, toeplitz_phi(9).phi, real_tri3):
         calls.clear()
         code, out, _ = _run_compare(_write_phi(tmp_path / "phi.json", phi))
         report = json.loads(out)
         assert code == 0 and report["pass"] is True
-        assert calls == [1 << report["n"]] * want
+        assert calls == []
+    kernel = qstate._run_in_place
+
+    def shifted(block, c):
+        kernel(block, c)
+        block[0, 0] += 1e-6
+
+    monkeypatch.setattr(qstate, "_run_in_place", shifted)
+    code, out, _ = _run_compare(_write_phi(tmp_path / "phi.json", real_tri3))
+    report = json.loads(out)
+    assert code == 2 and report["pass"] is False and report["max_abs_diff"] > 1e-7
+    assert calls == [8]
 
 
 def test_compare_reports_the_distance_its_bound_used(tmp_path):
@@ -205,4 +225,4 @@ def test_compare_reports_the_distance_its_bound_used(tmp_path):
     _, out, _ = _run_compare(_write_phi(tmp_path / "phi.json", toeplitz_phi(n).phi))
     report = json.loads(out)
     assert report["max_abs_diff"] == diff
-    assert _defect_bound(_certified_defect(1 << n), diff, 1 << n) <= STATE_TOL
+    assert _defect_bound(_gate_bound(gqft_circuit(spec)), diff, 1 << n) <= STATE_TOL

@@ -124,7 +124,9 @@ def test_grown_transform_circuits_are_bit_identical_to_one_block(n):
 
 
 @pytest.mark.parametrize("n", range(2, 11))
-def test_zero_phase_cells_force_column_rebuilds_and_stay_bit_identical(n):
+def test_zero_phase_cells_keep_the_kernel_bits_and_grow_its_values(n):
+    # A zero phase cell lets growth leave -0 where the kernel has +0:
+    # circuit_to_dense keeps the kernel's bits, compare's chunks its values.
     rng = np.random.default_rng(2100 + n)
     for _ in range(3):
         spec = GqftSpec(zero_lower_phi(n, rng))

@@ -25,8 +25,8 @@ from gqt import (
     rot2_dense,
 )
 from gqt import qstate
-from gqt.qstate import _circuit_distance, _dense_columns
-from _oracles import one_block_circuit_dense, random_rot_spec, random_unitary2
+from gqt.qstate import _circuit_distance
+from _oracles import dense_columns, one_block_circuit_dense, random_rot_spec, random_unitary2
 
 
 def _assert_bit_identical(got: np.ndarray, want: np.ndarray, label) -> None:
@@ -135,7 +135,7 @@ def test_streamed_cascade_distance_is_the_one_shot_max(monkeypatch, budget):
         for name, spec in _cascades(n, rng).items():
             c, m = (build(spec) for build in _BUILDERS[spec.variant])
             want = float(np.max(np.abs(one_block_circuit_dense(c) - m.entries)))
-            assert _circuit_distance(c, *_dense_columns(m)) == want, (name, n)
+            assert _circuit_distance(c, dense_columns(m.entries)) == want, (name, n)
 
 
 def _count_calls(monkeypatch, name: str) -> list:
@@ -156,7 +156,7 @@ def test_the_plan_is_compiled_once_per_circuit_not_per_chunk(monkeypatch):
     c, m = rot1_circuit(spec), rot1_dense(spec)
     compiled = _count_calls(monkeypatch, "_growth_plan")
     grown = _count_calls(monkeypatch, "_grow_chunk")
-    _circuit_distance(c, *_dense_columns(m))
+    _circuit_distance(c, dense_columns(m.entries))
     assert (len(compiled), len(grown)) == (1, 16)
 
 

@@ -134,6 +134,17 @@ def test_triangular_rejects_bad_diagonal_and_upper():
     assert rep.witness_cell == (0, 1)
 
 
+def test_triangular_check_refuses_a_bad_upper_cell_at_nan_tolerance():
+    # Fails closed, as check_general does: no distance is below NaN.
+    bad = PhaseMatrix(2, [[2.0, 1.0], [0.0, 2.0]])
+    for check in (check_triangular, loop_check_triangular):
+        rep = check(bad, math.nan)
+        assert not rep.valid and rep.witness_cell == (0, 1)
+    assert not check_general(bad, math.nan).valid
+    assert not check_triangular(PhaseMatrix(2, [[2.0, 4.0], [0.5, 2.0]]), math.nan).valid
+    assert check_triangular(PhaseMatrix(1, [[1.0]]), math.nan).valid  # no upper cell
+
+
 def test_triangular_check_matches_the_cell_loop():
     rng = np.random.default_rng(28)
     for n in range(1, 8):

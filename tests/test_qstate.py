@@ -167,6 +167,8 @@ def test_gate_defect_matches_dense_defect():
             u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         want = _unitarity_defect(u)
         assert abs(_gate_defect(u) - want) <= 1e-15 + 1e-14 * want
+        if k % 3 == 0:  # a gate keeps the defect its check computed
+            assert Controlled((), 0, u).defect == _gate_defect(u)
 
 
 def test_gate_validation_rejects_malformed_inputs():

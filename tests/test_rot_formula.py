@@ -1,10 +1,10 @@
 """Rotation cascades read as formulas: the row-half readers and their certificate.
 
 Each reader must give the dense builders' entries bit for bit, over any
-column range and either row half, and its certificate must cover the exact
-check's result.  Where the certificate cannot vouch (no wider float, or a
-damaged factor table), compare must take the dense route with its exact
-check, with that check's verdict and message.
+column range and either row half, and the factor table's certificate must
+cover the exact check's result.  compare certifies from the circuit's gates
+instead: it needs no wider float, and a damaged factor table is caught by
+the exact check on the formula, with that check's verdict and message.
 """
 
 import io
@@ -33,7 +33,7 @@ from gqt import qstate, rotft
 from gqt.cli import main as cli_main
 from gqt.config import STATE_TOL
 from gqt.gqft import _formula_columns
-from gqt.qstate import _circuit_distance, _unitarity_defect, bit_table
+from gqt.qstate import _circuit_distance, _defect_bound, _unitarity_defect, bit_table
 from _oracles import random_rot_spec
 
 DENSE = {HADAMARD_FIRST: rot1_dense, ROTATION_FIRST: rot2_dense}
@@ -65,7 +65,10 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 
 def _formula_defect(spec: RotSpec) -> float:
-    return rotft._formula(spec, spec.variant)[2]
+    """The bound the dense builders take: their factor table's certificate."""
+    angles = rotft._angles(spec)
+    eps = rotft._cascade_error(spec, angles, rotft._factor_table(spec, angles))
+    return _defect_bound(0.0, eps, 1 << spec.n)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -73,8 +76,8 @@ def test_readers_equal_the_dense_matrix_bit_for_bit(n):
     dim = 1 << n
     for spec in _specs(n):
         want = DENSE[spec.variant](spec).entries
-        halves, defect = rotft._cascade_columns(spec)
-        assert defect == _formula_defect(spec) <= STATE_TOL
+        halves = rotft._cascade_columns(spec)
+        assert _formula_defect(spec) <= STATE_TOL
         for w in sorted({1, 2, 4, max(dim // 2, 1), dim} & set(range(1, dim + 1))):
             for j in range(0, dim, w):
                 for r, half in enumerate(halves(j, w)):
@@ -158,17 +161,22 @@ def test_a_narrow_long_double_takes_the_dense_route_with_the_same_report(
     want = _compare(path)
     assert want[0] == 0 and want[2] == ""
     assert exact_calls == []
+    # compare reads no certificate of the factor table, so it keeps its
+    # report and takes no exact check; the dense builder takes its own.
     monkeypatch.setattr(qstate, "_WIDE", np.float64)
     spec = random_rot_spec(n, variant, np.random.default_rng(4300))
     assert math.isnan(_formula_defect(spec))
     assert _compare(path) == want
-    assert exact_calls == [1 << n]  # the formula's, once; no circuit
+    assert exact_calls == []
+    DENSE[variant](spec)
+    assert exact_calls == [1 << n]
 
 
 @pytest.mark.parametrize("variant", [HADAMARD_FIRST, ROTATION_FIRST])
 def test_a_damaged_factor_refuses_as_the_exact_check_does(monkeypatch, tmp_path, exact_calls, variant):
-    # One factor 1e-6 off: the certificate measures it, falls back to the
-    # dense build, and the exact check refuses that matrix with its message.
+    # One factor 1e-6 off: the formula's distance to the circuit is past its
+    # derived bound, so its columns are gathered, and the exact check
+    # refuses that matrix with its message.
     n = 5
     dim = 1 << n
     spec = random_rot_spec(n, variant, np.random.default_rng(4400))
@@ -222,8 +230,8 @@ def test_compare_holds_only_the_chunk_spare_and_a_quarter_chunk(monkeypatch):
     monkeypatch.setattr(rotft, "rot1_dense", refused)
     monkeypatch.setattr(rotft, "rot2_dense", refused)
     for spec in gqft_specs:
-        assert _circuit_distance(gqft_circuit(spec), *_formula_columns(spec)) < 1e-12
+        assert _circuit_distance(gqft_circuit(spec), _formula_columns(spec)) < 1e-12
     for spec in rot_specs:
-        assert _circuit_distance(CIRCUIT[spec.variant](spec), *rotft._cascade_columns(spec)) < 1e-12
+        assert _circuit_distance(CIRCUIT[spec.variant](spec), rotft._cascade_columns(spec)) < 1e-12
     sizes = {name: buf.nbytes for name, buf in qstate._WORKSPACE.items()}
     assert sizes == {"chunk": 1 << 20, "spare": 1 << 19, "quarter": 1 << 18}
