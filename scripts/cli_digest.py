@@ -2,7 +2,9 @@
 """Fingerprint the bytes of every gqt subcommand, for byte-identity sweeps.
 
 Runs each subcommand in-process through ``gqt.cli.main`` on seeded spec
-files at n = 1..max-n, in JSON and CSV, plus malformed inputs.  Prints one
+files at n = 1..max-n, in JSON and CSV, plus malformed inputs.  Every kind
+that has a circuit (gqft, rot1, rot2, dft) dumps it with ``--emit-circuit``
+at each n, and ``simulate`` runs each dump.  Prints one
 line per run: the exit code (or the name of an exception that escaped
 ``main``), the SHA-256 of stdout followed by any file the run wrote, the
 SHA-256 of stderr, and the argv with the temp dir shown as <tmp>.  A last
@@ -99,6 +101,11 @@ def runs_at(tmp: Path, n: int, rng: np.random.Generator) -> list[list[str]]:
     runs += [["compare", "--spec", rot[k]] for k in ("rot1", "rot2")]
     runs.append(["haar", "--n", str(n), "--basis", basis, "--ket", basis,
                  "--i", str(n - 1)])
+    for kind in ("rot1", "rot2", "dft"):
+        source = ["--n", str(n)] if kind == "dft" else ["--spec", rot[kind]]
+        dump = str(tmp / f"{kind}_circuit{n}.json")
+        runs += [["matrix", "--kind", kind, *source, "--emit-circuit", dump],
+                 ["simulate", "--spec", dump, "--basis", basis, "--trials", "64"]]
     return runs
 
 

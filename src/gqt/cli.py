@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dhsp as dhsp_mod
-from .config import DEFAULT_SEED, STATE_TOL, cap, check_cap, rng_from_seed, spec_int
+from .config import DEFAULT_SEED, STATE_TOL, cap, check_cap, rng_from_seed, spec_int, spec_real
 from .errors import (
     CapExceededError,
     GqtError,
@@ -150,7 +150,8 @@ def circuit_from_json_dict(data: dict) -> Circuit:
                 continue
             flat = gd["u"]
             u = np.array(
-                [complex(re, im) for re, im in flat], dtype=np.complex128
+                [complex(spec_real(re, "u"), spec_real(im, "u")) for re, im in flat],
+                dtype=np.complex128,
             ).reshape(2, 2)
             if kind == "single":
                 if gd.get("controls"):
@@ -221,10 +222,10 @@ def rot_spec_from_json_dict(
             cell = spec_int(rec["i"], "i"), spec_int(rec["j"], "j")
             if cell in thetas:
                 raise InputError(f"theta cell ({cell[0]},{cell[1]}) is given twice")
-            thetas[cell] = (float(rec["t0"]), float(rec["t1"]))
+            thetas[cell] = (spec_real(rec["t0"], "t0"), spec_real(rec["t1"], "t1"))
         alpha0 = data.get("alpha0")
         if alpha0 is not None:
-            alpha0 = tuple(float(a) for a in alpha0)
+            alpha0 = tuple(spec_real(a, "alpha0") for a in alpha0)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed rotation spec {path}: {exc}") from exc
     return RotSpec(n, use_variant, thetas, alpha0)

@@ -56,6 +56,19 @@ def spec_int(value, field: str) -> int:
     return int(value)
 
 
+def spec_real(value, field: str) -> float:
+    """A real spec field: a bool, a string, a non-real value or an integer past
+    the float range is refused, not read as a number."""
+    if type(value) is float:  # the common case, ahead of the ABC check
+        return value
+    if type(value) is int or isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise InputError(f"spec field {field!r} must be a real number, got {value!r}")
+
+
 def check_wires(n: int) -> None:
     """Raise InputError unless the wire count n is at least 1."""
     if n < 1:

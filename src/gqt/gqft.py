@@ -32,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from . import qstate
-from .config import check_cap, check_wires
+from .config import check_cap, check_wires, spec_int
 from .errors import CapExceededError, InputError, UnsupportedRegimeError, ValidityError
 from .phasemat import PhaseMatrix, _column_terms, _doubled_sums, check_general, check_triangular
 from .qstate import (
@@ -95,13 +95,13 @@ class GqftSpec:
         if self.row_fns:
             row_fns = {}
             for i, table in self.row_fns.items():
-                i = int(i)
+                i = spec_int(i, "row table index")
                 if not 0 < i < n:
                     raise InputError(f"row table index {i} out of range")
                 base = float(table.get(tuple([0] * i), 0.0))
                 clean = {}
                 for pattern, value in table.items():
-                    pattern = tuple(int(b) for b in pattern)
+                    pattern = tuple(spec_int(b, "prefix bit") for b in pattern)
                     if len(pattern) != i or any(b not in (0, 1) for b in pattern):
                         raise InputError(f"bad prefix {pattern} for wire {i}")
                     v = float(value) - base

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import check_cap, check_wires, spec_int
+from .config import check_cap, check_wires, spec_int, spec_real
 from .errors import InputError
 from .qstate import _unitarity_defect, bit_table, unit_roots
 
@@ -88,7 +88,11 @@ class PhaseMatrix:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PhaseMatrix":
         try:
-            return cls(spec_int(data["n"], "n"), data["phi"])
+            n, phi = spec_int(data["n"], "n"), np.array(data["phi"], dtype=object)
+            if phi.shape == (n, n):  # any other shape is refused as such
+                for v in phi.flat:
+                    spec_real(v, "phi")
+            return cls(n, phi)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed phase-matrix JSON: {exc}") from exc
 

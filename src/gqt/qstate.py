@@ -18,12 +18,14 @@ use and reused, so that a run of them faults in no fresh pages: the chunk,
 ``spare`` (half a chunk) and ``quarter`` (a quarter chunk).  The workspace
 serves one call at a time: the chunk routes are not thread-safe.
 
-A circuit's dense matrix is built one column chunk at a time.
-``circuit_to_dense`` runs the kernel on each chunk's identity columns
-(``_kernel_chunks``) and gathers the chunks into a matrix bit-identical to
+A circuit's dense matrix is built one column chunk at a time, from one
+chunk source (``_circuit_chunks``): the circuit is compiled once into a plan
+(``_growth_plan``), which runs on each chunk (``_grow_chunk``).
+``circuit_to_dense`` runs it from each chunk's identity columns with the
+kernel's arithmetic, and gathers the chunks into a matrix bit-identical to
 one whole-block kernel run.  ``compare`` grows the chunks of a transform
-circuit or rotation cascade from each column's support (``_circuit_chunks``)
-with the kernel's own products, which can only flip an exact zero's sign.
+circuit or rotation cascade from each column's support, with the kernel's
+own products, which can only flip an exact zero's sign.
 ``_circuit_distance`` holds each chunk against the matching columns of a
 formula, read by a column reader, which dense builders gather
 (``_formula_matrix``), and keeps only the largest distance.  The circuit is
@@ -502,29 +504,8 @@ class DenseUnitary:
         object.__setattr__(self, "entries", _locked(entries))
 
 
-def _growth_length(c: Circuit) -> int | None:
-    """How many leading gates of ``c`` a column chunk grows through, or None.
-
-    A wire is mixed once a gate other than diag(1, u11) has acted on it; a
-    swap carries that state with the wires.  A circuit grows when each gate
-    that mixes a wire not yet mixed is uncontrolled, up to the gate that
-    mixes the last wire, whose index + 1 is returned.  Any other gate, such
-    as a cascade's rotations on mixed wires, rides along, controlled or not.
-    Decided on the gate list alone, before any amplitude is computed.
-    """
-    mixed = [False] * c.n
-    left = c.n
-    for i, g in enumerate(c.gates):
-        if isinstance(g, Swap):
-            mixed[g.a], mixed[g.b] = mixed[g.b], mixed[g.a]
-        elif not _is_phase(g.u) and not mixed[g.target]:
-            if g.controls:
-                return None
-            mixed[g.target] = True
-            left -= 1
-            if not left:
-                return i + 1
-    return None
+# Index slices of ``_slices``: a whole axis, and bit 0 or 1 of a bit's axis.
+_ALL, _BIT = slice(None), (slice(0, 1), slice(1, 2))
 
 
 def _slices(bits: int, fixed: dict, target) -> tuple[tuple, tuple, tuple]:
@@ -534,54 +515,70 @@ def _slices(bits: int, fixed: dict, target) -> tuple[tuple, tuple, tuple]:
     likewise but bit ``target`` at 0."""
     shape, a0, a1, top = [], [], [], bits
     for b in sorted(fixed, reverse=True):
-        v = slice(fixed[b], fixed[b] + 1)
-        shape += [1 << (top - b - 1), 2]
-        a1 += [slice(None), v]
-        a0 += [slice(None), slice(0, 1) if b == target else v]
+        v = _BIT[fixed[b]]
+        shape += (1 << (top - b - 1), 2)
+        a1 += (_ALL, v)
+        a0 += (_ALL, _BIT[0] if b == target else v)
         top = b
-    return (*shape, 1 << top), (*a0, slice(None)), (*a1, slice(None))
+    return (*shape, 1 << top), (*a0, _ALL), (*a1, _ALL)
 
 
-def _growth_plan(gates: tuple, n: int, k: int) -> tuple[list, list | None]:
-    """Compile a circuit's growth prefix (``_growth_length``) once for all its
-    chunks of 2^k columns, for ``_grow_chunk`` to run on each.
+def _growth_plan(c: Circuit, k: int, grow: bool) -> tuple | None:
+    """Compile every gate of ``c`` once for all its chunks of 2^k columns,
+    for ``_grow_chunk`` to run on each.
 
-    A chunk grows as t, a C-contiguous (2^m, 2^k) block once m wires are
+    A chunk is held as t, a C-contiguous (2^m, 2^k) block once m wires are
     mixed: t's column c is the chunk's column c, and each newly mixed wire
     becomes the least significant bit of t's row index.  An unmixed wire's
     row bit is a bit b of its column's index: for b < k a bit of c, from k
-    on a bit of the chunk's first column j, held fixed over the chunk.
+    on a bit of the chunk's first column j, held fixed over the chunk.  A
+    wire is mixed once a gate other than diag(1, u11) has acted on it.  The
+    plan starts in one of two ways:
+
+    * growth (``grow``): one amplitude 1 per column, no wire mixed.  A
+      circuit grows when each gate that mixes a wire not yet mixed is
+      uncontrolled and every wire ends up mixed; for any other, decided on
+      the gate list alone, None is returned.
+    * identity: the chunk's identity columns, every wire mixed, wire q as
+      row bit q.
+
     Each gate becomes one step:
 
-    * a gate that mixes a wire on column bit b: ("mix", u, b, f), which
-      writes u[y, x_b] * t[r] to row 2r + y.  f holds u[y, x_b] as one row
-      of factors per y, or is None for a held bit, whose two scalars are
-      picked per chunk.
+    * a gate that mixes a wire on column bit b: ("mix", u, b, f, p), which
+      writes u[y, x_b] * t[r] to row 2r + y of buffer p (``_grow_chunk``).
+      f holds u[y, x_b] as one row of factors per y, or is None for a held
+      bit, whose two scalars are picked per chunk.
     * any other gate but a swap: ("gate", u, held, shape, a0, a1), u run on
       the slices t.reshape(shape)[a0] and [a1] where its target holds 0 and
       1 and each control its bit (a held target only holds 1: a0 is a1), in
       the chunks whose j has bit b at v for each (b, v) in ``held``.
     * a swap: nothing; it relabels its wires.
 
-    Returned with the steps: the transposition of the (2,)*n + (2^k,) view
-    of a grown chunk that brings its rows into natural order, or None where
-    the wires were mixed from n-1 down to 0, as in every transform circuit.
+    Returned as (grow, steps, perm): perm is the transposition of the
+    (2,)*n + (2^k,) view of a finished chunk that brings its rows into
+    natural order, or None where no swap scrambled the wires and growth
+    mixed them from n-1 down to 0, as in every transform circuit.
     """
+    n = c.n
     cols = np.arange(1 << k)
-    where = list(range(n))  # a wire's column bit while unmixed, ~i once i-th mixed
+    # a wire's column bit while unmixed, ~i once i-th mixed
+    where = list(range(n)) if grow else [~(n - 1 - q) for q in range(n)]
     steps: list = []
-    m = 0
+    m = 0 if grow else n
 
     def t_bit(e):  # the bit of t's flat index that a wire at ``where`` e < k is
         return k + m - 1 - ~e if e < 0 else e
 
-    for g in gates:
+    for g in c.gates:
         if isinstance(g, Swap):
             where[g.a], where[g.b] = where[g.b], where[g.a]
             continue
         e = where[g.target]
         if e >= 0 and not _is_phase(g.u):
-            steps.append(("mix", g.u, e, g.u[:, (cols >> e) & 1] if e < k else None))
+            if g.controls:
+                return None
+            f = g.u[:, (cols >> e) & 1] if e < k else None
+            steps.append(("mix", g.u, e, f, (n - 1 - m) % 2))
             where[g.target] = ~m
             m += 1
             continue
@@ -593,39 +590,47 @@ def _growth_plan(gates: tuple, n: int, k: int) -> tuple[list, list | None]:
                 fixed[t_bit(where[q])] = v
         target = t_bit(e) if e < k else None
         steps.append(("gate", g.u, tuple(held), *_slices(k + m, fixed, target)))
+    if m < n:
+        return None
     perm = [~where[n - 1 - a] for a in range(n)]
-    return steps, None if perm == list(range(n)) else perm + [n]
+    return grow, steps, None if perm == list(range(n)) else perm + [n]
 
 
 def _grow_chunk(plan: tuple, chunk: np.ndarray, spare: np.ndarray, j: int) -> None:
-    """Grow columns j, j+1, ... of a planned growth prefix into ``chunk``.
+    """Run a circuit's ``_growth_plan`` on columns j, j+1, ... into ``chunk``.
 
-    ``plan`` is the prefix's ``_growth_plan`` for ``chunk``'s width w, a
-    power of two, ``chunk`` a contiguous (2^n, w) block, j a multiple of w,
-    and ``spare`` a flat complex array of half its size.  Column x starts as
-    one amplitude 1, t = ones((1, w)), and each mix grows t into ``spare``
-    and the front of ``chunk`` by turns, the last one over all of ``chunk``.
+    ``plan`` is compiled for ``chunk``'s width w, a power of two, ``chunk``
+    is a contiguous (2^n, w) block, j a multiple of w, and ``spare`` a flat
+    complex array of half its size.  A growth plan starts each column as one
+    amplitude 1, t = ones((1, w)), and each mix grows t into ``spare`` and
+    the front of ``chunk`` by turns, the last one over all of ``chunk``.
     Every product is taken scalar (or factor row) first, as in the kernel:
-    a factor row in first position gives the bits of its scalar.
+    a factor row in first position gives the bits of its scalar.  An
+    identity plan starts from the chunk's identity columns and runs every
+    gate with the kernel's arithmetic (``_apply_2x2``) on t = ``chunk``.
 
     The kernel computes each grown entry as such a product plus one with a
     structural zero, which is the product itself unless a part of the
-    product is -0 and the zero +0.  So every column holds the kernel's
-    values, also through the gates run on mixed wires, and may differ from
-    its bits only in the sign of a zero.
+    product is -0 and the zero +0.  So every grown column holds the
+    kernel's values, also through the gates run on mixed wires, and may
+    differ from its bits only in the sign of a zero; an identity plan's
+    columns are the kernel's bit for bit.
     """
-    steps, perm = plan
-    n = chunk.shape[0].bit_length() - 1
+    grow, steps, perm = plan
     w = chunk.shape[1]
-    t = np.ones((1, w), dtype=np.complex128)
+    if grow:
+        t = np.ones((1, w), dtype=np.complex128)
+    else:
+        chunk[...] = 0.0
+        cols = np.arange(w)
+        chunk[j + cols, cols] = 1.0
+        t = chunk
     pools = (chunk.reshape(-1), spare)  # t with an even / odd count of wires left
-    left = n
     for kind, u, *args in steps:
         if kind == "mix":
-            b, f = args
+            b, f, p = args
             f = u[:, (j >> b) & 1] if f is None else f
-            left -= 1
-            grown = pools[left % 2][: 2 * t.size].reshape(-1, 2, w)
+            grown = pools[p][: 2 * t.size].reshape(-1, 2, w)
             for y in (0, 1):
                 np.multiply(f[y], t, out=grown[:, y])
             t = grown.reshape(-1, w)
@@ -635,67 +640,38 @@ def _grow_chunk(plan: tuple, chunk: np.ndarray, spare: np.ndarray, j: int) -> No
             view = t.reshape(shape)
             _apply_2x2(u, view[a0], view[a1])
     if perm is not None:
-        chunk[...] = chunk.reshape((2,) * n + (w,)).transpose(perm).reshape(chunk.shape)
+        view = chunk.reshape((2,) * (len(perm) - 1) + (w,))
+        chunk[...] = view.transpose(perm).reshape(chunk.shape)
 
 
 def _chunk_columns(dim: int) -> int:
-    """Columns per chunk: ``_CHUNK_BYTES`` // (16 * dim), at least 1, at most dim."""
-    return min(dim, max(1, _CHUNK_BYTES // (16 * dim)))
+    """Columns per chunk: the largest power of two at most
+    ``_CHUNK_BYTES`` // (16 * dim), at least 1, at most dim."""
+    return min(dim, 1 << (max(1, _CHUNK_BYTES // (16 * dim)).bit_length() - 1))
 
 
-def _kernel_chunks(c: Circuit):
-    """Yield (j, chunk) over the column chunks of a circuit's dense matrix,
-    each the kernel run on its identity columns.
+def _circuit_chunks(c: Circuit, grow: bool):
+    """Yield (j, chunk) over the column chunks of a circuit's dense matrix:
+    columns j, j+1, ... as a contiguous (2^n, w) view of the workspace,
+    w = ``_chunk_columns(2^n)``, valid until the next chunk is asked for.
 
-    ``chunk`` holds columns j, j+1, ... as a contiguous (2^n, w) view of the
-    workspace, w = ``_chunk_columns(2^n)``; the last chunk may be narrower.
-    It is valid, and may be overwritten, until the next chunk is asked for.
-    Each column sees the float operations of one whole-block kernel run, so
-    every chunk is bit-identical to the matching columns of that run.
+    The circuit is compiled once (``_growth_plan``), and the plan runs on
+    each chunk (``_grow_chunk``).  With ``grow``, a circuit that grows, as
+    transform circuits and rotation cascades do, has columns whose support
+    doubles per mixed wire, and each chunk grows from the support of its
+    identity columns: it holds the values of the matching columns of one
+    whole-block kernel run, and may differ from them in the sign of a zero,
+    where a -0 met +0, and in nothing else.  Any other chunk starts from its
+    identity columns and holds that run's bits.
     """
     dim = 1 << c.n
     width = _chunk_columns(dim)
-    for j in range(0, dim, width):
-        chunk = _scratch("chunk", (dim, min(width, dim - j)))
-        chunk[...] = 0.0
-        cols = np.arange(chunk.shape[1])
-        chunk[j + cols, cols] = 1.0
-        _run_in_place(chunk, c)
-        yield j, chunk
-
-
-def _circuit_chunks(c: Circuit):
-    """Yield (j, chunk) over the column chunks of a circuit's dense matrix,
-    for ``_circuit_distance``, as ``_kernel_chunks`` does.
-
-    A circuit in which each gate that first mixes a wire is uncontrolled,
-    as in transform circuits and rotation cascades (``_growth_length``), has
-    columns whose support doubles per mixed wire.  Its growth prefix is then
-    compiled once into a plan (``_growth_plan``), and each chunk is grown
-    from the support of its identity columns by running the plan on a
-    contiguous row block (``_grow_chunk``): a gate touches only its columns'
-    nonzero amplitudes, and the kernel runs only the gates left once every
-    wire is mixed (a DFT circuit's swaps).  Such chunks are aligned column
-    ranges, w taken down to a power of two.  Every chunk of any other
-    circuit comes from ``_kernel_chunks``.
-
-    A grown chunk holds the values of the matching columns of one
-    whole-block kernel run, and may differ from them in the sign of a zero,
-    where a -0 met +0, and in nothing else.
-    """
-    grow = _growth_length(c)
-    if grow is None:
-        yield from _kernel_chunks(c)
-        return
-    dim = 1 << c.n
-    k = _chunk_columns(dim).bit_length() - 1
-    width = 1 << k
-    plan, rest = _growth_plan(c.gates[:grow], c.n, k), Circuit(c.n, c.gates[grow:])
+    k = width.bit_length() - 1
+    plan = _growth_plan(c, k, grow) or _growth_plan(c, k, False)
     spare = _scratch("spare", (dim * width // 2,))  # half a chunk for growth
     for j in range(0, dim, width):
         chunk = _scratch("chunk", (dim, width))
         _grow_chunk(plan, chunk, spare, j)
-        _run_in_place(chunk, rest)
         yield j, chunk
 
 
@@ -715,12 +691,13 @@ def _gathered(n: int, chunks) -> np.ndarray:
 def circuit_to_dense(c: Circuit) -> DenseUnitary:
     """Materialize a circuit: column x of the result is the circuit run on |x>.
 
-    The kernel runs over column chunks (``_kernel_chunks``), gathered into
-    the result, so its entries are bit-identical to one whole-block kernel
-    run; the exact check runs on them.
+    The circuit's plan runs on each chunk's identity columns
+    (``_circuit_chunks`` without growth), gathered into the result, so its
+    entries are bit-identical to one whole-block kernel run; the exact check
+    runs on them.
     """
     check_cap("dense", c.n)
-    return DenseUnitary(c.n, _gathered(c.n, _kernel_chunks(c)))
+    return DenseUnitary(c.n, _gathered(c.n, _circuit_chunks(c, grow=False)))
 
 
 def _formula_matrix(n: int, halves) -> np.ndarray:
@@ -730,9 +707,8 @@ def _formula_matrix(n: int, halves) -> np.ndarray:
     width = _chunk_columns(dim)
     out = np.empty((dim, dim), dtype=np.complex128)
     for j in range(0, dim, width):
-        w = min(width, dim - j)
-        for r, half in enumerate(halves(j, w)):
-            out[r * dim // 2 : (r + 1) * dim // 2, j : j + w] = half
+        for r, half in enumerate(halves(j, width)):
+            out[r * dim // 2 : (r + 1) * dim // 2, j : j + width] = half
     return out
 
 
@@ -762,7 +738,7 @@ def _circuit_distance(c: Circuit, halves) -> float:
     check_cap("dense", c.n)
     dim = 1 << c.n
     worst = 0.0
-    for j, chunk in _circuit_chunks(c):
+    for j, chunk in _circuit_chunks(c, grow=True):
         rows = (chunk[: dim // 2], chunk[dim // 2 :])
         for block, formula in zip(rows, halves(j, chunk.shape[1])):
             np.subtract(block, formula, out=block)
@@ -774,7 +750,7 @@ def _circuit_distance(c: Circuit, halves) -> float:
     if not _defect_bound(bound, eps, dim) <= STATE_TOL:
         DenseUnitary(c.n, _formula_matrix(c.n, halves))
     if not bound + 4 * dim * np.finfo(np.float64).eps <= STATE_TOL:
-        DenseUnitary(c.n, _gathered(c.n, _circuit_chunks(c)))
+        DenseUnitary(c.n, _gathered(c.n, _circuit_chunks(c, grow=True)))
     return eps
 
 

@@ -376,10 +376,10 @@ def fancy_index_circuit(c: Circuit, block: np.ndarray) -> np.ndarray:
 def one_block_circuit_dense(c: Circuit) -> np.ndarray:
     """The library kernel run once on the whole 2^n x 2^n identity block.
 
-    The reference for both chunk routes: ``circuit_to_dense`` runs the
-    kernel over column chunks and must match it bit for bit; the chunks that
-    ``compare`` grows must hold its values, and may differ from its bits
-    only in the signs of zeros.
+    The reference for both chunk starts: ``circuit_to_dense`` runs each
+    column chunk from its identity columns with the kernel's arithmetic and
+    must match it bit for bit; the chunks that ``compare`` grows must hold
+    its values, and may differ from its bits only in the signs of zeros.
     """
     block = np.eye(1 << c.n, dtype=np.complex128)
     _run_in_place(block, c)

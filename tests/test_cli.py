@@ -220,7 +220,7 @@ def test_compare_toeplitz_builds_its_circuit_once(tmp_path, monkeypatch):
     monkeypatch.setattr(
         qstate,
         "_circuit_chunks",
-        lambda c: chunk_runs.append(c) or circuit_chunks(c),
+        lambda c, grow: chunk_runs.append(c) or circuit_chunks(c, grow),
     )
     code, out, _ = run_cli("compare", "--spec", spec_path)
     assert code == 0 and "dft_swap_max_abs_diff" in json.loads(out)
@@ -579,6 +579,67 @@ def test_integer_spec_field_that_is_not_a_whole_number_exits_one(
     code, out, err = run_cli(command, "--spec", str(path))
     assert code == 1 and out == ""
     assert err == f"gqt: error: {message}\n"
+
+
+_ROT_RECORD = {"i": 1, "j": 0, "t0": 0.3, "t1": 1.1}
+
+
+# Read as numbers, "2" and true would run a different spec from the one the
+# file holds: [["2", 0], [true, 2]] would run as [[2, 0], [1, 2]].
+@pytest.mark.parametrize(
+    "command, spec, message",
+    [
+        ("check-unitary", {"n": 2, "phi": [["2", 0], [True, 2]]},
+         "spec field 'phi' must be a real number, got '2'"),
+        ("compare", {"n": 2, "phi": [["2", 0], [True, 2]]},
+         "spec field 'phi' must be a real number, got '2'"),
+        ("compare", {"n": 2, "phi": [[2, 0], [True, 2]]},
+         "spec field 'phi' must be a real number, got True"),
+        ("compare", {"n": 2, "variant": "hadamard_first",
+                     "theta": [{**_ROT_RECORD, "t0": "0.3", "t1": True}]},
+         "spec field 't0' must be a real number, got '0.3'"),
+        ("compare", {"n": 2, "variant": "hadamard_first",
+                     "theta": [{**_ROT_RECORD, "t1": True}]},
+         "spec field 't1' must be a real number, got True"),
+        ("compare", {"n": 2, "variant": "rotation_first", "theta": [_ROT_RECORD],
+                     "alpha0": [1.0, "0.5"]},
+         "spec field 'alpha0' must be a real number, got '0.5'"),
+        ("simulate", {"n": 1, "gates": [{"kind": "single", "target": 0,
+                                         "u": [[True, 0.0], *_U_ID[1:]]}]},
+         "spec field 'u' must be a real number, got True"),
+        ("simulate", {"n": 1, "gates": [{"kind": "single", "target": 0,
+                                         "u": [[1.0, "0"], *_U_ID[1:]]}]},
+         "spec field 'u' must be a real number, got '0'"),
+        # an integer past the float range must not escape as OverflowError
+        ("check-unitary", {"n": 2, "phi": [[2, 0], [10**400, 2]]},
+         f"spec field 'phi' must be a real number, got {10**400}"),
+        ("compare", {"n": 2, "variant": "hadamard_first",
+                     "theta": [{**_ROT_RECORD, "t0": 10**400}]},
+         f"spec field 't0' must be a real number, got {10**400}"),
+    ],
+    ids=["phi-string", "phi-string-compare", "phi-bool", "rot-t0-string", "rot-t1-bool",
+         "rot-alpha0-string", "u-bool", "u-string", "phi-overflow", "rot-t0-overflow"],
+)
+def test_real_spec_field_that_is_a_bool_or_a_string_exits_one(tmp_path, command, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(command, "--spec", str(path))
+    assert code == 1 and out == ""
+    assert err == f"gqt: error: {message}\n"
+
+
+def test_integer_values_of_real_spec_fields_still_read(tmp_path):
+    rot = tmp_path / "rot.json"
+    rot.write_text(json.dumps({"n": 2, "variant": "rotation_first",
+                               "theta": [{"i": 1, "j": 0, "t0": 0, "t1": 1}],
+                               "alpha0": [1, 2]}))
+    code, out, _ = run_cli("compare", "--spec", str(rot))
+    assert code == 0 and json.loads(out)["pass"] is True
+    circ = tmp_path / "circ.json"
+    circ.write_text(json.dumps({"n": 1, "gates": [
+        {"kind": "single", "target": 0, "u": [[0, 0], [1, 0], [1, 0], [0, 0]]}]}))
+    code, out, _ = run_cli("simulate", "--spec", str(circ), "--basis", "0")
+    assert code == 0 and json.loads(out)["gate_count"] == 1
 
 
 def test_whole_number_float_spec_fields_still_read_as_integers(tmp_path):

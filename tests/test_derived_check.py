@@ -60,7 +60,7 @@ def _standing_in_for(monkeypatch, b: np.ndarray, bound: float, width: int = 3) -
     for its exact-check fallback, are those of ``b``, ``width`` columns each,
     and whose gate bound is ``bound``."""
 
-    def chunks(c):
+    def chunks(c, grow):
         for j in range(0, b.shape[1], width):
             yield j, b[:, j : j + width].copy()
 
@@ -166,21 +166,21 @@ TOEPLITZ3 = [[4, 8, 16], [2, 4, 8], [1, 2, 4]]
 )
 def test_compare_refuses_a_perturbed_circuit_matrix(tmp_path, monkeypatch, phi, shift, stderr):
     # stderr is what the exact-check-only compare printed for the same kernel.
-    # A kernel patched to compute what its gates do not is outside the gate
-    # bound's premise, so the bound is made NaN: the circuit's matrix then
-    # takes the exact check, after the formula's has passed.
+    # A chunk route patched to compute what its gates do not is outside the
+    # gate bound's premise, so the bound is made NaN: the circuit's matrix
+    # then takes the exact check, after the formula's has passed.
     monkeypatch.setattr(qstate, "_gate_bound", lambda c: math.nan)
-    kernel = qstate._run_in_place
+    grow = qstate._grow_chunk
 
-    def shifted(block, c):
-        kernel(block, c)
-        block[0, 0] += shift
+    def shifted(plan, chunk, spare, j):
+        grow(plan, chunk, spare, j)
+        chunk[0, 0] += shift
 
     spec_path = _write_phi(tmp_path / "phi.json", phi)
     want = one_block_circuit_dense(gqft_circuit(GqftSpec(PhaseMatrix(3, phi))))
     want[0, 0] += shift
     assert stderr.endswith(f"by {_unitarity_defect(want):.3e}\n")
-    monkeypatch.setattr(qstate, "_run_in_place", shifted)
+    monkeypatch.setattr(qstate, "_grow_chunk", shifted)
     assert _run_compare(spec_path) == (2, "", stderr)
 
 
@@ -204,13 +204,13 @@ def test_compare_runs_the_exact_check_once(tmp_path, monkeypatch):
         report = json.loads(out)
         assert code == 0 and report["pass"] is True
         assert calls == []
-    kernel = qstate._run_in_place
+    grow = qstate._grow_chunk
 
-    def shifted(block, c):
-        kernel(block, c)
-        block[0, 0] += 1e-6
+    def shifted(plan, chunk, spare, j):
+        grow(plan, chunk, spare, j)
+        chunk[0, 0] += 1e-6
 
-    monkeypatch.setattr(qstate, "_run_in_place", shifted)
+    monkeypatch.setattr(qstate, "_grow_chunk", shifted)
     code, out, _ = _run_compare(_write_phi(tmp_path / "phi.json", real_tri3))
     report = json.loads(out)
     assert code == 2 and report["pass"] is False and report["max_abs_diff"] > 1e-7

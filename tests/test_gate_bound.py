@@ -114,6 +114,6 @@ def test_the_gate_bound_covers_the_exact_defect(n):
             bound = _gate_bound(circ)
             assert bound + gamma <= STATE_TOL, label
             kernel = circuit_to_dense(circ).defect  # the exact check's result
-            grown = _unitarity_defect(qstate._gathered(n, qstate._circuit_chunks(circ)))
+            grown = _unitarity_defect(qstate._gathered(n, qstate._circuit_chunks(circ, grow=True)))
             assert grown == kernel, label
             assert kernel - gamma <= bound, label

@@ -308,6 +308,30 @@ def test_fn_validation_errors():
         GqftSpec(pm, row_fns={2: {(1,): 1.0}})  # wrong prefix length
 
 
+@pytest.mark.parametrize(
+    "row_fns, message",
+    [
+        ({2.7: {(0, 1): 3.0}}, "spec field 'row table index' must be an integer, got 2.7"),
+        ({2: {(0.6, 1): 3.0}}, "spec field 'prefix bit' must be an integer, got 0.6"),
+        ({2: {(True, 0): 1.0}}, "spec field 'prefix bit' must be an integer, got True"),
+    ],
+    ids=["index-fraction", "bit-fraction", "bit-bool"],
+)
+def test_row_table_index_and_prefix_bits_take_the_one_integer_rule(row_fns, message):
+    # Rounded, {2.7: {(0.6, 1.2): 3.0, (True, 0): 1.0}} would be stored as
+    # {2: {(0, 1): 3.0, (1, 0): 1.0}}, a table the caller never wrote.
+    with pytest.raises(InputError) as exc:
+        GqftSpec(toeplitz_phi(3), row_fns=row_fns)
+    assert str(exc.value) == message
+
+
+def test_row_table_whole_number_floats_still_read_as_integers():
+    spec = GqftSpec(toeplitz_phi(3), row_fns={2.0: {(0.0, 1.0): 3.0, (1, 0): 1.0}})
+    assert spec.row_fns == {2: {(0, 1): 3.0, (1, 0): 1.0}}
+    assert all(type(i) is int for i in spec.row_fns)
+    assert all(type(b) is int for p in spec.row_fns[2] for b in p)
+
+
 def test_dense_cap_enforced():
     with pytest.raises(CapExceededError):
         gqft_dense(GqftSpec(toeplitz_phi(13)))

@@ -5,8 +5,8 @@ grows in ``compare``'s column chunks (``_circuit_chunks``, by
 ``_grow_chunk``).  Those must hold the values of the one-block kernel run,
 and for Toeplitz, DFT and random triangular circuits its bits: growth leaves
 out the kernel's ``+ u*0`` terms, which can change only the sign of a zero.
-``circuit_to_dense`` runs the kernel over column chunks, bit-identical to
-that run, and grows nothing.
+``circuit_to_dense`` runs each column chunk from its identity columns,
+bit-identical to that run, and grows nothing.
 """
 
 import numpy as np
@@ -42,7 +42,8 @@ def _assert_bit_identical(got: np.ndarray, want: np.ndarray, label) -> None:
 
 def _compare_chunks(c: Circuit) -> np.ndarray:
     """The circuit's matrix as compare's streamed distance sees it."""
-    return np.concatenate([chunk.copy() for _, chunk in qstate._circuit_chunks(c)], axis=1)
+    chunks = qstate._circuit_chunks(c, grow=True)
+    return np.concatenate([chunk.copy() for _, chunk in chunks], axis=1)
 
 
 def _row_table_spec(n: int, rng: np.random.Generator) -> GqftSpec:
@@ -97,7 +98,7 @@ def _synthetic_circuit(n: int, rng: np.random.Generator) -> Circuit:
         else:
             gates.append(phase_gate())
     c = Circuit(n, tuple(gates))
-    assert qstate._growth_length(c) is not None
+    assert qstate._growth_plan(c, 0, True) is not None
     return c
 
 
@@ -114,7 +115,7 @@ def test_grown_transform_circuits_are_bit_identical_to_one_block(n):
     if n >= 3:
         circuits["row_table"] = gqft_circuit(_row_table_spec(n, rng))
     for name, c in circuits.items():
-        assert qstate._growth_length(c) is not None, name
+        assert qstate._growth_plan(c, 0, True) is not None, name
         want = one_block_circuit_dense(c)
         _assert_bit_identical(circuit_to_dense(c).entries, want, (name, n))
         if name == "row_table":
@@ -192,6 +193,8 @@ def _count_calls(monkeypatch, name: str) -> list:
 
 
 def test_non_growing_circuits_take_the_kernel_with_no_growth_attempt(monkeypatch):
+    # compare's one chunk of each starts from the identity columns and runs
+    # the kernel's arithmetic; none grows.
     grown = _count_calls(monkeypatch, "_grow_chunk")
     n = 6
     circuits = {
@@ -201,12 +204,11 @@ def test_non_growing_circuits_take_the_kernel_with_no_growth_attempt(monkeypatch
         "no_gates": Circuit(2, ()),
     }
     for name, c in circuits.items():
-        assert qstate._growth_length(c) is None, name
-        kernel = _count_calls(monkeypatch, "_run_in_place")
+        assert qstate._growth_plan(c, 0, True) is None, name
+        grown.clear()
         _assert_bit_identical(_compare_chunks(c), one_block_circuit_dense(c), name)
-        assert [args[1] is c for args in kernel] == [True], name
+        assert [args[0][0] for args in grown] == [False], name
         _assert_bit_identical(circuit_to_dense(c).entries, one_block_circuit_dense(c), name)
-    assert grown == []
 
 
 def test_a_wire_mixed_twice_grows_for_compare(monkeypatch):
@@ -214,16 +216,17 @@ def test_a_wire_mixed_twice_grows_for_compare(monkeypatch):
     c = Circuit(
         2, (Controlled((), 0, HADAMARD), Controlled((), 0, HADAMARD), Controlled((), 1, HADAMARD))
     )
-    assert qstate._growth_length(c) == c.gate_count
+    assert qstate._growth_plan(c, 0, True) is not None
     grown = _count_calls(monkeypatch, "_grow_chunk")
     assert np.array_equal(_compare_chunks(c), one_block_circuit_dense(c))
     assert len(grown) == 1
 
 
 def test_toeplitz_build_runs_no_transform_gate_through_the_kernel(monkeypatch):
-    # circuit_to_dense compiles no plan and grows no chunk; compare's chunks
-    # grow and run through the kernel only the gates left once every wire is
-    # mixed: none for Toeplitz, a DFT's swaps.
+    # Each route compiles one plan: circuit_to_dense's starts every chunk
+    # from its identity columns, compare's grows every chunk.  Neither runs
+    # a gate through the kernel; a DFT's swaps relabel its wires, and the
+    # plan's closing transposition applies them.
     n = 10  # 16 chunks of 64 columns at the 1 MiB budget
     circuits = {"toeplitz": gqft_circuit(GqftSpec(toeplitz_phi(n))), "dft": dft_circuit(n)}
     calls = [_count_calls(monkeypatch, f) for f in ("_growth_plan", "_grow_chunk", "_run_in_place")]
@@ -232,12 +235,15 @@ def test_toeplitz_build_runs_no_transform_gate_through_the_kernel(monkeypatch):
         for counted in calls:
             counted.clear()
         got = circuit_to_dense(c).entries
-        assert (len(compiled), len(grown)) == (0, 0), name
-        assert [(a[0].shape[1], a[1] is c) for a in kernel] == [(64, True)] * 16, name
+        assert [(a[0] is c, a[2]) for a in compiled] == [(True, False)], name
+        assert [(a[0][0], a[1].shape[1]) for a in grown] == [(False, 64)] * 16, name
+        assert kernel == [], name
         _assert_bit_identical(got, one_block_circuit_dense(c), name)
-        kernel.clear()
-        for _ in qstate._circuit_chunks(c):
+        for counted in calls:
+            counted.clear()
+        for _ in qstate._circuit_chunks(c, grow=True):
             pass
-        assert (len(compiled), len(grown)) == (1, 16), name
-        rest = n // 2 if name == "dft" else 0
-        assert [a[1].gate_count for a in kernel] == [rest] * 16, name
+        assert [(a[0] is c, a[2]) for a in compiled] == [(True, True)], name
+        assert [a[0][0] for a in grown] == [True] * 16, name
+        assert kernel == [], name
+        assert (grown[0][0][2] is None) == (name == "toeplitz"), name

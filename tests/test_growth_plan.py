@@ -4,8 +4,8 @@ A cascade mixes each wire with one uncontrolled gate and then runs rotations
 on it under controls on lower, unmixed wires.  In compare its chunks
 (``_circuit_chunks``) grow from the plan of ``_growth_plan`` and must equal
 the one-block kernel run up to the sign of a zero; the streamed distance
-must equal the one-shot max.  ``circuit_to_dense`` runs the kernel,
-bit-identical to that run.
+must equal the one-shot max.  ``circuit_to_dense`` runs each chunk from
+its identity columns, bit-identical to that run.
 """
 
 import numpy as np
@@ -62,14 +62,15 @@ def _cascades(n: int, rng: np.random.Generator) -> dict:
 
 def _compare_chunks(c: Circuit) -> np.ndarray:
     """The circuit's matrix as compare's streamed distance sees it."""
-    return np.concatenate([chunk.copy() for _, chunk in qstate._circuit_chunks(c)], axis=1)
+    chunks = qstate._circuit_chunks(c, grow=True)
+    return np.concatenate([chunk.copy() for _, chunk in chunks], axis=1)
 
 
 def _assert_grown_for_compare(c: Circuit, label) -> None:
     """Compare grows c, equal to the one-block run but for signs of zeros;
     the build is bit-identical to it."""
     want = one_block_circuit_dense(c)
-    assert qstate._growth_length(c) == c.gate_count, label
+    assert qstate._growth_plan(c, 0, True) is not None, label
     assert np.array_equal(_compare_chunks(c), want), label
     _assert_bit_identical(circuit_to_dense(c).entries, want, label)
 
@@ -161,8 +162,9 @@ def test_the_plan_is_compiled_once_per_circuit_not_per_chunk(monkeypatch):
 
 
 def test_a_cascade_build_takes_the_kernel_with_no_growth_attempt(monkeypatch):
-    # circuit_to_dense compiles no plan and grows no chunk; compare's chunks
-    # grow every cascade gate and run none through the kernel.
+    # circuit_to_dense compiles one plan that starts every chunk from its
+    # identity columns; compare's grows every chunk.  Neither runs a gate
+    # through the kernel.
     n = 10  # 16 chunks of 64 columns at the 1 MiB budget
     rng = np.random.default_rng(3500)
     circuits = {
@@ -175,11 +177,14 @@ def test_a_cascade_build_takes_the_kernel_with_no_growth_attempt(monkeypatch):
         for counted in calls:
             counted.clear()
         got = circuit_to_dense(c).entries
-        assert (len(compiled), len(grown)) == (0, 0), name
-        assert [(a[0].shape[1], a[1] is c) for a in kernel] == [(64, True)] * 16, name
+        assert [(a[0] is c, a[2]) for a in compiled] == [(True, False)], name
+        assert [(a[0][0], a[1].shape[1]) for a in grown] == [(False, 64)] * 16, name
+        assert kernel == [], name
         _assert_bit_identical(got, one_block_circuit_dense(c), name)
-        kernel.clear()
-        for _ in qstate._circuit_chunks(c):
+        for counted in calls:
+            counted.clear()
+        for _ in qstate._circuit_chunks(c, grow=True):
             pass
-        assert (len(compiled), len(grown)) == (1, 16), name
-        assert [a[1].gate_count for a in kernel] == [0] * 16, name
+        assert [(a[0] is c, a[2]) for a in compiled] == [(True, True)], name
+        assert [a[0][0] for a in grown] == [True] * 16, name
+        assert kernel == [], name
