@@ -4,10 +4,12 @@
 Runs each subcommand in-process through ``gqt.cli.main`` on seeded spec
 files at n = 1..max-n, in JSON and CSV, plus malformed inputs.  Every kind
 that has a circuit (gqft, rot1, rot2, dft) dumps it with ``--emit-circuit``
-at each n, and ``simulate`` runs each dump.  Prints one
-line per run: the exit code (or the name of an exception that escaped
-``main``), the SHA-256 of stdout followed by any file the run wrote, the
-SHA-256 of stderr, and the argv with the temp dir shown as <tmp>.  A last
+at each n, and ``simulate`` runs each dump and a seeded random circuit dump,
+whose controlled gates, controls on bit 0 and swaps between gates no
+transform circuit has.  Prints one line per run: the exit code (or the
+name of an exception that escaped ``main``), the SHA-256 of stdout followed
+by any file the run wrote, the SHA-256 of stderr, and the argv with the
+temp dir shown as <tmp>.  A last
 line digests all of them, so two checkouts agree on every run iff they
 print the same digest; where they differ, a line diff names the runs.
 An exception that escapes ``main`` has its traceback written to stderr and
@@ -75,8 +77,34 @@ def _rot_specs(tmp: Path, n: int, rng: np.random.Generator) -> dict[str, str]:
     }
 
 
-def runs_at(tmp: Path, n: int, rng: np.random.Generator) -> list[list[str]]:
-    """Every subcommand at width n; each list is one argv."""
+def _random_circuit(tmp: Path, n: int, rng: np.random.Generator) -> str:
+    """A circuit dump of 4n gates: swaps, and general 2x2 unitaries under up
+    to two controls, each on bit 0 or 1."""
+    gates = []
+    for _ in range(4 * n):
+        if n > 1 and rng.random() < 0.25:
+            a, b = rng.choice(n, size=2, replace=False)
+            gates.append({"kind": "swap", "a": int(a), "b": int(b)})
+            continue
+        theta = rng.uniform(0.1, 1.4)
+        c, s = np.cos(theta), np.sin(theta)
+        a, b, g = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=3))
+        u = [c * a, -s * b, s * g, c * b * g / a]
+        wires = rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False)
+        gate = {"kind": "single", "target": int(wires[0]),
+                "u": [[z.real, z.imag] for z in map(complex, u)]}
+        if len(wires) > 1:
+            gate["kind"] = "controlled"
+            gate["controls"] = [[int(w), int(rng.integers(0, 2))] for w in wires[1:]]
+        gates.append(gate)
+    return _write(tmp / f"random_circuit{n}.json", {"n": n, "gates": gates})
+
+
+def runs_at(tmp: Path, n: int, rng: np.random.Generator,
+            circuit_rng: np.random.Generator) -> list[list[str]]:
+    """Every subcommand at width n; each list is one argv.  The random
+    circuit dump is drawn from ``circuit_rng``, so the specs' draws from
+    ``rng`` do not depend on it."""
     phase = _phase_specs(tmp, n, rng)
     rot = _rot_specs(tmp, n, rng)
     circuit = str(tmp / f"circuit{n}.json")
@@ -106,6 +134,8 @@ def runs_at(tmp: Path, n: int, rng: np.random.Generator) -> list[list[str]]:
         dump = str(tmp / f"{kind}_circuit{n}.json")
         runs += [["matrix", "--kind", kind, *source, "--emit-circuit", dump],
                  ["simulate", "--spec", dump, "--basis", basis, "--trials", "64"]]
+    dump = _random_circuit(tmp, n, circuit_rng)
+    runs.append(["simulate", "--spec", dump, "--basis", basis, "--trials", "64"])
     return runs
 
 
@@ -174,11 +204,12 @@ def main(argv=None) -> int:
     )
     ap.add_argument("--seed", type=int_at_least(0, "seed"), default=DEFAULT_SEED)
     args = ap.parse_args(argv)
-    rng = rng_from_seed(args.seed)
+    rng, circuit_rng = rng_from_seed(args.seed), rng_from_seed(args.seed + 1)
     lines = []
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
-        runs = [run for n in range(1, args.max_n + 1) for run in runs_at(tmp, n, rng)]
+        runs = [run for n in range(1, args.max_n + 1)
+                for run in runs_at(tmp, n, rng, circuit_rng)]
         for run in runs + malformed_runs(tmp):
             code, out, err = run_one(run, name)
             lines.append(f"{code} {out} {err} {' '.join(run).replace(name, '<tmp>')}")

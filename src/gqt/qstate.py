@@ -5,11 +5,15 @@ vector (x_0, ..., x_{n-1}) as k = sum_i x_i * 2^i, so qubit i carries weight
 2^i.  Dense matrices are indexed M[row=y][col=x] = <y|U|x>.
 
 Everything here is a pure function over immutable values: amplitude arrays
-are write-locked and each operation returns a fresh state.  Inside, a
-circuit runs in place on one private copy, through a (2,)*n strided view in
-which each gate touches only the slices its qubits select; a diagonal
-diag(1, u11) gate, such as every phase gate of a transform circuit, scales
-only its target-1 slice.
+are write-locked and each operation returns a fresh state.
+
+One compiled plan runs every circuit: ``_growth_plan`` compiles the gate
+list once, and ``_grow_chunk`` runs it on a contiguous block, in place on
+``apply_circuit``'s private copy of a state (a (2^n, 1) block) and on each
+column chunk of a circuit's matrix.  Each gate touches only the slices its
+qubits select, a diagonal diag(1, u11) gate, such as every phase gate of a
+transform circuit, scales only its target-1 slice, and a swap relabels
+wires, which one transposition at the end puts back in order.
 
 State kept across calls is private, and no result aliases it: the root
 table's error per size (``_root_table_error``, cached), and a workspace of
@@ -289,44 +293,9 @@ def _gate_qubits(g: Gate) -> tuple[int, ...]:
     raise InputError(f"unknown gate type {type(g).__name__}")
 
 
-def _run_in_place(block: np.ndarray, c: Circuit) -> None:
-    """Run ``c`` along axis 0 of ``block`` ((2^n,) or (2^n, m)), overwriting it.
-
-    The gates act on a (2,)*n (+ (m,)) view of the block, where qubit q is
-    axis n-1-q; that view must share the block's memory.
-    """
-    view = block.reshape((2,) * c.n + block.shape[1:])
-    assert np.shares_memory(view, block), "reshape copied; in-place gates would be lost"
-    axes = range(c.n - 1, -1, -1)
-    for g in c.gates:
-        _apply_gate_inplace(view, g, axes)
-
-
 def _is_phase(u: np.ndarray) -> bool:
     """Whether a 2x2 gate is exactly diag(1, u11), as every transform phase gate is."""
     return u[0, 0] == 1 and u[0, 1] == 0 and u[1, 0] == 0
-
-
-def _apply_gate_inplace(view: np.ndarray, g: Gate, axes) -> None:
-    """Apply a Circuit-checked gate in place to an array of amplitudes, in
-    which qubit q's bit is axis ``axes[q]`` of ``view``."""
-    sel = [slice(None)] * view.ndim
-    if isinstance(g, Swap):
-        sel[axes[g.a]], sel[axes[g.b]] = slice(0, 1), slice(1, 2)
-        a = view[tuple(sel)]
-        sel[axes[g.a]], sel[axes[g.b]] = slice(1, 2), slice(0, 1)
-        b = view[tuple(sel)]
-        saved = a.copy()
-        a[...] = b
-        b[...] = saved
-        return
-    for q, bit in g.controls:
-        sel[axes[q]] = slice(bit, bit + 1)
-    pair = []
-    for bit in (0, 1):
-        sel[axes[g.target]] = slice(bit, bit + 1)
-        pair.append(view[tuple(sel)])
-    _apply_2x2(g.u, *pair)
 
 
 def _apply_2x2(u: np.ndarray, a0: np.ndarray, a1: np.ndarray) -> None:
@@ -362,7 +331,7 @@ def apply_circuit(state: QState, c: Circuit) -> QState:
     if c.n != state.n:
         raise InputError(f"circuit on {c.n} qubits applied to {state.n}-qubit state")
     amps = np.array(state.amps)  # the input stays locked; gates update this copy
-    _run_in_place(amps, c)
+    _grow_chunk(_growth_plan(c, 0, False), amps.reshape(-1, 1), None, 0)
     return QState(state.n, amps)
 
 
@@ -539,8 +508,8 @@ def _growth_plan(c: Circuit, k: int, grow: bool) -> tuple | None:
       circuit grows when each gate that mixes a wire not yet mixed is
       uncontrolled and every wire ends up mixed; for any other, decided on
       the gate list alone, None is returned.
-    * identity: the chunk's identity columns, every wire mixed, wire q as
-      row bit q.
+    * identity: every wire mixed, wire q as row bit q, on the block that
+      ``_grow_chunk`` is given.
 
     Each gate becomes one step:
 
@@ -596,35 +565,31 @@ def _growth_plan(c: Circuit, k: int, grow: bool) -> tuple | None:
     return grow, steps, None if perm == list(range(n)) else perm + [n]
 
 
-def _grow_chunk(plan: tuple, chunk: np.ndarray, spare: np.ndarray, j: int) -> None:
+def _grow_chunk(plan: tuple, chunk: np.ndarray, spare: np.ndarray | None, j: int) -> None:
     """Run a circuit's ``_growth_plan`` on columns j, j+1, ... into ``chunk``.
 
     ``plan`` is compiled for ``chunk``'s width w, a power of two, ``chunk``
     is a contiguous (2^n, w) block, j a multiple of w, and ``spare`` a flat
-    complex array of half its size.  A growth plan starts each column as one
-    amplitude 1, t = ones((1, w)), and each mix grows t into ``spare`` and
-    the front of ``chunk`` by turns, the last one over all of ``chunk``.
-    Every product is taken scalar (or factor row) first, as in the kernel:
-    a factor row in first position gives the bits of its scalar.  An
-    identity plan starts from the chunk's identity columns and runs every
-    gate with the kernel's arithmetic (``_apply_2x2``) on t = ``chunk``.
+    complex array of half its size (an identity plan does not read it).  A
+    growth plan starts each column as one amplitude 1, t = ones((1, w)), and
+    each mix grows t into ``spare`` and the front of ``chunk`` by turns, the
+    last one over all of ``chunk``.  Every product is taken scalar (or
+    factor row) first, as in the kernel: a factor row in first position
+    gives the bits of its scalar.  An identity plan runs every gate in place
+    on the block it is given, t = ``chunk``, with the kernel's arithmetic
+    (``_apply_2x2``): a chunk's identity columns (``_circuit_chunks``), or a
+    state as a (2^n, 1) block (``apply_circuit``).
 
     The kernel computes each grown entry as such a product plus one with a
     structural zero, which is the product itself unless a part of the
     product is -0 and the zero +0.  So every grown column holds the
     kernel's values, also through the gates run on mixed wires, and may
     differ from its bits only in the sign of a zero; an identity plan's
-    columns are the kernel's bit for bit.
+    block is the kernel's bit for bit.
     """
     grow, steps, perm = plan
     w = chunk.shape[1]
-    if grow:
-        t = np.ones((1, w), dtype=np.complex128)
-    else:
-        chunk[...] = 0.0
-        cols = np.arange(w)
-        chunk[j + cols, cols] = 1.0
-        t = chunk
+    t = np.ones((1, w), dtype=np.complex128) if grow else chunk
     pools = (chunk.reshape(-1), spare)  # t with an even / odd count of wires left
     for kind, u, *args in steps:
         if kind == "mix":
@@ -661,16 +626,20 @@ def _circuit_chunks(c: Circuit, grow: bool):
     doubles per mixed wire, and each chunk grows from the support of its
     identity columns: it holds the values of the matching columns of one
     whole-block kernel run, and may differ from them in the sign of a zero,
-    where a -0 met +0, and in nothing else.  Any other chunk starts from its
-    identity columns and holds that run's bits.
+    where a -0 met +0, and in nothing else.  Any other chunk is filled with
+    its identity columns, runs the identity plan and holds that run's bits.
     """
     dim = 1 << c.n
     width = _chunk_columns(dim)
     k = width.bit_length() - 1
     plan = _growth_plan(c, k, grow) or _growth_plan(c, k, False)
     spare = _scratch("spare", (dim * width // 2,))  # half a chunk for growth
+    cols = np.arange(width)
     for j in range(0, dim, width):
         chunk = _scratch("chunk", (dim, width))
+        if not plan[0]:
+            chunk[...] = 0.0
+            chunk[j + cols, cols] = 1.0
         _grow_chunk(plan, chunk, spare, j)
         yield j, chunk
 

@@ -28,7 +28,7 @@ from gqt import rotft
 from gqt.config import check_cap
 from gqt.gqft import _wire_exponents
 from gqt.phasemat import CRITERION_TOL
-from gqt.qstate import _run_in_place, bit_table, unit_roots
+from gqt.qstate import Gate, _apply_2x2, bit_table, unit_roots
 
 _I2 = np.eye(2, dtype=np.complex128)
 
@@ -373,13 +373,52 @@ def fancy_index_circuit(c: Circuit, block: np.ndarray) -> np.ndarray:
     return block
 
 
-def one_block_circuit_dense(c: Circuit) -> np.ndarray:
-    """The library kernel run once on the whole 2^n x 2^n identity block.
+def _run_in_place(block: np.ndarray, c: Circuit) -> None:
+    """Run ``c`` along axis 0 of ``block`` ((2^n,) or (2^n, m)), overwriting it.
 
-    The reference for both chunk starts: ``circuit_to_dense`` runs each
-    column chunk from its identity columns with the kernel's arithmetic and
-    must match it bit for bit; the chunks that ``compare`` grows must hold
-    its values, and may differ from its bits only in the signs of zeros.
+    The gates act on a (2,)*n (+ (m,)) view of the block, where qubit q is
+    axis n-1-q; that view must share the block's memory.
+    """
+    view = block.reshape((2,) * c.n + block.shape[1:])
+    assert np.shares_memory(view, block), "reshape copied; in-place gates would be lost"
+    axes = range(c.n - 1, -1, -1)
+    for g in c.gates:
+        _apply_gate_inplace(view, g, axes)
+
+
+def _apply_gate_inplace(view: np.ndarray, g: Gate, axes) -> None:
+    """Apply a Circuit-checked gate in place to an array of amplitudes, in
+    which qubit q's bit is axis ``axes[q]`` of ``view``."""
+    sel = [slice(None)] * view.ndim
+    if isinstance(g, Swap):
+        sel[axes[g.a]], sel[axes[g.b]] = slice(0, 1), slice(1, 2)
+        a = view[tuple(sel)]
+        sel[axes[g.a]], sel[axes[g.b]] = slice(1, 2), slice(0, 1)
+        b = view[tuple(sel)]
+        saved = a.copy()
+        a[...] = b
+        b[...] = saved
+        return
+    for q, bit in g.controls:
+        sel[axes[q]] = slice(bit, bit + 1)
+    pair = []
+    for bit in (0, 1):
+        sel[axes[g.target]] = slice(bit, bit + 1)
+        pair.append(view[tuple(sel)])
+    _apply_2x2(g.u, *pair)
+
+
+def one_block_circuit_dense(c: Circuit) -> np.ndarray:
+    """A strided-view run of the library's gate arithmetic (``_apply_2x2``)
+    on the whole 2^n x 2^n identity block, with no compiled plan.
+
+    Each gate acts on the slices of a (2,)*n view that its qubits select,
+    and a swap exchanges two of them through one copy (``_run_in_place``).
+    The reference for every route of the plan: ``apply_circuit`` on a
+    state's amplitudes and ``circuit_to_dense`` on each chunk's identity
+    columns run it gate by gate and must match this bit for bit; the chunks
+    that ``compare`` grows must hold its values, and may differ from its
+    bits only in the signs of zeros.
     """
     block = np.eye(1 << c.n, dtype=np.complex128)
     _run_in_place(block, c)

@@ -54,7 +54,7 @@ def test_chunked_build_is_bit_identical_to_one_block(n):
 
 
 @pytest.mark.parametrize("width", [1, 3, 5, 7])
-def test_ragged_last_chunk_is_bit_identical(monkeypatch, width):
+def test_odd_column_budgets_build_bit_identical(monkeypatch, width):
     # A budget of `width` columns that does not divide 2^n is taken down to a
     # power of two, so every chunk is an aligned column range of one width.
     rng = np.random.default_rng(1600 + width)

@@ -163,23 +163,21 @@ def test_the_plan_is_compiled_once_per_circuit_not_per_chunk(monkeypatch):
 
 def test_a_cascade_build_takes_the_kernel_with_no_growth_attempt(monkeypatch):
     # circuit_to_dense compiles one plan that starts every chunk from its
-    # identity columns; compare's grows every chunk.  Neither runs a gate
-    # through the kernel.
+    # identity columns; compare's grows every chunk.
     n = 10  # 16 chunks of 64 columns at the 1 MiB budget
     rng = np.random.default_rng(3500)
     circuits = {
         "rot1": rot1_circuit(random_rot_spec(n, HADAMARD_FIRST, rng)),
         "rot2": rot2_circuit(random_rot_spec(n, ROTATION_FIRST, rng)),
     }
-    calls = [_count_calls(monkeypatch, f) for f in ("_growth_plan", "_grow_chunk", "_run_in_place")]
-    compiled, grown, kernel = calls
+    calls = [_count_calls(monkeypatch, f) for f in ("_growth_plan", "_grow_chunk")]
+    compiled, grown = calls
     for name, c in circuits.items():
         for counted in calls:
             counted.clear()
         got = circuit_to_dense(c).entries
         assert [(a[0] is c, a[2]) for a in compiled] == [(True, False)], name
         assert [(a[0][0], a[1].shape[1]) for a in grown] == [(False, 64)] * 16, name
-        assert kernel == [], name
         _assert_bit_identical(got, one_block_circuit_dense(c), name)
         for counted in calls:
             counted.clear()
@@ -187,4 +185,3 @@ def test_a_cascade_build_takes_the_kernel_with_no_growth_attempt(monkeypatch):
             pass
         assert [(a[0] is c, a[2]) for a in compiled] == [(True, True)], name
         assert [a[0][0] for a in grown] == [True] * 16, name
-        assert kernel == [], name

@@ -45,9 +45,10 @@ from gqt import (
     unit_roots,
 )
 
-from gqt.qstate import _gate_defect, _run_in_place, _unitarity_defect
+from gqt.qstate import _gate_defect, _grow_chunk, _growth_plan, _is_phase, _unitarity_defect
 
 from _oracles import (
+    _run_in_place,
     circuit_dense_kron,
     direct_coset_amps,
     direct_dft_dense,
@@ -289,6 +290,39 @@ def test_kernel_is_bit_identical_to_fancy_index_reference(n):
         )
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_apply_circuit_is_bit_identical_to_the_strided_view_reference(n):
+    # The compiled plan on a (2^n, 1) block against each gate run on the
+    # slices of a (2,)*n view, compared as uint64 so that the sign of every
+    # zero counts.  Transform circuits start from basis states, which hold
+    # the most exact zeros; random circuits mix controls on bits 0 and 1,
+    # general 2x2 gates, diag(1, u11) gates, whose product alone sets the
+    # sign of a zero, and swaps anywhere in the gate list.
+    rng = np.random.default_rng(3700 + n)
+    transforms = [
+        gqft_circuit(GqftSpec(random_triangular_phi(n, rng))),
+        dft_circuit(n),
+        rot1_circuit(random_rot_spec(n, HADAMARD_FIRST, rng)),
+        rot2_circuit(random_rot_spec(n, ROTATION_FIRST, rng)),
+    ]
+    cases = [(c, QState.basis(n, int(rng.integers(0, 1 << n)))) for c in transforms]
+    pick = (random_gate, random_diagonal_gate)
+    for _ in range(12):
+        c = Circuit(n, tuple(pick[rng.random() < 0.3](n, rng) for _ in range(4 * n)))
+        basis = QState.basis(n, int(rng.integers(0, 1 << n)))
+        cases += [(c, basis), (c, QState(n, random_state(n, rng)))]
+    for c, start in cases:
+        want = np.array(start.amps)
+        _run_in_place(want, c)
+        assert_same_bits(apply_circuit(start, c).amps, want)
+    if n >= 2:
+        gates = [g for c, _ in cases[len(transforms) :] for g in c.gates[:-1]]
+        assert any(isinstance(g, Swap) for g in gates)
+        bits = {b for g in gates if isinstance(g, Controlled) for _, b in g.controls}
+        assert bits == {0, 1}
+        assert {_is_phase(g.u) for g in gates if isinstance(g, Controlled)} == {False, True}
+
+
 def random_diagonal_gate(n: int, rng: np.random.Generator) -> Controlled:
     """diag(1, e^(i theta)) on a random target under up to two random controls."""
     u = np.diag([1.0, np.exp(1j * rng.uniform(0, 2 * np.pi))]).astype(np.complex128)
@@ -352,7 +386,7 @@ def test_diagonal_gate_scales_its_slice_in_place(target):
     want = fancy_index_circuit(c, amps.copy())
     tracemalloc.start()
     try:
-        _run_in_place(amps, c)
+        _grow_chunk(_growth_plan(c, 0, False), amps.reshape(-1, 1), None, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,12 +1,17 @@
 """Experiment scripts: a tiny run succeeds, and errors exit with the CLI's codes."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from gqt import Controlled, Swap, qstate
+from gqt.cli import circuit_from_json_dict
+from gqt.config import DEFAULT_SEED, rng_from_seed
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -151,3 +156,19 @@ def test_cli_digest_is_deterministic(capsys):
     lines = outputs[0].out.splitlines()
     assert lines[-1].startswith("digest ") and len(lines) > 100
     assert all(line.split()[0] in ("0", "1", "2", "3") for line in lines[:-1])
+
+
+def test_cli_digest_random_circuit_has_what_no_transform_dump_has(tmp_path):
+    # Controlled general gates, a control on bit 0 and a swap with gates
+    # after it: the plan's controlled steps and its mid-circuit relabelling.
+    digest = load("cli_digest")
+    rng = rng_from_seed(DEFAULT_SEED + 1)
+    for n in range(1, 6):
+        path = digest._random_circuit(tmp_path, n, rng)
+        c = circuit_from_json_dict(json.loads(Path(path).read_text()))
+        assert c.gate_count == 4 * n
+        if n >= 3:
+            controlled = [g for g in c.gates if isinstance(g, Controlled) and g.controls]
+            assert any(b == 0 for g in controlled for _, b in g.controls), n
+            assert any(not qstate._is_phase(g.u) for g in controlled), n
+            assert any(isinstance(g, Swap) for g in c.gates[:-1]), n
